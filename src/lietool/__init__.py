@@ -22,7 +22,7 @@ from .conditions import (Caps, ConditionReport, ag_screen, ag_weight,
                          check_n2, check_n3, check_sextic,
                          check_sussmann_stefani, check_wk_cubic_screen,
                          check_wk_loose, component_functional, family_layers,
-                         family_n2, family_n3, family_s1, neutral_span, pi,
+                         family_n2, family_n3, family_s1, neutral_span,
                          pi_threshold)
 from .controls import (PiecewisePolyControl, Poly, SampledControl,
                        load_control, primitive)
@@ -54,7 +54,7 @@ __all__ = [
     "family_n2", "family_n3", "family_s1", "formal_state", "hall_compare",
     "integrate", "interaction_log", "is_hall", "lie_bracket", "load_control",
     "load_system", "magnus_log", "neutral_span", "ordered_product",
-    "parse_tree", "pi", "pi_threshold", "primitive",
+    "parse_tree", "pi_threshold", "primitive",
     "pure_counterexample_check",
     "residual_scaling_slope", "verify_expansions", "vf_bracket", "xi",
     "xi_closed_form", "zm_state", "zoo", "zoo_names",

@@ -3,14 +3,16 @@
 Subcommands: basis, decompose, xi, eval, check, verify-expansions, simulate,
 drift-scan, zoo.  Exit codes: 0 on success (including a computed verdict),
 1 when --fail-on-violation is set and the verdict is violated, 2 on usage
-errors.  Rationals serialize as "p/q" strings; reports echo every numeric
-default so runs are reproducible from their output alone.
+errors, 141 (as for SIGPIPE) when the reader closes standard output early.
+Rationals serialize as "p/q" strings; reports echo every numeric default so
+runs are reproducible from their output alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from .hall import basis_of_bidegree, decompose, enumerate_basis
 from .trees import TreeSyntaxError, parse_tree
 
 USAGE_ERROR = 2
+BROKEN_PIPE = 141
 
 
 class CliError(Exception):
@@ -66,6 +69,13 @@ CONTROL_FORMAT_HINT = (
     'variable, or {"type": "samples", "t": 1.0, "values": [...]}')
 
 
+def _load_control(path: str):
+    try:
+        return load_control(path)
+    except (ValueError, KeyError, FileNotFoundError) as exc:
+        raise CliError(f"error: {exc}\n{CONTROL_FORMAT_HINT}")
+
+
 def _cmd_basis(args) -> int:
     if args.cumulative:
         elements = enumerate_basis(args.n1, args.n0)
@@ -89,7 +99,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_xi(args) -> int:
     tree = _parse_tree_arg(args.bracket)
-    u = load_control(args.control)
+    u = _load_control(args.control)
     if args.closed_form:
         value = coord.xi_closed_form(tree, u)
     else:
@@ -109,21 +119,27 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+CONDITION_GRAMMAR = ("sussmann:<k> | wk:<k>,<m> | wk-screen:<k>,<m> | n2 | "
+                     "n3 | sextic | ag:<sigma>,<r>")
+
+
 def _parse_condition(token: str):
-    name, _, rest = token.partition(":")
-    if name == "sussmann":
-        return ("sussmann", int(rest))
-    if name in ("wk", "wk-screen"):
-        k, m = rest.split(",")
-        return (name, int(k), int(m))
-    if name in ("n2", "n3", "sextic"):
-        return (name,)
-    if name == "ag":
-        sigma, r = rest.split(",")
-        return ("ag", Fraction(sigma), Fraction(r))
-    raise CliError(
-        f"unknown condition {token!r}; use sussmann:<k> | wk:<k>,<m> | "
-        "wk-screen:<k>,<m> | n2 | n3 | sextic | ag:<sigma>,<r>")
+    name, sep, rest = token.partition(":")
+    try:
+        if name == "sussmann":
+            return ("sussmann", int(rest))
+        if name in ("wk", "wk-screen"):
+            k, m = rest.split(",")
+            return (name, int(k), int(m))
+        if name in ("n2", "n3", "sextic") and not sep:
+            return (name,)
+        if name == "ag":
+            sigma, r = rest.split(",")
+            return ("ag", Fraction(sigma), Fraction(r))
+    except (ValueError, ZeroDivisionError):
+        raise CliError(
+            f"malformed condition {token!r}; use {CONDITION_GRAMMAR}")
+    raise CliError(f"unknown condition {token!r}; use {CONDITION_GRAMMAR}")
 
 
 def _cmd_check(args) -> int:
@@ -183,7 +199,7 @@ def _cmd_verify_expansions(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sys_def = _load_system(args.system)
-    u = load_control(args.control)
+    u = _load_control(args.control)
     traj = simulate.integrate(sys_def, u, args.step)
     rows = [["time"] + [f"x{i+1}" for i in range(sys_def.dim)]]
     for t, x in zip(traj.times, traj.states):
@@ -205,19 +221,25 @@ _FAMILIES = {
 }
 
 
+FAMILY_GRAMMAR = "s1|n2|n3|loose:k,m|sextic"
+
+
 def _parse_family(token: str):
     if token in _FAMILIES:
         return _FAMILIES[token]()
     name, _, rest = token.partition(":")
     if name == "loose":
-        k, m = (int(x) for x in rest.split(","))
+        try:
+            k, m = (int(x) for x in rest.split(","))
+        except ValueError:
+            raise CliError(f"malformed family {token!r}; use {FAMILY_GRAMMAR}")
         layers, _ = conditions._pi_layer_set(k, m, Caps())
         layers.discard(2)
         return conditions.family_layers(layers, name=f"loose:{k},{m}")
     if token == "sextic":
         return conditions.family_layers(range(1, 8), name="sextic",
                                         exclude={trees.D().text})
-    raise CliError(f"unknown family {token!r}; use s1|n2|n3|loose:k,m|sextic")
+    raise CliError(f"unknown family {token!r}; use {FAMILY_GRAMMAR}")
 
 
 def _cmd_drift_scan(args) -> int:
@@ -341,13 +363,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (e.g. `| head`); point stdout at devnull so the
+        # interpreter's final flush does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        return BROKEN_PIPE
     except CliError as exc:
         print(str(exc), file=_sys.stderr)
         return USAGE_ERROR
-    except (TreeSyntaxError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        print(CONTROL_FORMAT_HINT, file=_sys.stderr)
         return USAGE_ERROR
 
 

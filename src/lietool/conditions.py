@@ -58,18 +58,12 @@ class LayerFamily:
 
     n1_set: frozenset[int]
 
-    def describe(self) -> str:
-        return f"layers n1 in {sorted(self.n1_set)}"
-
 
 @dataclass(frozen=True)
 class GermChain:
     """One germ with its full trailing-zero chain {germ 0^nu : nu >= 0}."""
 
     germ: BracketTree
-
-    def describe(self) -> str:
-        return f"chain {trees.display_form(self.germ)} 0^nu"
 
 
 @dataclass(frozen=True)
@@ -80,18 +74,12 @@ class IndexedChains:
     germ_of_index: Callable[[int], BracketTree]
     start: int = 1
 
-    def describe(self) -> str:
-        return self.label
-
 
 @dataclass(frozen=True)
 class Fixed:
     """A single concrete element, no chain."""
 
     tree: BracketTree
-
-    def describe(self) -> str:
-        return trees.display_form(self.tree)
 
 
 Generator = Union[LayerFamily, GermChain, IndexedChains, Fixed]
@@ -102,9 +90,6 @@ class FamilySpec:
     name: str
     generators: tuple[Generator, ...]
     exclude: frozenset[str] = frozenset()   # canonical tree texts
-
-    def describe(self) -> str:
-        return f"{self.name}: " + "; ".join(g.describe() for g in self.generators)
 
 
 def family_s1() -> FamilySpec:
@@ -148,10 +133,6 @@ def family_pk(k: int) -> FamilySpec:
             f"P({j},l,nu), l>={j}",
             lambda l, j=j: trees.P(j, l, 0), start=j))
     return FamilySpec(f"P_{k}", tuple(gens))
-
-
-def family_members_text(spec: FamilySpec) -> str:
-    return spec.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +369,6 @@ def pi_threshold(k: int, m: int) -> Union[int, float]:
     if m == -1:
         return 1 if k == 1 else math.inf
     return 1 + math.ceil(Fraction(2 * k - 2, m + 1))
-
-
-pi = pi_threshold
 
 
 def _pi_layer_set(k: int, m: int, caps: Caps) -> tuple[set[int], str]:

@@ -12,14 +12,16 @@ controls the same recursion runs through cumulative trapezoid sums and the
 result carries a Richardson error estimate.
 
 Closed forms exist for every element whose germ lies in the eight named
-families (M, W, P, Q, Qs, Qf, R, Rs); `xi_closed_form` evaluates them with
-the combinatorial prefactors alpha/beta/gamma and is an independent path
+families (M, W, P, Q, Qs, Qf, R, Rs), as recognized by the structural matcher
+`trees.match_named_family`; `xi_closed_form` evaluates them with the
+combinatorial prefactors alpha/beta/gamma and is an independent path
 cross-checked against the recursion in the tests.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -28,7 +30,7 @@ from . import trees
 from .controls import (ControlSignal, PiecewisePolyControl, Poly,
                        SampledControl, primitive)
 from .hall import HallElement, hall_factor
-from .trees import BracketTree, X0, X1, strip_trailing_zeros
+from .trees import BracketTree, X0, X1
 from .words import Word
 
 
@@ -57,29 +59,23 @@ def _as_tree(b) -> BracketTree:
     return b
 
 
+def match_named_family(b) -> Optional[trees.FamilyPattern]:
+    """`trees.match_named_family` on a Hall element, tree or tree text."""
+    return trees.match_named_family(_as_tree(b))
+
+
 # ---------------------------------------------------------------------------
 # exact path
 
 # memo tables die with their control: weak keys avoid stale-id collisions
-_XI_CACHE: "weakref.WeakKeyDictionary[PiecewisePolyControl, dict]" = None
-
-
-def _control_cache(u: PiecewisePolyControl) -> dict:
-    global _XI_CACHE
-    if _XI_CACHE is None:
-        import weakref
-        _XI_CACHE = weakref.WeakKeyDictionary()
-    cache = _XI_CACHE.get(u)
-    if cache is None:
-        cache = {}
-        _XI_CACHE[u] = cache
-    return cache
+_XI_CACHE: "weakref.WeakKeyDictionary[PiecewisePolyControl, dict]" = (
+    weakref.WeakKeyDictionary())
 
 
 def xi_path(b, u: PiecewisePolyControl) -> PiecewisePolyControl:
     """The function s -> xi_b(s, u) on [0, t], exact."""
     tree = _as_tree(b)
-    cache = _control_cache(u)
+    cache = _XI_CACHE.setdefault(u, {})
     cached = cache.get(tree.text)
     if cached is not None:
         return cached
@@ -160,51 +156,6 @@ def gamma_coeff(j: int, k: int, l: int, m: int) -> Fraction:
     return Fraction(1, 12)  # j < k == l == m or j == k < l == m
 
 
-@dataclass(frozen=True)
-class FamilyPattern:
-    family: str
-    indices: tuple[int, ...]
-    nu: int
-
-
-def match_named_family(b) -> Optional[FamilyPattern]:
-    """Structural match of a Hall element against the eight named families."""
-    tree = _as_tree(b)
-    core, nu = strip_trailing_zeros(tree)
-    m = trees._match_M(tree)
-    if m is not None:
-        return FamilyPattern("M", (), m)
-    w = trees._match_W(tree)
-    if w is not None:
-        return FamilyPattern("W", (w[0],), w[1])
-    p = trees._match_P_germ(core)
-    if p is not None:
-        return FamilyPattern("P", p, nu)
-    q = trees._match_Q_germ(core)
-    if q is not None:
-        return FamilyPattern("Q", q, nu)
-    if not core.is_leaf:
-        wl = trees._match_W(core.left)
-        if wl is not None:
-            j, mu = wl
-            wr = trees._match_W(core.right)
-            if wr is not None:
-                k, nur = wr
-                if nur == 0 and k != j:
-                    return FamilyPattern("Qs", (j, mu, k), nu)
-                if k == j and nur == mu + 1:
-                    return FamilyPattern("Qf", (j, mu), nu)
-            pr = trees._match_P_germ(core.right)
-            if pr is not None:
-                return FamilyPattern("Rs", (pr[0], pr[1], j, mu), nu)
-        ml = trees._match_M(core.left)
-        if ml is not None:
-            qr = trees._match_Q_germ(core.right)
-            if qr is not None:
-                return FamilyPattern("R", (*qr, ml + 1), nu)
-    return None
-
-
 def _kernel_primitive(f: PiecewisePolyControl, order: int) -> PiecewisePolyControl:
     """s -> int_0^s (s-r)^order/order! f(r) dr as a piecewise polynomial."""
     out = f
@@ -219,11 +170,9 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
         raise TypeError("closed forms are evaluated on exact controls")
     pattern = match_named_family(b)
     if pattern is None:
-        raise ValueError(
-            f"{_as_tree(b).text} is outside the named families")
+        raise ValueError(f"{_as_tree(b).text} is outside the named families")
     fam, idx, nu = pattern.family, pattern.indices, pattern.nu
     uj = [None]  # 1-based: uj[j] = j-th primitive path
-    max_primitive = 1 + max([1, *idx]) if fam != "M" else nu + 1
 
     def prim(j: int) -> PiecewisePolyControl:
         while len(uj) <= j:

@@ -79,31 +79,12 @@ def solve_least_exact(aug: list[list[Fraction]], m: int) -> Optional[list[Fracti
     Returns one exact solution (free variables set to 0) or None if
     inconsistent.
     """
-    rows = [row[:] for row in aug]
-    n = len(rows)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if rows[i][m]:
-            return None
+    rows, pivots = rref(aug)
+    if pivots and pivots[-1] == m:
+        return None
     x = [Fraction(0)] * m
-    for i, c in enumerate(pivot_cols):
-        x[c] = rows[i][m]
+    for row, c in zip(rows, pivots):
+        x[c] = row[m]
     return x
 
 
@@ -129,25 +110,19 @@ def independent_rows(columns: list[list[Fraction]]) -> list[int]:
 
 
 def invert_square(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square invertible matrix (Gauss-Jordan)."""
+    """Exact inverse of a square invertible matrix (Gauss-Jordan on [A | I])."""
     n = len(matrix)
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    reduced, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row-echelon form and pivot columns."""
-    rows = [row[:] for row in matrix]
+    rows = [list(row) for row in matrix]
     n = len(rows)
     m = len(rows[0]) if rows else 0
     pivots: list[int] = []

@@ -113,7 +113,6 @@ class SystemDef:
     expected_values: dict[str, Vector] = field(default_factory=dict)
     zero_elsewhere_max_n1: Optional[int] = None  # None = no vanishing claim
     zero_elsewhere: bool = False
-    subspace_claims: list[tuple[str, int]] = field(default_factory=list)
     notes: str = ""
 
     def __post_init__(self):

@@ -21,6 +21,7 @@ with X0 (`M`), their squares (`W`), and the higher layers (`P`, `Q`, `Qs`,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
@@ -193,6 +194,15 @@ def D() -> BracketTree:
 _D_TREE = D()
 
 
+@dataclass(frozen=True)
+class FamilyPattern:
+    """A structural match: the tree built by `family(*indices, nu)`."""
+
+    family: str
+    indices: tuple[int, ...]
+    nu: int
+
+
 def _match_M(b: BracketTree) -> Optional[int]:
     core, nu = strip_trailing_zeros(b)
     return nu if core is X1 else None
@@ -236,49 +246,58 @@ def _match_Q_germ(b: BracketTree) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def named_form(b: BracketTree) -> Optional[str]:
-    """Render a tree via the named-family shortcuts if it structurally matches.
+def match_named_family(b: BracketTree) -> Optional[FamilyPattern]:
+    """Structural match of a tree against the eight named families.
 
     Purely structural: no Hall-set membership is implied (e.g. "P(3,1,0)"
     names the tree (M(0), W(3,0)) even though it is not a basis element).
     """
-    if b is X0 or b is X1:
-        return b.text
-    if b == _D_TREE:
-        return "D"
     core, nu = strip_trailing_zeros(b)
-    m = _match_M(b)
-    if m is not None:
-        return f"M({m})"
-    w = _match_W(b)
-    if w is not None:
-        return f"W({w[0]},{w[1]})"
+    if core is X1:
+        return FamilyPattern("M", (), nu)
+    if core.is_leaf:
+        return None
+    j = _match_W_germ(core)
+    if j is not None:
+        return FamilyPattern("W", (j,), nu)
     p = _match_P_germ(core)
     if p is not None:
-        return f"P({p[0]},{p[1]},{nu})"
+        return FamilyPattern("P", p, nu)
     q = _match_Q_germ(core)
     if q is not None:
-        return f"Q({q[0]},{q[1]},{q[2]},{nu})"
-    if not core.is_leaf:
-        wl = _match_W(core.left)
-        if wl is not None:
-            j, mu = wl
-            wr = _match_W(core.right)
-            if wr is not None:
-                k, nur = wr
-                if nur == 0 and k != j:
-                    return f"Qs({j},{mu},{k},{nu})"
-                if k == j and nur == mu + 1:
-                    return f"Qf({j},{mu},{nu})"
-            pr = _match_P_germ(core.right)
-            if pr is not None:
-                return f"Rs({pr[0]},{pr[1]},{j},{mu},{nu})"
-        ml = _match_M(core.left)
-        if ml is not None:
-            qr = _match_Q_germ(core.right)
-            if qr is not None:
-                return f"R({qr[0]},{qr[1]},{qr[2]},{ml + 1},{nu})"
+        return FamilyPattern("Q", q, nu)
+    wl = _match_W(core.left)
+    if wl is not None:
+        j, mu = wl
+        wr = _match_W(core.right)
+        if wr is not None:
+            k, nur = wr
+            if nur == 0 and k != j:
+                return FamilyPattern("Qs", (j, mu, k), nu)
+            if k == j and nur == mu + 1:
+                return FamilyPattern("Qf", (j, mu), nu)
+        pr = _match_P_germ(core.right)
+        if pr is not None:
+            return FamilyPattern("Rs", (*pr, j, mu), nu)
+    ml = _match_M(core.left)
+    if ml is not None:
+        qr = _match_Q_germ(core.right)
+        if qr is not None:
+            return FamilyPattern("R", (*qr, ml + 1), nu)
     return None
+
+
+def named_form(b: BracketTree) -> Optional[str]:
+    """Render a tree via the named-family shortcuts if it structurally matches."""
+    if b.is_leaf:
+        return b.text
+    if b is _D_TREE:
+        return "D"
+    pattern = match_named_family(b)
+    if pattern is None:
+        return None
+    args = ",".join(str(i) for i in (*pattern.indices, pattern.nu))
+    return f"{pattern.family}({args})"
 
 
 def display_form(b: BracketTree) -> str:
@@ -289,23 +308,17 @@ def display_form(b: BracketTree) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-_NAMED_ARITY = {"M": 1, "W": 2, "P": 3, "Q": 4, "Qs": 4, "Qf": 3, "R": 5, "Rs": 5}
-
-# positions of indices that must be >= 1 (the others only >= 0)
-_NAMED_POSITIVE = {
-    "M": (),
-    "W": (0,),
-    "P": (0, 1),
-    "Q": (0, 1, 2),
-    "Qs": (0, 2),
-    "Qf": (0,),
-    "R": (0, 1, 2, 3),
-    "Rs": (0, 1, 2),
-}
-
-_NAMED_BUILDERS = {
-    "M": M, "W": W, "P": P, "Q": Q, "Qs": Q_sharp, "Qf": Q_flat,
-    "R": R, "Rs": R_sharp,
+# name -> (builder, number of indices, positions of indices that must be >= 1;
+# the others only >= 0)
+_NAMED_FAMILIES = {
+    "M": (M, 1, ()),
+    "W": (W, 2, (0,)),
+    "P": (P, 3, (0, 1)),
+    "Q": (Q, 4, (0, 1, 2)),
+    "Qs": (Q_sharp, 4, (0, 2)),
+    "Qf": (Q_flat, 3, (0,)),
+    "R": (R, 5, (0, 1, 2, 3)),
+    "Rs": (R_sharp, 5, (0, 1, 2)),
 }
 
 
@@ -364,7 +377,8 @@ class _Parser:
             return X1
         if name == "D":
             return _D_TREE
-        if name in _NAMED_ARITY:
+        if name in _NAMED_FAMILIES:
+            builder, arity, positive = _NAMED_FAMILIES[name]
             args_start = self.pos
             self.expect("(")
             args = [self.parse_int()]
@@ -372,16 +386,16 @@ class _Parser:
                 self.pos += 1
                 args.append(self.parse_int())
             self.expect(")")
-            if len(args) != _NAMED_ARITY[name]:
+            if len(args) != arity:
                 self.pos = args_start
                 raise self.error(
-                    f"{name} takes {_NAMED_ARITY[name]} indices, got {len(args)}")
-            for i in _NAMED_POSITIVE[name]:
+                    f"{name} takes {arity} indices, got {len(args)}")
+            for i in positive:
                 if args[i] < 1:
                     self.pos = args_start
                     raise self.error(
                         f"invalid family index: {name} argument {i + 1} must be >= 1")
-            return _NAMED_BUILDERS[name](*args)
+            return builder(*args)
         raise self.error(f"unknown symbol {name!r}")
 
 

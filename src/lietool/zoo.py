@@ -289,7 +289,6 @@ def _w3_time() -> SystemDef:
             "P(3,3,0)": _e(d, 4, 6), "P(3,3,1)": _e(d, 5, -6),
         },
         zero_elsewhere=False,
-        subspace_claims=[("n3_span_e1_to_e4", 4)],
         notes="obstructed only through a time-dependent drift direction",
     )
 
@@ -360,7 +359,6 @@ def _w3_vs_qb12() -> SystemDef:
             "W(3,0)": _e(d, 7, 2), "Qf(1,2,0)": _e(d, 7, -8),
         },
         zero_elsewhere=False,
-        subspace_claims=[("n3_minus_target_within_e1_to_e6", 6)],
         notes="not nilpotent: the drift term feeds back into the input line",
     )
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from lietool.cli import main
+import lietool
+from lietool.cli import (CONDITION_GRAMMAR, CONTROL_FORMAT_HINT,
+                         FAMILY_GRAMMAR, main)
 
 
 @pytest.fixture
@@ -195,3 +200,54 @@ class TestZoo:
 def test_usage_error_on_missing_subcommand(run):
     code, _, _ = run()
     assert code == 2
+
+
+class TestErrors:
+    def test_control_hint_when_the_control_fails_to_load(self, run, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"type": "piecewise_poly"}))
+        code, _, err = run("xi", "--bracket", "W(1,0)", "--control", str(path))
+        assert code == 2
+        assert CONTROL_FORMAT_HINT in err
+
+    def test_no_control_hint_for_other_errors(self, run):
+        code, _, err = run("eval", "--system", "zoo:sextic:p=2",
+                           "--bracket", "D")
+        assert code == 2
+        assert err.startswith("error:")
+        assert CONTROL_FORMAT_HINT not in err
+
+    @pytest.mark.parametrize("token", ["wk:2", "sussmann:x", "wk-screen:1,2,3",
+                                       "ag:1", "ag:1/0,2", "n2:junk"])
+    def test_malformed_condition_shows_the_grammar(self, run, token):
+        code, _, err = run("check", "--system", "zoo:easy",
+                           "--condition", token)
+        assert code == 2
+        assert CONDITION_GRAMMAR in err
+        assert "unpack" not in err
+
+    @pytest.mark.parametrize("token", ["loose:2", "loose:x,1", "loose:1,2,3"])
+    def test_malformed_family_shows_the_grammar(self, run, token):
+        code, _, err = run("drift-scan", "--system", "zoo:easy",
+                           "--bracket", "W(1,0)", "--family", token,
+                           "--trials", "2", "--seed", "0")
+        assert code == 2
+        assert FAMILY_GRAMMAR in err
+        assert "unpack" not in err
+
+
+def test_closed_output_pipe_exits_quietly():
+    src = os.path.dirname(os.path.dirname(lietool.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)      # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lietool.cli", "check", "--system",
+             "zoo:w2_vs_q111", "--condition", "n2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141

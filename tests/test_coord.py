@@ -126,6 +126,15 @@ class TestClosedForm:
         assert match_named_family(parse_tree("Rs(1,1,2,0,1)")).family == "Rs"
         assert match_named_family(D()) is None
 
+    def test_family_match_accepts_hall_element_and_text(self):
+        elements = [e for p in range(1, 5) for q in range(0, 7 - p)
+                    for e in basis_of_bidegree(p, q)]
+        assert any(trees.match_named_family(e.tree) for e in elements)
+        for e in elements:
+            expected = trees.match_named_family(e.tree)
+            assert match_named_family(e) == expected, repr(e)
+            assert match_named_family(e.tree.text) == expected, repr(e)
+
     def test_outside_families_rejected(self):
         with pytest.raises(ValueError):
             xi_closed_form(D(), UNIT)

@@ -62,6 +62,10 @@ class TestSolvers:
         inv = invert_square(m)
         assert inv == [[F(1), F(-1)], [F(-1), F(2)]]
 
+    def test_invert_singular_raises_value_error(self):
+        with pytest.raises(ValueError):
+            invert_square([[F(1), F(2)], [F(2), F(4)]])
+
     def test_independent_rows(self):
         cols = [[F(0), F(1), F(2)], [F(0), F(0), F(1)]]
         rows = independent_rows(cols)
@@ -91,3 +95,85 @@ class TestNullSpace:
     def test_full_rank_gives_trivial(self):
         matrix = [[F(1), F(0)], [F(0), F(1)]]
         assert null_space(matrix, 2) == []
+
+
+def random_matrix(rng, rows, cols, rank):
+    """Random rational matrix built as a product through a rank-wide middle."""
+    def block(n, m):
+        return [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+                for _ in range(n)]
+    left, right = block(rows, rank), block(rank, cols)
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+class TestAgainstSympy:
+    """The one eliminator against sympy on seeded random rational matrices."""
+
+    @pytest.fixture
+    def sympy(self):
+        import sympy        # a declared test dependency: fail, do not skip
+        return sympy
+
+    def to_sympy(self, sympy, matrix, cols):
+        return sympy.Matrix(len(matrix), cols, [
+            sympy.Rational(x.numerator, x.denominator)
+            for row in matrix for x in row])
+
+    def to_fractions(self, values):
+        return [F(int(x.p), int(x.q)) for x in values]
+
+    def shapes(self, rng, count):
+        for _ in range(count):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            yield rows, cols, rng.randint(0, min(rows, cols))
+
+    def test_rref_and_null_space(self, rng, sympy):
+        for rows, cols, rank in self.shapes(rng, 40):
+            a = random_matrix(rng, rows, cols, rank)
+            expected, expected_pivots = self.to_sympy(sympy, a, cols).rref()
+            reduced, pivots = rref(a)
+            assert pivots == list(expected_pivots)
+            assert reduced == [self.to_fractions(expected.row(i))
+                               for i in range(rows)]
+            assert null_space(a, cols) == [
+                tuple(self.to_fractions(v))
+                for v in self.to_sympy(sympy, a, cols).nullspace()]
+
+    def test_solve_least_exact(self, rng, sympy):
+        inconsistent = 0
+        for rows, cols, rank in self.shapes(rng, 40):
+            a = random_matrix(rng, rows, cols, rank)
+            if rng.random() < 0.5:
+                x0 = [F(rng.randint(-3, 3)) for _ in range(cols)]
+                b = [sum((r * x for r, x in zip(row, x0)), F(0)) for row in a]
+            else:
+                b = [F(rng.randint(-3, 3)) for _ in range(rows)]
+            solution = solve_least_exact(
+                [row + [v] for row, v in zip(a, b)], cols)
+            try:
+                sol, params = self.to_sympy(sympy, a, cols).gauss_jordan_solve(
+                    self.to_sympy(sympy, [[v] for v in b], 1))
+            except ValueError:      # sympy: the system has no solution
+                inconsistent += 1
+                assert solution is None
+                continue
+            free_at_zero = sol.subs({p: 0 for p in params})
+            assert solution == self.to_fractions(free_at_zero)
+        assert inconsistent > 0
+
+    def test_invert_square(self, rng, sympy):
+        singular = 0
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            a = random_matrix(rng, n, n, rng.randint(n - 1, n))
+            expected = self.to_sympy(sympy, a, n)
+            if expected.det() == 0:
+                singular += 1
+                with pytest.raises(ValueError):
+                    invert_square(a)
+                continue
+            inverse = expected.inv()
+            assert invert_square(a) == [self.to_fractions(inverse.row(i))
+                                        for i in range(n)]
+        assert singular > 0

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
 from lietool import trees
@@ -314,3 +315,36 @@ def test_cubic_support_bound_exhaustive():
                     assert named and named.startswith("P(")
                     j_prime = int(named[2:].split(",")[0])
                     assert j_prime <= j, (j, k, nu, named)
+
+
+@st.composite
+def bracket_trees(draw, max_length: int):
+    """Bracket trees over {X0, X1} with at most `max_length` leaves."""
+    def build(length):
+        if length == 1:
+            return draw(st.sampled_from([X0, X1]))
+        split = draw(st.integers(min_value=1, max_value=length - 1))
+        return node(build(split), build(length - split))
+    return build(draw(st.integers(min_value=1, max_value=max_length)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(bracket_trees(4), bracket_trees(4))
+def test_decompose_antisymmetry(a, b):
+    assert decompose(node(a, b)) == decompose(node(b, a)).scale(-1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(bracket_trees(3), bracket_trees(3), bracket_trees(2))
+def test_decompose_jacobi(a, b, c):
+    total = (decompose(node(a, node(b, c))) + decompose(node(b, node(c, a)))
+             + decompose(node(c, node(a, b))))
+    assert not total
+
+
+@settings(max_examples=50, deadline=None)
+@given(bracket_trees(4), bracket_trees(4))
+def test_lie_bracket_expands_to_the_tree_words(a, b):
+    cutoff = a.length + b.length
+    assert lie_bracket(a, b).expand_to_words(cutoff) == \
+        expand_to_words(node(a, b), cutoff)

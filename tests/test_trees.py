@@ -1,6 +1,7 @@
 import pytest
 
 from lietool import trees
+from lietool.hall import enumerate_basis
 from lietool.trees import (D, M, P, Q, TreeSyntaxError, W, X0, X1,
                            named_form, node, parse_tree,
                            strip_trailing_zeros, zeros)
@@ -78,3 +79,13 @@ def test_interning_makes_identity_structural():
     a = parse_tree("(X1,(X1,X0))")
     b = node(X1, node(X1, X0))
     assert a is b
+
+
+def test_named_form_parses_back_to_the_same_tree():
+    named = 0
+    for element in enumerate_basis(6, 7):
+        text = named_form(element.tree)
+        if text is not None:
+            assert parse_tree(text) is element.tree, text
+            named += 1
+    assert named > 300
