@@ -14,10 +14,12 @@ import argparse
 import json
 import os
 import sys as _sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import conditions, coord, expansions, simulate, trees
-from .zoo import UnknownSystemError, zoo as build_zoo, zoo_names
+from .zoo import (UnknownSystemError, zoo as build_zoo, zoo_names,
+                  zoo_parameters)
 from .conditions import Caps
 from .controls import load_control
 from .fields import load_system, system_to_json_dict
@@ -32,23 +34,30 @@ class CliError(Exception):
     pass
 
 
+ZOO_SPEC_FORM = "zoo:NAME:key=value[,key=value...]"
+
+
 def _load_system(spec: str):
-    if spec.startswith("zoo:"):
-        parts = spec[4:].split(":")
-        name = parts[0]
-        params = {}
-        if len(parts) > 1:
-            for assignment in parts[1].split(","):
-                key, _, value = assignment.partition("=")
-                if not _:
-                    raise CliError(
-                        f"bad zoo parameter {assignment!r} (use key=value)")
-                params[key.strip()] = int(value)
+    if not spec.startswith("zoo:"):
+        return load_system(spec)
+    name, has_params, assignments = spec[4:].partition(":")
+    try:
+        accepted = zoo_parameters(name)
+    except UnknownSystemError as exc:
+        raise CliError(str(exc.args[0]))
+    params = {}
+    for assignment in assignments.split(",") if has_params else ():
+        key, _, value = (part.strip() for part in assignment.partition("="))
+        if key not in accepted:
+            raise CliError(
+                f"unknown zoo parameter {key!r} for {name!r} (accepted: "
+                f"{', '.join(accepted) or 'none'}); use {ZOO_SPEC_FORM}")
         try:
-            return build_zoo(name, **params)
-        except UnknownSystemError as exc:
-            raise CliError(str(exc.args[0]))
-    return load_system(spec)
+            params[key] = int(value)
+        except ValueError:
+            raise CliError(f"zoo parameter {key!r} needs an integer, got "
+                           f"{value!r}; use {ZOO_SPEC_FORM}")
+    return build_zoo(name, **params)
 
 
 def _parse_tree_arg(text: str):
@@ -177,7 +186,8 @@ def _cmd_check(args) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
-        print(f"caps: max_index={caps.max_index} max_n0={caps.max_n0}")
+        print("caps: " + " ".join(
+            f"{key}={value}" for key, value in asdict(caps).items()))
         print(report.summary())
         if report.detail:
             print(f"detail: {report.detail}")

@@ -24,7 +24,7 @@ generators for `satisfied`, a separating component functional for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
@@ -173,15 +173,13 @@ class _SpanCollector:
         self.span = ExactSpan(sys.dim)
         self.vectors: list[Vector] = []
         self.elements: list[BracketTree] = []
-        self.last_growth_tag: object = None
 
-    def add(self, tree: BracketTree, value: Vector, tag: object = None) -> None:
+    def add(self, tree: BracketTree, value: Vector) -> None:
         if tree.text in self.exclude:
             return
         if any(value) and self.span.add(value):
             self.vectors.append(value)
             self.elements.append(tree)
-            self.last_growth_tag = tag
 
 
 def neutral_span(sys: SystemDef, fam: FamilySpec,
@@ -274,8 +272,7 @@ class ConditionReport:
             "span_vectors": [[str(x) for x in v]
                              for v in self.span.basis_vectors],
             "stabilized": self.span.stabilized,
-            "caps": {"max_index": self.span.caps.max_index,
-                     "max_n0": self.span.caps.max_n0},
+            "caps": asdict(self.span.caps),
             "component": ([str(x) for x in self.component]
                           if self.component else None),
             "combination": ([str(x) for x in self.combination]

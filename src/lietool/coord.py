@@ -76,7 +76,7 @@ def xi_path(b, u: PiecewisePolyControl) -> PiecewisePolyControl:
     """The function s -> xi_b(s, u) on [0, t], exact."""
     tree = _as_tree(b)
     cache = _XI_CACHE.setdefault(u, {})
-    cached = cache.get(tree.text)
+    cached = cache.get(tree)
     if cached is not None:
         return cached
     if tree is X0:
@@ -89,7 +89,7 @@ def xi_path(b, u: PiecewisePolyControl) -> PiecewisePolyControl:
         dxi2 = _xi_derivative(b2, u)
         out = (base * dxi2).antiderivative().scale(
             Fraction(1, math.factorial(m)))
-    return cache.setdefault(tree.text, out)
+    return cache.setdefault(tree, out)
 
 
 def _xi_derivative(b: BracketTree, u: PiecewisePolyControl) -> PiecewisePolyControl:

@@ -163,7 +163,7 @@ def cross_coefficient_element(elements: Sequence[HallElement],
     x_1^{h_1} ... x_q^{h_q} in log(prod_i exp(x_i E(b_i))) with the product
     ordered decreasing left to right.  Keys are canonical tree texts.
     """
-    key = tuple((e.tree.text, h) for e, h in zip(elements, powers))
+    key = tuple(zip(elements, powers))
     cached = _CROSS_CACHE.get(key)
     if cached is not None:
         return cached
@@ -253,14 +253,6 @@ def cross_term_check(u: PiecewisePolyControl, cutoff: int = 4) -> list[CrossTerm
     _require_piecewise_constant(u)
     eta = interaction_log(u, cutoff)
     pool = [e for e in basis_up_to_length(cutoff - 1) if e.tree is not X0]
-    xi_cache: dict[str, Fraction] = {}
-
-    def xi_of(element: HallElement) -> Fraction:
-        key = element.tree.text
-        if key not in xi_cache:
-            xi_cache[key] = xi(element, u).exact
-        return xi_cache[key]
-
     reports = []
     for target in basis_up_to_length(cutoff):
         if target.tree is X0:
@@ -275,10 +267,10 @@ def cross_term_check(u: PiecewisePolyControl, cutoff: int = 4) -> list[CrossTerm
                 continue
             prod = coeff
             for e, h in pattern:
-                prod *= xi_of(e) ** h
+                prod *= xi(e, u).exact ** h
             total += prod
         eta_val = eta[target]
-        xi_val = xi_of(target)
+        xi_val = xi(target, u).exact
         reports.append(CrossTermReport(
             element=target, eta=eta_val, xi=xi_val, cross_sum=total,
             matched=(eta_val - xi_val == total)))

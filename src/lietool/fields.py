@@ -122,8 +122,8 @@ class SystemDef:
         self.expected_values = {
             trees.parse_tree(k).text: tuple(Fraction(x) for x in v)
             for k, v in self.expected_values.items()}
-        self._field_cache: dict[str, PolyVectorField] = {}
-        self._value_cache: dict[str, Vector] = {}
+        self._field_cache: dict[BracketTree, PolyVectorField] = {}
+        self._value_cache: dict[BracketTree, Vector] = {}
         self._h0: Optional[list[list[Fraction]]] = None
 
     @property
@@ -137,7 +137,7 @@ class SystemDef:
                          Fraction(0)) for row in self.h0)
 
     def bracket_field(self, b: BracketTree) -> PolyVectorField:
-        cached = self._field_cache.get(b.text)
+        cached = self._field_cache.get(b)
         if cached is not None:
             return cached
         if b is trees.X0:
@@ -151,18 +151,18 @@ class SystemDef:
                 out = PolyVectorField.zero(self.dim)
             else:
                 out = vf_bracket(left, right)
-        return self._field_cache.setdefault(b.text, out)
+        return self._field_cache.setdefault(b, out)
 
     def bracket_value(self, b: BracketTree) -> Vector:
         """f_b(0), with trailing X0 factors handled by Jacobian powers."""
-        cached = self._value_cache.get(b.text)
+        cached = self._value_cache.get(b)
         if cached is not None:
             return cached
         core, nu = trees.strip_trailing_zeros(b)
         value = self.bracket_field(core).value_at_zero()
         for _ in range(nu):
             value = self.h0_apply(value)
-        return self._value_cache.setdefault(b.text, value)
+        return self._value_cache.setdefault(b, value)
 
 
 def eval_bracket(sys: SystemDef, b: Union[BracketTree, HallElement, str]) -> Vector:

@@ -39,12 +39,12 @@ class InternalConsistencyError(RuntimeError):
     """An exact identity that must hold failed; signals a library bug."""
 
 
-_IN_G_CACHE: dict[str, bool] = {}
+_IN_G_CACHE: dict[BracketTree, bool] = {}
 
 
 def in_carrier(b: BracketTree) -> bool:
     """True iff X0 is never the left factor of any sub-bracket of b."""
-    cached = _IN_G_CACHE.get(b.text)
+    cached = _IN_G_CACHE.get(b)
     if cached is not None:
         return cached
     if b.is_leaf:
@@ -52,7 +52,7 @@ def in_carrier(b: BracketTree) -> bool:
     else:
         result = (b.left is not X0 and in_carrier(b.left)
                   and in_carrier(b.right))
-    return _IN_G_CACHE.setdefault(b.text, result)
+    return _IN_G_CACHE.setdefault(b, result)
 
 
 def germ_split(b: BracketTree) -> tuple[BracketTree, int]:
@@ -64,14 +64,14 @@ def germ_split(b: BracketTree) -> tuple[BracketTree, int]:
     return strip_trailing_zeros(b)
 
 
-_COMPARE_CACHE: dict[tuple[str, str], int] = {}
+_COMPARE_CACHE: dict[tuple[BracketTree, BracketTree], int] = {}
 
 
 def hall_compare(a: BracketTree, b: BracketTree) -> int:
     """Total order on G: -1, 0 or +1.  X0 maximal, X1 minimal."""
-    if a is b or a.text == b.text:
+    if a is b:
         return 0
-    key = (a.text, b.text)
+    key = (a, b)
     cached = _COMPARE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -86,7 +86,7 @@ def hall_compare(a: BracketTree, b: BracketTree) -> int:
     else:
         ga, nua = strip_trailing_zeros(a)
         gb, nub = strip_trailing_zeros(b)
-        if ga.text == gb.text:
+        if ga is gb:
             result = -1 if nua < nub else 1
         elif ga.n1 != gb.n1:
             result = -1 if ga.n1 < gb.n1 else 1
@@ -99,16 +99,16 @@ def hall_compare(a: BracketTree, b: BracketTree) -> int:
                 raise InternalConsistencyError(
                     f"distinct germs compare equal: {ga.text} / {gb.text}")
     _COMPARE_CACHE[key] = result
-    _COMPARE_CACHE[(b.text, a.text)] = -result
+    _COMPARE_CACHE[(b, a)] = -result
     return result
 
 
-_IS_HALL_CACHE: dict[str, bool] = {}
+_IS_HALL_CACHE: dict[BracketTree, bool] = {}
 
 
 def is_hall(b: BracketTree) -> bool:
     """Membership in the Hall set (leaves included)."""
-    cached = _IS_HALL_CACHE.get(b.text)
+    cached = _IS_HALL_CACHE.get(b)
     if cached is not None:
         return cached
     if b.is_leaf:
@@ -120,7 +120,7 @@ def is_hall(b: BracketTree) -> bool:
         result = (is_hall(b1) and is_hall(b2)
                   and hall_compare(b1, b2) < 0
                   and (b2.is_leaf or hall_compare(b2.left, b1) <= 0))
-    return _IS_HALL_CACHE.setdefault(b.text, result)
+    return _IS_HALL_CACHE.setdefault(b, result)
 
 
 @functools.total_ordering
@@ -129,7 +129,7 @@ class HallElement:
 
     __slots__ = ("tree", "germ", "trailing_zeros")
 
-    _cache: dict[str, "HallElement"] = {}
+    _cache: dict[BracketTree, "HallElement"] = {}
 
     def __init__(self, tree: BracketTree):
         if not is_hall(tree):
@@ -152,9 +152,9 @@ class HallElement:
             return tree
         if isinstance(tree, str):
             tree = trees.parse_tree(tree)
-        cached = cls._cache.get(tree.text)
+        cached = cls._cache.get(tree)
         if cached is None:
-            cached = cls._cache.setdefault(tree.text, cls(tree))
+            cached = cls._cache.setdefault(tree, cls(tree))
         return cached
 
     @property
@@ -174,13 +174,13 @@ class HallElement:
         return self.tree.bidegree
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HallElement) and self.tree == other.tree
+        return isinstance(other, HallElement) and self.tree is other.tree
 
     def __lt__(self, other: "HallElement") -> bool:
         return hall_compare(self.tree, other.tree) < 0
 
     def __hash__(self) -> int:
-        return hash(self.tree.text)
+        return hash(self.tree)
 
     def __repr__(self) -> str:
         return trees.display_form(self.tree)

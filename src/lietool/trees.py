@@ -1,9 +1,9 @@
 """Formal iterated brackets over the two indeterminates X0 and X1.
 
 A :class:`BracketTree` is an element of the free magma over {X0, X1}: either a
-leaf, or an ordered pair of two subtrees.  Trees are immutable, interned, and
-carry cached counts of each generator, so equality / hashing / comparison of
-large trees stays cheap.
+leaf, or an ordered pair of two subtrees.  Trees are immutable and interned by
+their children, so `is` is structural equality and hashing is by identity; each
+tree carries its canonical text and the counts of each generator.
 
 The ASCII grammar accepted by :func:`parse_tree`::
 
@@ -36,13 +36,15 @@ class TreeSyntaxError(ValueError):
 class BracketTree:
     """An iterated formal bracket: a leaf X0/X1 or an ordered pair (left, right).
 
-    Instances are immutable and interned by their canonical text, so `is`
-    comparison agrees with structural equality.
+    Instances are immutable and interned: a leaf by its generator, a node by
+    the identities of its (already interned) children.  So `is` comparison
+    agrees with structural equality, and `text`, the canonical form, is built
+    once per distinct tree.
     """
 
     __slots__ = ("left", "right", "generator", "n0", "n1", "text")
 
-    _interned: dict[str, "BracketTree"] = {}
+    _interned: dict[object, "BracketTree"] = {}
 
     def __init__(self, generator: Optional[int], left: Optional["BracketTree"],
                  right: Optional["BracketTree"], text: str):
@@ -73,14 +75,6 @@ class BracketTree:
         """(n1, n0): control order first, as everywhere in this package."""
         return (self.n1, self.n0)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, BracketTree) and self.text == other.text
-
-    def __hash__(self) -> int:
-        return hash(self.text)
-
     def __repr__(self) -> str:
         return self.text
 
@@ -92,26 +86,19 @@ class BracketTree:
             yield from self.right.leaves()
 
 
-def _intern(generator, left, right, text) -> BracketTree:
-    tree = BracketTree._interned.get(text)
-    if tree is None:
-        tree = BracketTree(generator, left, right, text)
-        # idempotent insert: a concurrent duplicate is structurally identical
-        tree = BracketTree._interned.setdefault(text, tree)
-    return tree
-
-
-X0 = _intern(0, None, None, "X0")
-X1 = _intern(1, None, None, "X1")
-
-
-def leaf(generator: int) -> BracketTree:
-    return X0 if generator == 0 else X1
+X0 = BracketTree._interned.setdefault(0, BracketTree(0, None, None, "X0"))
+X1 = BracketTree._interned.setdefault(1, BracketTree(1, None, None, "X1"))
 
 
 def node(left: BracketTree, right: BracketTree) -> BracketTree:
     """The ordered pair (left, right) in the free magma."""
-    return _intern(None, left, right, f"({left.text},{right.text})")
+    key = (left, right)
+    tree = BracketTree._interned.get(key)
+    if tree is None:
+        tree = BracketTree(None, left, right, f"({left.text},{right.text})")
+        # idempotent insert: a concurrent duplicate is structurally identical
+        tree = BracketTree._interned.setdefault(key, tree)
+    return tree
 
 
 def zeros(b: BracketTree, nu: int) -> BracketTree:

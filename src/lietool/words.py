@@ -229,11 +229,11 @@ def _one_like(series: TensorSeries):
     return Fraction(1)
 
 
-_EXPANSION_CACHE: dict[str, dict[Word, int]] = {}
+_EXPANSION_CACHE: dict[BracketTree, dict[Word, int]] = {}
 
 
 def _expand(tree: BracketTree) -> dict[Word, int]:
-    cached = _EXPANSION_CACHE.get(tree.text)
+    cached = _EXPANSION_CACHE.get(tree)
     if cached is not None:
         return cached
     if tree.is_leaf:
@@ -250,7 +250,7 @@ def _expand(tree: BracketTree) -> dict[Word, int]:
                 w = w2 + w1
                 out[w] = out.get(w, 0) - c
         out = {w: c for w, c in out.items() if c}
-    return _EXPANSION_CACHE.setdefault(tree.text, out)
+    return _EXPANSION_CACHE.setdefault(tree, out)
 
 
 def expand_to_words(tree: BracketTree, cutoff: int) -> TensorSeries:

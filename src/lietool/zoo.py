@@ -12,6 +12,7 @@ p=5)``); defaults are chosen to match the classical instances.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from typing import Callable
 
@@ -391,12 +392,21 @@ class UnknownSystemError(KeyError):
         super().__init__(f"unknown system {name!r}; available: {available}")
 
 
-def zoo(name: str, **params) -> SystemDef:
-    """Build a catalog system; unknown names list the catalog."""
+def _builder(name: str) -> Callable[..., SystemDef]:
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownSystemError(name)
-    return builder(**params)
+    return builder
+
+
+def zoo(name: str, **params) -> SystemDef:
+    """Build a catalog system; unknown names list the catalog."""
+    return _builder(name)(**params)
+
+
+def zoo_parameters(name: str) -> tuple[str, ...]:
+    """The keyword parameters a catalog entry accepts."""
+    return tuple(inspect.signature(_builder(name)).parameters)
 
 
 def zoo_names() -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 
 import lietool
 from lietool.cli import (CONDITION_GRAMMAR, CONTROL_FORMAT_HINT,
-                         FAMILY_GRAMMAR, main)
+                         FAMILY_GRAMMAR, ZOO_SPEC_FORM, main)
 
 
 @pytest.fixture
@@ -120,7 +120,10 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["verdict"] == "violated"
         assert payload["component"] == ["0", "0", "1/2"]
-        assert payload["caps"] == {"max_index": 12, "max_n0": 12}
+        assert payload["caps"] == {"max_index": 12, "max_n0": 12,
+                                   "max_layer_length": 15,
+                                   "max_screen_length": 9,
+                                   "stability_window": None}
 
     def test_unknown_system_usage_error(self, run):
         code, _, err = run("check", "--system", "zoo:nope",
@@ -225,6 +228,18 @@ class TestErrors:
         assert code == 2
         assert CONDITION_GRAMMAR in err
         assert "unpack" not in err
+
+    @pytest.mark.parametrize("spec, named", [
+        ("zoo:sextic:p=x", ["'p'", "'x'"]),
+        ("zoo:sextic:q=3", ["'q'", "accepted: p"]),
+        ("zoo:easy:p=3", ["'p'", "accepted: none"])])
+    def test_bad_zoo_parameter_names_it_and_the_form(self, run, spec, named):
+        code, _, err = run("eval", "--system", spec, "--bracket", "X1")
+        assert code == 2
+        assert ZOO_SPEC_FORM in err
+        for text in named:
+            assert text in err
+        assert "int()" not in err
 
     @pytest.mark.parametrize("token", ["loose:2", "loose:x,1", "loose:1,2,3"])
     def test_malformed_family_shows_the_grammar(self, run, token):

@@ -1,9 +1,10 @@
 import pytest
 
+from conftest import random_tree
 from lietool import trees
-from lietool.hall import enumerate_basis
-from lietool.trees import (D, M, P, Q, TreeSyntaxError, W, X0, X1,
-                           named_form, node, parse_tree,
+from lietool.hall import HallElement, enumerate_basis
+from lietool.trees import (D, M, P, Q, BracketTree, TreeSyntaxError, W, X0,
+                           X1, named_form, node, parse_tree,
                            strip_trailing_zeros, zeros)
 
 
@@ -19,9 +20,23 @@ def test_parse_simple_pair():
     assert parse_tree("  ( X1 , X0 ) ") == node(X1, X0)
 
 
-def test_parse_round_trips_with_printer():
+def _canonical(t: BracketTree) -> str:
+    if t.is_leaf:
+        return f"X{t.generator}"
+    return f"({_canonical(t.left)},{_canonical(t.right)})"
+
+
+def test_parse_round_trips_with_printer(rng):
     for text in ["X0", "X1", "(X1,X0)", "((X1,X0),(X1,(X1,X0)))"]:
         assert parse_tree(text).text == text
+    hall_trees = [element.tree for element in enumerate_basis(6, 7)]
+    random_trees = [random_tree(rng, rng.randint(1, 12)) for _ in range(200)]
+    random_trees.append(random_tree(rng, 40))
+    for t in hall_trees + random_trees:
+        assert t.text == _canonical(t)
+        assert parse_tree(t.text) is t
+    for t in hall_trees:
+        assert HallElement.of(t) is HallElement.of(t.text)
 
 
 def test_named_shortcuts_expand():
@@ -79,6 +94,10 @@ def test_interning_makes_identity_structural():
     a = parse_tree("(X1,(X1,X0))")
     b = node(X1, node(X1, X0))
     assert a is b
+    assert node(a, b) is node(a, b)
+    # identity is equality: no structural __eq__ / __hash__ to keep in sync
+    assert BracketTree.__eq__ is object.__eq__
+    assert BracketTree.__hash__ is object.__hash__
 
 
 def test_named_form_parses_back_to_the_same_tree():
