@@ -52,10 +52,12 @@ def _load_system(spec: str):
             raise CliError(
                 f"unknown zoo parameter {key!r} for {name!r} (accepted: "
                 f"{', '.join(accepted) or 'none'}); use {ZOO_SPEC_FORM}")
+        integer = isinstance(accepted[key], int)
         try:
-            params[key] = int(value)
-        except ValueError:
-            raise CliError(f"zoo parameter {key!r} needs an integer, got "
+            params[key] = int(value) if integer else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            kind = "an integer" if integer else "a rational p/q"
+            raise CliError(f"zoo parameter {key!r} needs {kind}, got "
                            f"{value!r}; use {ZOO_SPEC_FORM}")
     return build_zoo(name, **params)
 
@@ -151,6 +153,11 @@ def _parse_condition(token: str):
     raise CliError(f"unknown condition {token!r}; use {CONDITION_GRAMMAR}")
 
 
+def _caps_line(caps: Caps) -> str:
+    return "caps: " + " ".join(
+        f"{key}={value}" for key, value in asdict(caps).items())
+
+
 def _cmd_check(args) -> int:
     sys_def = _load_system(args.system)
     caps = Caps(max_index=args.cap_index, max_n0=args.cap_n0)
@@ -159,14 +166,14 @@ def _cmd_check(args) -> int:
         entries = conditions.ag_screen(sys_def, sigma=parsed[1], r=parsed[2],
                                        caps=caps)
         if args.json:
-            print(json.dumps([{
+            print(json.dumps({"caps": asdict(caps), "entries": [{
                 "bracket": trees.display_form(e.tree), "layer": e.layer,
                 "weight": str(e.weight),
-                "compensated": e.compensated} for e in entries], indent=2))
+                "compensated": e.compensated} for e in entries]}, indent=2))
         else:
-            header = (f"ag screen on {sys_def.name}: sigma={parsed[1]} "
-                      f"r={parsed[2]} caps=({caps.max_index},{caps.max_n0})")
-            print(header)
+            print(_caps_line(caps))
+            print(f"ag screen on {sys_def.name}: sigma={parsed[1]} "
+                  f"r={parsed[2]}")
             for e in entries:
                 print("  " + e.line())
         return 0
@@ -186,8 +193,7 @@ def _cmd_check(args) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
-        print("caps: " + " ".join(
-            f"{key}={value}" for key, value in asdict(caps).items()))
+        print(_caps_line(caps))
         print(report.summary())
         if report.detail:
             print(f"detail: {report.detail}")

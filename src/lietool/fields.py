@@ -1,12 +1,17 @@
-"""Polynomial vector fields, symbolic brackets, and evaluation at the origin.
+"""Polynomial vector fields, bracket jets, and evaluation at the origin.
 
 A :class:`PolyVectorField` stores one sparse multivariate polynomial per state
 component.  The bracket is the exact Jacobian combination
-[f, g] = (Dg) f - (Df) g, and :func:`eval_bracket` pushes a formal bracket
-tree through the substitution homomorphism X0 -> f0, X1 -> f1 before
-evaluating at 0.  Evaluations are memoized per system on canonical tree text;
-trailing X0 brackets at the origin reduce to multiplication by the Jacobian
-of f0 at 0 (valid because f0(0) = 0), which the span machinery exploits.
+[f, g] = (Dg) f - (Df) g, which lowers the total degree by one; so
+:func:`jet_bracket` truncates it at a given order without ever forming a
+product of terms whose degrees sum past that order.  :func:`eval_bracket`
+pushes a formal bracket tree through the substitution homomorphism
+X0 -> f0, X1 -> f1 on Taylor jets: f_b(0) is the order-0 jet of f_b, and a
+node needed to order k asks its children for order k + 1 (truncated-Taylor
+arithmetic).  Each system keeps, per interned tree, the highest-order jet
+computed so far, which serves every lower order; trailing X0 brackets at the
+origin reduce to multiplication by the Jacobian of f0 at 0 (valid because
+f0(0) = 0), which the span machinery exploits.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence, Union
 
 from . import trees
@@ -83,23 +89,64 @@ class PolyVectorField:
         return [[self.components[i].partial(j).constant_term()
                  for j in range(self.dim)] for i in range(self.dim)]
 
-    def directional(self, direction: "PolyVectorField") -> "PolyVectorField":
-        """(D self) . direction, exact."""
-        out = []
-        for comp in self.components:
-            acc = SparsePoly(self.dim)
-            for j in range(self.dim):
-                pj = comp.partial(j)
-                if pj and direction.components[j]:
-                    acc = acc + pj * direction.components[j]
-            out.append(acc)
-        return PolyVectorField(self.dim, out)
+    def degree(self) -> int:
+        """The highest total degree of a component (0 for the zero field)."""
+        return max((c.total_degree() for c in self.components), default=0)
+
+    def truncated(self, order: int) -> "PolyVectorField":
+        """The terms of total degree <= order."""
+        return PolyVectorField(self.dim,
+                               [c.truncated(order) for c in self.components])
+
+
+def jet_bracket(f: PolyVectorField, g: PolyVectorField,
+                order: int) -> PolyVectorField:
+    """[f, g] = (Dg) f - (Df) g without its terms of total degree above order.
+
+    Exact up to `order` whenever f and g are exact up to order + 1.
+    """
+    f._check(g)
+    f_terms = [_by_degree(c) for c in f.components]
+    g_terms = [_by_degree(c) for c in g.components]
+    out = []
+    for fi, gi in zip(f.components, g.components):
+        acc: dict = {}
+        _add_derivative(acc, gi, f_terms, order, 1)
+        _add_derivative(acc, fi, g_terms, order, -1)
+        out.append(SparsePoly(f.dim, acc))
+    return PolyVectorField(f.dim, out)
+
+
+def _by_degree(p: SparsePoly) -> list:
+    return sorted((sum(e), e, c) for e, c in p.terms.items())
+
+
+def _add_derivative(acc: dict, p: SparsePoly, direction: list, order: int,
+                    sign: int) -> None:
+    """acc += sign * (Dp) . direction, cut at total degree `order`.
+
+    `direction[j]` lists the terms of the j-th component by increasing
+    degree, so no product of terms whose degrees sum past `order` is formed.
+    """
+    for e, c in p.terms.items():
+        room = order + 1 - sum(e)
+        if room < 0:
+            continue
+        for j, k in enumerate(e):
+            if not k:
+                continue
+            base = e[:j] + (k - 1,) + e[j + 1:]
+            scale = sign * k * c
+            for degree, e2, c2 in direction[j]:
+                if degree > room:
+                    break
+                key = tuple(map(add, base, e2))
+                acc[key] = acc.get(key, 0) + scale * c2
 
 
 def vf_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
     """[f, g] = (Dg) f - (Df) g."""
-    f._check(g)
-    return g.directional(f) - f.directional(g)
+    return jet_bracket(f, g, f.degree() + g.degree() - 1)
 
 
 @dataclass
@@ -123,7 +170,9 @@ class SystemDef:
             trees.parse_tree(k).text: tuple(Fraction(x) for x in v)
             for k, v in self.expected_values.items()}
         self._field_cache: dict[BracketTree, PolyVectorField] = {}
+        self._jet_order: dict[BracketTree, int] = {}
         self._value_cache: dict[BracketTree, Vector] = {}
+        self._leaf_degrees = (self.f0.degree(), self.f1.degree())
         self._h0: Optional[list[list[Fraction]]] = None
 
     @property
@@ -136,22 +185,42 @@ class SystemDef:
         return tuple(sum((row[j] * v[j] for j in range(self.dim)),
                          Fraction(0)) for row in self.h0)
 
-    def bracket_field(self, b: BracketTree) -> PolyVectorField:
-        cached = self._field_cache.get(b)
-        if cached is not None:
-            return cached
-        if b is trees.X0:
-            out = self.f0
-        elif b is trees.X1:
-            out = self.f1
+    def _degree_bound(self, b: BracketTree) -> int:
+        """A bound on deg f_b: deg f0 or deg f1 at a leaf, deg L + deg R - 1
+        at a node (the bracket lowers the degree by one)."""
+        d0, d1 = self._leaf_degrees
+        return b.n0 * (d0 - 1) + b.n1 * (d1 - 1) + 1
+
+    def bracket_jet(self, b: BracketTree, order: int) -> PolyVectorField:
+        """f_b without its terms of total degree above `order`.
+
+        `_field_cache[b]` holds the highest-order jet computed so far for b
+        (its order in `_jet_order[b]`): a lower order is cut from it, a
+        higher one is recomputed from the children's jets one order up.
+        """
+        order = min(order, self._degree_bound(b))
+        if order < 0:
+            return PolyVectorField.zero(self.dim)
+        have = self._jet_order.get(b, -1)
+        if have >= order:
+            jet = self._field_cache[b]
+            return jet if have == order else jet.truncated(order)
+        if b.is_leaf:
+            out = (self.f0 if b is trees.X0 else self.f1).truncated(order)
         else:
-            left = self.bracket_field(b.left)
-            right = self.bracket_field(b.right)
+            left = self.bracket_jet(b.left, order + 1)
+            right = self.bracket_jet(b.right, order + 1)
             if not left or not right:
                 out = PolyVectorField.zero(self.dim)
             else:
-                out = vf_bracket(left, right)
-        return self._field_cache.setdefault(b, out)
+                out = jet_bracket(left, right, order)
+        self._field_cache[b] = out
+        self._jet_order[b] = order
+        return out
+
+    def bracket_field(self, b: BracketTree) -> PolyVectorField:
+        """f_b in full: its jet at the degree bound."""
+        return self.bracket_jet(b, self._degree_bound(b))
 
     def bracket_value(self, b: BracketTree) -> Vector:
         """f_b(0), with trailing X0 factors handled by Jacobian powers."""
@@ -159,7 +228,7 @@ class SystemDef:
         if cached is not None:
             return cached
         core, nu = trees.strip_trailing_zeros(b)
-        value = self.bracket_field(core).value_at_zero()
+        value = self.bracket_jet(core, 0).value_at_zero()
         for _ in range(nu):
             value = self.h0_apply(value)
         return self._value_cache.setdefault(b, value)

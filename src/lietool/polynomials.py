@@ -115,6 +115,11 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
+    def truncated(self, order: int) -> "SparsePoly":
+        """The terms of total degree <= order."""
+        return SparsePoly(self.nvars, {e: c for e, c in self.terms.items()
+                                       if sum(e) <= order})
+
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 

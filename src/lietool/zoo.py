@@ -90,7 +90,8 @@ def _no_zm_pure() -> SystemDef:
     )
 
 
-def _wk_prototype(k: int = 2, p: int = 5, lam=1) -> SystemDef:
+def _wk_prototype(k: int = 2, p: int = 5,
+                  lam: Fraction = Fraction(1)) -> SystemDef:
     if k < 1 or p < 2 or (k == 1 and p == 2):
         raise ValueError("need k >= 1 and p >= 2 with (k,p) != (1,2)")
     d = k + 1
@@ -101,9 +102,11 @@ def _wk_prototype(k: int = 2, p: int = 5, lam=1) -> SystemDef:
     import math
     expected[trees.ad(trees.X1, p, trees.X0).text] = _e(
         d, k + 1, -Fraction(lam) * math.factorial(p))
+    name = f"wk_prototype(k={k},p={p})"
+    if lam != 1:
+        name = f"wk_prototype(k={k},p={p},lam={lam})"
     return SystemDef(
-        dim=d, f0=_field(d, terms), f1=_e1_input(d),
-        name=f"wk_prototype(k={k},p={p})",
+        dim=d, f0=_field(d, terms), f1=_e1_input(d), name=name,
         expected_values=expected, zero_elsewhere=True,
         notes="prototype competition between the order-2k square bracket and "
               "a pure control power",
@@ -404,9 +407,10 @@ def zoo(name: str, **params) -> SystemDef:
     return _builder(name)(**params)
 
 
-def zoo_parameters(name: str) -> tuple[str, ...]:
-    """The keyword parameters a catalog entry accepts."""
-    return tuple(inspect.signature(_builder(name)).parameters)
+def zoo_parameters(name: str) -> dict[str, object]:
+    """The keyword parameters a catalog entry accepts, with their defaults."""
+    return {key: param.default for key, param
+            in inspect.signature(_builder(name)).parameters.items()}
 
 
 def zoo_names() -> list[str]:

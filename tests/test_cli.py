@@ -86,6 +86,15 @@ class TestEval:
                            "--bracket", "D")
         assert code == 0 and out.strip() == "0\t0\t0\t72"
 
+    def test_rational_zoo_parameter(self, run):
+        # ad_X1^5 X0 at 0 is -lam * 5! on the prototype
+        code, out, _ = run("eval", "--system", "zoo:wk_prototype:lam=1/2",
+                           "--bracket", "(X1,(X1,(X1,(X1,(X1,X0)))))")
+        assert code == 0 and out.strip() == "0\t0\t-60"
+        code, out, _ = run("check", "--system", "zoo:wk_prototype:lam=1/2",
+                           "--condition", "n2")
+        assert code == 0 and "wk_prototype(k=2,p=5,lam=1/2)" in out
+
     def test_system_file(self, run, tmp_path):
         from lietool.fields import system_to_json_dict
         from lietool.zoo import zoo
@@ -141,6 +150,23 @@ class TestCheck:
                            "--condition", "ag:1,6")
         assert code == 0
         assert "NOT compensated" in out
+        # the caps line is the one every condition prints; the screen is
+        # bounded by max_screen_length
+        assert out.splitlines()[0] == (
+            "caps: max_index=12 max_n0=12 max_layer_length=15 "
+            "max_screen_length=9 stability_window=None")
+        assert "caps=(" not in out
+        code, out, _ = run("check", "--system", "zoo:w3_vs_q111",
+                           "--condition", "ag:1,6", "--cap-n0", "5", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["caps"] == {"max_index": 12, "max_n0": 5,
+                                   "max_layer_length": 15,
+                                   "max_screen_length": 9,
+                                   "stability_window": None}
+        assert any(not e["compensated"] for e in payload["entries"])
+        assert set(payload["entries"][0]) == {"bracket", "layer", "weight",
+                                              "compensated"}
 
 
 class TestVerifyExpansions:
@@ -240,6 +266,13 @@ class TestErrors:
         for text in named:
             assert text in err
         assert "int()" not in err
+
+    def test_integer_zoo_parameter_refuses_a_rational(self, run):
+        code, _, err = run("eval", "--system", "zoo:wk_prototype:p=1/2",
+                           "--bracket", "X1")
+        assert code == 2
+        assert "'p' needs an integer, got '1/2'" in err
+        assert ZOO_SPEC_FORM in err
 
     @pytest.mark.parametrize("token", ["loose:2", "loose:x,1", "loose:1,2,3"])
     def test_malformed_family_shows_the_grammar(self, run, token):

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from lietool.conditions import family_n3, neutral_span
 from lietool.fields import eval_bracket
 from lietool.hall import basis_up_to_length
 from lietool.trees import parse_tree
-from lietool.zoo import UnknownSystemError, default_instances, zoo, zoo_names
+from lietool.zoo import (UnknownSystemError, default_instances, zoo,
+                         zoo_names, zoo_parameters)
 
 ALL_LENGTH_8 = basis_up_to_length(8)
 
@@ -88,6 +91,15 @@ def test_parametric_validation():
         zoo("w3_vs_p1l_ge4", l=2)
     with pytest.raises(ValueError):
         zoo("w2_vs_p11nu", nu=0)
+
+
+def test_rational_parameter_is_named_off_its_default():
+    assert zoo("wk_prototype").name == "wk_prototype(k=2,p=5)"
+    assert zoo("wk_prototype", lam=1).name == "wk_prototype(k=2,p=5)"
+    half = zoo("wk_prototype", lam=Fraction(1, 2))
+    assert half.name == "wk_prototype(k=2,p=5,lam=1/2)"
+    assert zoo_parameters("wk_prototype") == {
+        "k": 2, "p": 5, "lam": Fraction(1)}
 
 
 def test_f0_vanishes_everywhere_in_catalog():
