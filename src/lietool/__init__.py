@@ -7,7 +7,8 @@ The package is organized around one pipeline:
 * :mod:`lietool.hall` - the trailing-zero-adapted Hall basis, enumeration and
   exact decomposition;
 * :mod:`lietool.controls`, :mod:`lietool.coord` - exact piecewise-polynomial
-  controls and their iterated-integral coordinates;
+  and sampled controls and their iterated-integral coordinates (one
+  recursion for both);
 * :mod:`lietool.expansions` - state expansions for piecewise-constant inputs
   (ordered exponential products, interaction-picture logarithm, cross terms);
 * :mod:`lietool.fields`, :mod:`lietool.zoo` - polynomial vector fields,
@@ -22,8 +23,8 @@ from .conditions import (Caps, ConditionReport, ag_screen, ag_weight,
                          check_n2, check_n3, check_sextic,
                          check_sussmann_stefani, check_wk_cubic_screen,
                          check_wk_loose, component_functional, family_layers,
-                         family_n2, family_n3, family_s1, neutral_span,
-                         pi_threshold)
+                         family_loose, family_n2, family_n3, family_s1,
+                         family_sextic, neutral_span, pi_threshold)
 from .controls import (PiecewisePolyControl, Poly, SampledControl,
                        load_control, primitive)
 from .coord import chen_coefficient, check_inequalities, xi, xi_closed_form
@@ -51,7 +52,7 @@ __all__ = [
     "check_wk_loose", "chen_coefficient", "component_functional",
     "cross_term_check", "decompose", "drift_scan", "enumerate_basis",
     "eval_bracket", "eval_lie", "expand_to_words", "family_layers",
-    "family_n2", "family_n3", "family_s1", "formal_state", "hall_compare",
+    "family_loose", "family_n2", "family_n3", "family_s1", "family_sextic", "formal_state", "hall_compare",
     "integrate", "interaction_log", "is_hall", "lie_bracket", "load_control",
     "load_system", "magnus_log", "neutral_span", "ordered_product",
     "parse_tree", "pi_threshold", "primitive",

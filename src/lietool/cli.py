@@ -234,6 +234,7 @@ _FAMILIES = {
     "s1": conditions.family_s1,
     "n2": conditions.family_n2,
     "n3": conditions.family_n3,
+    "sextic": conditions.family_sextic,
 }
 
 
@@ -249,12 +250,7 @@ def _parse_family(token: str):
             k, m = (int(x) for x in rest.split(","))
         except ValueError:
             raise CliError(f"malformed family {token!r}; use {FAMILY_GRAMMAR}")
-        layers, _ = conditions._pi_layer_set(k, m, Caps())
-        layers.discard(2)
-        return conditions.family_layers(layers, name=f"loose:{k},{m}")
-    if token == "sextic":
-        return conditions.family_layers(range(1, 8), name="sextic",
-                                        exclude={trees.D().text})
+        return conditions.family_loose(k, m)
     raise CliError(f"unknown family {token!r}; use {FAMILY_GRAMMAR}")
 
 

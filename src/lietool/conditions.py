@@ -24,7 +24,7 @@ generators for `satisfied`, a separating component functional for
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
@@ -379,39 +379,48 @@ def _pi_layer_set(k: int, m: int, caps: Caps) -> tuple[set[int], str]:
     return set(range(1, top + 1)), note
 
 
-def check_wk_loose(sys: SystemDef, k: int, m: int,
-                   caps: Caps | None = None) -> ConditionReport:
-    """W_k against all layers 1..pi(k,m) except 2."""
-    caps = caps or Caps()
-    layers, note = _pi_layer_set(k, m, caps)
-    layers.discard(2)
-    target = trees.W(k, 0)
-    fam = family_layers(layers, name=f"S[1,pi]\\{{2}} (k={k},m={m})")
-    report = _run_check(sys, f"wk:{k},{m}", target, fam, caps, detail=note)
+def family_loose(k: int, m: int, caps: Caps | None = None) -> FamilySpec:
+    """All layers 1..pi(k,m) except 2 (pi = inf is cut at the caps)."""
+    layers, _ = _pi_layer_set(k, m, caps or Caps())
+    return family_layers(layers - {2}, name=f"loose:{k},{m}")
+
+
+def family_sextic() -> FamilySpec:
+    """Every basis element with n1 <= 7 but the order-6 germ D."""
+    return family_layers(range(1, 8), name="sextic", exclude={trees.D().text})
+
+
+def _check_wk(sys: SystemDef, condition: str, k: int, m: int,
+              fam: FamilySpec, caps: Caps) -> ConditionReport:
+    """W_k against fam; at m = -1 the layer set is infinite and cut at the
+    caps, so a violated verdict is only inconclusive."""
+    _, note = _pi_layer_set(k, m, caps)
+    report = _run_check(sys, condition, trees.W(k, 0), fam, caps, detail=note)
     if m == -1 and report.verdict == "violated":
         report.verdict = "inconclusive"
         report.detail += "; infinite layer set truncated at caps"
     return report
+
+
+def check_wk_loose(sys: SystemDef, k: int, m: int,
+                   caps: Caps | None = None) -> ConditionReport:
+    """W_k against all layers 1..pi(k,m) except 2."""
+    caps = caps or Caps()
+    return _check_wk(sys, f"wk:{k},{m}", k, m, family_loose(k, m, caps), caps)
 
 
 def check_wk_cubic_screen(sys: SystemDef, k: int, m: int,
                           caps: Caps | None = None) -> ConditionReport:
     """W_k against layer 1, the restricted cubic list, and layers 4..pi."""
     caps = caps or Caps()
-    layers, note = _pi_layer_set(k, m, caps)
+    layers, _ = _pi_layer_set(k, m, caps)
     high_layers = {n for n in layers if n >= 4}
     gens: list[Generator] = [GermChain(X1)]
     gens.extend(family_pk(k).generators)
     if high_layers:
         gens.append(LayerFamily(frozenset(high_layers)))
     fam = FamilySpec(f"S1+P_{k}+S[4,pi] (m={m})", tuple(gens))
-    target = trees.W(k, 0)
-    report = _run_check(sys, f"wk-screen:{k},{m}", target, fam, caps,
-                        detail=note)
-    if m == -1 and report.verdict == "violated":
-        report.verdict = "inconclusive"
-        report.detail += "; infinite layer set truncated at caps"
-    return report
+    return _check_wk(sys, f"wk-screen:{k},{m}", k, m, fam, caps)
 
 
 def check_n2(sys: SystemDef, caps: Caps | None = None) -> ConditionReport:
@@ -424,10 +433,7 @@ def check_n3(sys: SystemDef, caps: Caps | None = None) -> ConditionReport:
 
 def check_sextic(sys: SystemDef, caps: Caps | None = None) -> ConditionReport:
     """The order-6 germ D against every basis element with n1 <= 7 but D."""
-    target = trees.D()
-    fam = family_layers(range(1, 8), name="B*[1,7] minus D",
-                        exclude={target.text})
-    return _run_check(sys, "sextic", target, fam, caps)
+    return _run_check(sys, "sextic", trees.D(), family_sextic(), caps)
 
 
 # ---------------------------------------------------------------------------

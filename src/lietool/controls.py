@@ -7,9 +7,11 @@ sums, products, antidifferentiation (continuous across breakpoints), exact
 definite integrals, and the kernel integrals int_0^t (t-s)^nu/nu! f(s) ds
 (done as iterated antiderivatives).
 
-:class:`SampledControl` holds float values on a uniform grid and supports the
-same recursion through cumulative trapezoid sums, with a Richardson error
-estimate against the half grid.
+:class:`SampledControl` holds float values on a uniform grid and has the
+operations the coordinate recursion calls (products, powers, scaling, the
+trapezoid antiderivative, the end value), so one recursion serves both
+control types; a sampled value carries a Richardson error estimate against
+the half grid.  Every iterated primitive of either type is :func:`primitive`.
 """
 
 from __future__ import annotations
@@ -232,10 +234,7 @@ class PiecewisePolyControl:
         Equals the (nu+1)-fold iterated primitive of f at t (Cauchy's
         repeated-integration formula).
         """
-        g = self
-        for _ in range(nu + 1):
-            g = g.antiderivative()
-        return g.eval(self.horizon)
+        return primitive(self, nu + 1).end_value()
 
     def end_value(self) -> Fraction:
         return self.eval(self.horizon)
@@ -293,7 +292,7 @@ class PiecewisePolyControl:
 class SampledControl:
     """Float samples on the uniform grid over [0, t] (n >= 2 points)."""
 
-    __slots__ = ("horizon", "values")
+    __slots__ = ("horizon", "values", "__weakref__")
 
     def __init__(self, t: float, values: Sequence[float]):
         self.horizon = float(t)
@@ -312,12 +311,31 @@ class SampledControl:
     def eval(self, s: float) -> float:
         return float(np.interp(s, self.grid, self.values))
 
-    def cumulative(self) -> "SampledControl":
+    def __mul__(self, other: "SampledControl") -> "SampledControl":
+        if (self.horizon, self.values.size) != (other.horizon,
+                                                other.values.size):
+            raise ValueError("grid mismatch")
+        return SampledControl(self.horizon, self.values * other.values)
+
+    def scale(self, factor) -> "SampledControl":
+        """Multiply by the numerator, then divide by the denominator, so a
+        factor 1/n is the one float division by n."""
+        factor = Fraction(factor)
+        return SampledControl(
+            self.horizon, self.values * factor.numerator / factor.denominator)
+
+    def power(self, exponent: int) -> "SampledControl":
+        return SampledControl(self.horizon, self.values ** exponent)
+
+    def antiderivative(self) -> "SampledControl":
         """Cumulative trapezoid primitive on the same grid."""
         v = self.values
         h = self.step
         out = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) * (h / 2))))
         return SampledControl(self.horizon, out)
+
+    def end_value(self) -> float:
+        return float(self.values[-1])
 
     def coarsened(self) -> "SampledControl":
         if self.values.size < 5:
@@ -338,8 +356,7 @@ def primitive(u: ControlSignal, j: int) -> ControlSignal:
         raise ValueError("j must be >= 0")
     out = u
     for _ in range(j):
-        out = out.antiderivative() if isinstance(out, PiecewisePolyControl) \
-            else out.cumulative()
+        out = out.antiderivative()
     return out
 
 

@@ -6,10 +6,13 @@ with m maximal,
 
     xi_b(t,u) = (1/m!) int_0^t xi_{b1}(s,u)^m  d xi_{b2}(s,u).
 
+One recursion (`xi_path`, and `chen_coefficient_path` for word
+coefficients) serves both control types through the operations they share.
 For exact piecewise-polynomial controls every xi_b(s, .) is itself an exact
 piecewise polynomial in s, so values are exact rationals.  For sampled
-controls the same recursion runs through cumulative trapezoid sums and the
-result carries a Richardson error estimate.
+controls the antiderivative is the cumulative trapezoid sum, and `xi` and
+`chen_coefficient` report the fine-grid value with the fine-minus-coarse
+(half grid) difference as a Richardson error estimate.
 
 Closed forms exist for every element whose germ lies in the eight named
 families (M, W, P, Q, Qs, Qf, R, Rs), as recognized by the structural matcher
@@ -27,8 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import trees
-from .controls import (ControlSignal, PiecewisePolyControl, Poly,
-                       SampledControl, primitive)
+from .controls import ControlSignal, PiecewisePolyControl, primitive
 from .hall import HallElement, hall_factor
 from .trees import BracketTree, X0, X1
 from .words import Word
@@ -65,37 +67,27 @@ def match_named_family(b) -> Optional[trees.FamilyPattern]:
 
 
 # ---------------------------------------------------------------------------
-# exact path
+# the recursion, for exact and sampled controls alike
 
 # memo tables die with their control: weak keys avoid stale-id collisions
-_XI_CACHE: "weakref.WeakKeyDictionary[PiecewisePolyControl, dict]" = (
+_XI_CACHE: "weakref.WeakKeyDictionary[ControlSignal, dict]" = (
     weakref.WeakKeyDictionary())
 
 
-def xi_path(b, u: PiecewisePolyControl) -> PiecewisePolyControl:
-    """The function s -> xi_b(s, u) on [0, t], exact."""
+def xi_path(b, u: ControlSignal) -> ControlSignal:
+    """The function s -> xi_b(s, u) on [0, t]: exact, or on u's grid."""
     tree = _as_tree(b)
     cache = _XI_CACHE.setdefault(u, {})
     cached = cache.get(tree)
     if cached is not None:
         return cached
-    if tree is X0:
-        out = PiecewisePolyControl((0, u.horizon), (Poly((0, 1)),))
-    elif tree is X1:
-        out = u.antiderivative()
-    else:
-        b1, m, b2 = hall_factor(tree)
-        base = xi_path(b1, u).power(m)
-        dxi2 = _xi_derivative(b2, u)
-        out = (base * dxi2).antiderivative().scale(
-            Fraction(1, math.factorial(m)))
-    return cache.setdefault(tree, out)
+    return cache.setdefault(tree, _xi_derivative(tree, u).antiderivative())
 
 
-def _xi_derivative(b: BracketTree, u: PiecewisePolyControl) -> PiecewisePolyControl:
-    """d/ds xi_b(s, u) as a piecewise polynomial (a.e.)."""
+def _xi_derivative(b: BracketTree, u: ControlSignal) -> ControlSignal:
+    """d/ds xi_b(s, u) (a.e. for exact controls)."""
     if b is X0:
-        return PiecewisePolyControl.constant(1, u.horizon)
+        return u.power(0)
     if b is X1:
         return u
     b1, m, b2 = hall_factor(b)
@@ -103,32 +95,20 @@ def _xi_derivative(b: BracketTree, u: PiecewisePolyControl) -> PiecewisePolyCont
         Fraction(1, math.factorial(m)))
 
 
-# ---------------------------------------------------------------------------
-# sampled path
-
-def _xi_dot_sampled(b: BracketTree, u: SampledControl) -> SampledControl:
-    if b is X0:
-        return SampledControl(u.horizon, [1.0] * u.values.size)
-    if b is X1:
-        return u
-    b1, m, b2 = hall_factor(b)
-    base = _xi_sampled(b1, u).values ** m
-    dot2 = _xi_dot_sampled(b2, u).values
-    return SampledControl(u.horizon, base * dot2 / math.factorial(m))
-
-
-def _xi_sampled(b: BracketTree, u: SampledControl) -> SampledControl:
-    return _xi_dot_sampled(b, u).cumulative()
+def _end_value(path_of, u: ControlSignal) -> XiValue:
+    """The exact end value of path_of(u), or the float one on u's grid with
+    its distance to the half grid's as the error estimate."""
+    if isinstance(u, PiecewisePolyControl):
+        return XiValue(exact=path_of(u).end_value())
+    fine = path_of(u).end_value()
+    coarse = path_of(u.coarsened()).end_value()
+    return XiValue(approx=fine, error_estimate=abs(fine - coarse))
 
 
 def xi(b, u: ControlSignal) -> XiValue:
     """xi_b(t, u): exact for piecewise-polynomial u, estimated for samples."""
     tree = _as_tree(b)
-    if isinstance(u, PiecewisePolyControl):
-        return XiValue(exact=xi_path(tree, u).end_value())
-    fine = float(_xi_sampled(tree, u).values[-1])
-    coarse = float(_xi_sampled(tree, u.coarsened()).values[-1])
-    return XiValue(approx=fine, error_estimate=abs(fine - coarse))
+    return _end_value(lambda v: xi_path(tree, v), u)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +136,6 @@ def gamma_coeff(j: int, k: int, l: int, m: int) -> Fraction:
     return Fraction(1, 12)  # j < k == l == m or j == k < l == m
 
 
-def _kernel_primitive(f: PiecewisePolyControl, order: int) -> PiecewisePolyControl:
-    """s -> int_0^s (s-r)^order/order! f(r) dr as a piecewise polynomial."""
-    out = f
-    for _ in range(order + 1):
-        out = out.antiderivative()
-    return out
-
-
 def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     """Closed-form xi for elements of the eight named families, exact."""
     if not isinstance(u, PiecewisePolyControl):
@@ -172,83 +144,61 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     if pattern is None:
         raise ValueError(f"{_as_tree(b).text} is outside the named families")
     fam, idx, nu = pattern.family, pattern.indices, pattern.nu
-    uj = [None]  # 1-based: uj[j] = j-th primitive path
 
     def prim(j: int) -> PiecewisePolyControl:
-        while len(uj) <= j:
-            uj.append((uj[-1] if len(uj) > 1 else u).antiderivative())
-        return uj[j]
+        return primitive(u, j)
 
     if fam == "M":
-        return XiValue(exact=prim(nu + 1).end_value())
-    if fam == "W":
+        integrand = u
+    elif fam == "W":
         (j,) = idx
         integrand = prim(j).power(2).scale(Fraction(1, 2))
-        return XiValue(exact=integrand.kernel_integral(nu))
-    if fam == "P":
+    elif fam == "P":
         j, k = idx
         integrand = (prim(k) * prim(j).power(2)).scale(alpha_coeff(j, k))
-        return XiValue(exact=integrand.kernel_integral(nu))
-    if fam == "Q":
+    elif fam == "Q":
         j, k, l = idx
         integrand = (prim(l) * prim(k) * prim(j).power(2)).scale(
             beta_coeff(j, k, l))
-        return XiValue(exact=integrand.kernel_integral(nu))
-    if fam == "Qf":
+    elif fam == "Qf":
         j, mu = idx
-        inner = _kernel_primitive(prim(j).power(2), mu)
+        inner = primitive(prim(j).power(2), mu + 1)
         integrand = inner.power(2).scale(Fraction(1, 8))
-        return XiValue(exact=integrand.kernel_integral(nu))
-    if fam == "Qs":
+    elif fam == "Qs":
         j, mu, k = idx
-        inner = _kernel_primitive(prim(j).power(2), mu)
+        inner = primitive(prim(j).power(2), mu + 1)
         integrand = (inner * prim(k).power(2)).scale(Fraction(1, 4))
-        return XiValue(exact=integrand.kernel_integral(nu))
-    if fam == "R":
+    elif fam == "R":
         j, k, l, m = idx
         integrand = (prim(m) * prim(l) * prim(k) * prim(j).power(2)).scale(
             gamma_coeff(j, k, l, m))
-        return XiValue(exact=integrand.kernel_integral(nu))
-    if fam == "Rs":
+    elif fam == "Rs":
         j, k, l, mu = idx
-        inner = _kernel_primitive(prim(l).power(2), mu)
+        inner = primitive(prim(l).power(2), mu + 1)
         integrand = (inner * prim(k) * prim(j).power(2)).scale(
             alpha_coeff(j, k) / 2)
-        return XiValue(exact=integrand.kernel_integral(nu))
-    raise AssertionError(fam)
+    else:
+        raise AssertionError(fam)
+    return XiValue(exact=integrand.kernel_integral(nu))
 
 
 # ---------------------------------------------------------------------------
 # Chen coefficients
 
-def chen_coefficient_path(word: Word, u: PiecewisePolyControl) -> PiecewisePolyControl:
+def chen_coefficient_path(word: Word, u: ControlSignal) -> ControlSignal:
     """s -> coefficient of `word` in the word-series state at time s.
 
     Convention: the LAST letter of the word is the outermost integral.
     """
-    path = PiecewisePolyControl.constant(1, u.horizon)
+    one = u.power(0)
+    path = one
     for letter in word:
-        v = PiecewisePolyControl.constant(1, u.horizon) if letter == 0 else u
-        path = (path * v).antiderivative()
+        path = (path * (u if letter else one)).antiderivative()
     return path
 
 
 def chen_coefficient(word: Word, u: ControlSignal) -> XiValue:
-    if isinstance(u, PiecewisePolyControl):
-        return XiValue(exact=chen_coefficient_path(word, u).end_value())
-
-    def run(signal: SampledControl) -> float:
-        ones = SampledControl(signal.horizon, [1.0] * signal.values.size)
-        path = ones
-        for letter in word:
-            v = ones if letter == 0 else signal
-            path = SampledControl(signal.horizon,
-                                  path.values * v.values).cumulative()
-        return float(path.values[-1])
-
-    fine = run(u)
-    coarse = run(u.coarsened())
-    return XiValue(approx=fine, error_estimate=abs(fine - coarse))
+    return _end_value(lambda v: chen_coefficient_path(word, v), u)
 
 
 # ---------------------------------------------------------------------------

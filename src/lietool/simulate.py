@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -117,6 +116,20 @@ def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
 # ---------------------------------------------------------------------------
 # truncated bracket expansion of the state
 
+def _float_bracket_values(sys: SystemDef, max_length: int,
+                          max_n1: int) -> dict[HallElement, np.ndarray]:
+    """Nonzero f_b(0) as floats, in basis order, for the Hall elements
+    b != X0 with |b| <= max_length and n1(b) <= max_n1."""
+    values = {}
+    for element in basis_up_to_length(max_length):
+        if element.tree is trees.X0 or element.n1 > max_n1:
+            continue
+        v = eval_bracket(sys, element.tree)
+        if any(v):
+            values[element] = np.array([float(c) for c in v])
+    return values
+
+
 def _to_piecewise_constant(u: ControlSignal, pieces: int) -> PiecewisePolyControl:
     """Midpoint piecewise-constant surrogate on a uniform grid.
 
@@ -160,13 +173,7 @@ def zm_state(sys: SystemDef, u: ControlSignal, M: int,
     """
     if M < 1 or length_cutoff < M:
         raise ValueError("need 1 <= M <= length_cutoff")
-    values = {}
-    for element in basis_up_to_length(length_cutoff):
-        if element.tree is trees.X0 or element.n1 > M:
-            continue
-        v = eval_bracket(sys, element.tree)
-        if any(v):
-            values[element] = np.array([float(c) for c in v])
+    values = _float_bracket_values(sys, length_cutoff, M)
 
     def run(pc: PiecewisePolyControl) -> tuple[np.ndarray, float]:
         eta = interaction_log(pc, length_cutoff)
@@ -269,14 +276,8 @@ def pure_counterexample_check(u: PiecewisePolyControl,
     x = integrate(sys, steered, step).final_state
     u1 = steered.antiderivative()
     pure = np.zeros(3)
-    for element in basis_up_to_length(6):
-        if element.tree is trees.X0 or element.n1 > 4:
-            continue
-        v = eval_bracket(sys, element.tree)
-        if not any(v):
-            continue
-        pure = pure + float(xi(element, steered).exact) * np.array(
-            [float(c) for c in v])
+    for element, vec in _float_bracket_values(sys, 6, 4).items():
+        pure = pure + float(xi(element, steered).exact) * vec
     discrepancy = x - pure
     quartic = float(u1.power(2).integral()) ** 2 / 8
     predicted = np.array([0.0, 0.0, quartic])
@@ -340,6 +341,11 @@ class DriftScanReport:
 
 
 def worker_count() -> int:
+    """Pool size of the benchmark's traced drift-scan replay (`bench/`).
+
+    Only the benchmark reads it; `drift_scan` runs its trials in order in
+    the calling thread.
+    """
     env = os.environ.get("LIETOOL_THREADS")
     if env:
         return max(1, int(env))
@@ -394,23 +400,14 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
         system=sys.name, bracket=trees.display_form(tree),
         family=fam.name, eps=eps, C=C, beta=beta, seed=seed, trials=trials,
         rho=rho, t_max=t_max, component=component, note=note)
-    controls = random_control_family(seed, trials, rho, t_max)
     comp = np.array([float(c) for c in component])
-
-    def margin(u: PiecewisePolyControl) -> tuple[float, float]:
+    for u in random_control_family(seed, trials, rho, t_max):
         x = integrate(sys, u, step).final_state
         xi_val = float(xi(tree, u).exact)
         px = float(comp @ x)
         norm = float(np.linalg.norm(x))
-        strong = px - (1 - eps) * xi_val + C * norm ** beta
-        weak = px - (1 - eps) * xi_val + eps * norm
-        return strong, weak
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(margin, controls))
-    for strong, weak in results:
-        report.margins.append(strong)
-        report.weak_margins.append(weak)
+        report.margins.append(px - (1 - eps) * xi_val + C * norm ** beta)
+        report.weak_margins.append(px - (1 - eps) * xi_val + eps * norm)
     report.finalize()
     return report
 

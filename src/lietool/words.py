@@ -31,19 +31,6 @@ def word_text(word: Word) -> str:
     return " ".join(f"X{g}" for g in word) if word else "1"
 
 
-def parse_word(text: str) -> Word:
-    """Parse "X1 X0 X1"-style text (empty/"1" = the empty word)."""
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    letters = []
-    for token in text.replace(",", " ").split():
-        if token not in ("X0", "X1"):
-            raise ValueError(f"bad word letter {token!r}")
-        letters.append(int(token[1]))
-    return tuple(letters)
-
-
 def all_words(max_degree: int) -> Iterable[Word]:
     """All words of total degree <= max_degree, by increasing degree."""
     level: list[Word] = [()]
@@ -163,17 +150,6 @@ class TensorSeries:
 
     def bracket(self, other: "TensorSeries") -> "TensorSeries":
         return self * other - other * self
-
-    def homogeneous_part(self, degree: int) -> "TensorSeries":
-        return TensorSeries(
-            self.cutoff,
-            {w: c for w, c in self.coeffs.items() if len(w) == degree})
-
-    def bidegree_part(self, n1: int, n0: int) -> "TensorSeries":
-        return TensorSeries(
-            self.cutoff,
-            {w: c for w, c in self.coeffs.items()
-             if word_bidegree(w) == (n1, n0)})
 
     def truncated(self, cutoff: int) -> "TensorSeries":
         return TensorSeries(

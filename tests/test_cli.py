@@ -7,7 +7,8 @@ import pytest
 
 import lietool
 from lietool.cli import (CONDITION_GRAMMAR, CONTROL_FORMAT_HINT,
-                         FAMILY_GRAMMAR, ZOO_SPEC_FORM, main)
+                         FAMILY_GRAMMAR, ZOO_SPEC_FORM, _parse_family, main)
+from lietool.conditions import family_loose, family_sextic
 
 
 @pytest.fixture
@@ -210,6 +211,10 @@ class TestDriftScan:
                            "--bracket", "W(1,0)", "--family", "oops",
                            "--trials", "2", "--seed", "0")
         assert code == 2
+
+    def test_families_come_from_conditions(self):
+        assert _parse_family("loose:3,2") == family_loose(3, 2)
+        assert _parse_family("sextic") == family_sextic()
 
 
 class TestZoo:

@@ -114,6 +114,13 @@ class TestWkLoose:
         report = check_wk_loose(zoo("w2_vs_q111"), 2, -1)
         assert report.verdict in ("satisfied", "inconclusive")
 
+    def test_minus_one_downgrades_both_checks(self):
+        sys = zoo("wk_prototype", k=2, p=9)
+        for check in (check_wk_loose, check_wk_cubic_screen):
+            report = check(sys, 2, -1)
+            assert report.verdict == "inconclusive", check.__name__
+            assert "infinite layer set truncated at caps" in report.detail
+
 
 class TestCubicScreen:
     def test_jakubczyk_satisfied_via_restricted_list(self):

@@ -132,8 +132,21 @@ class TestPrimitives:
 class TestSampled:
     def test_cumulative_trapezoid(self):
         u = SampledControl(1.0, np.ones(11))
-        v = u.cumulative()
+        v = u.antiderivative()
         assert abs(v.values[-1] - 1.0) < 1e-12
+
+    def test_recursion_operations(self):
+        u = SampledControl(2.0, [1.0, 2.0, 3.0])
+        assert list((u * u).values) == [1.0, 4.0, 9.0]
+        assert list(u.power(0).values) == [1.0, 1.0, 1.0]
+        assert list(u.power(3).values) == [1.0, 8.0, 27.0]
+        # numerator first, then denominator: 5 / 6, not 5 * float(1/6)
+        five = SampledControl(1.0, [5.0, 5.0])
+        assert five.scale(Fraction(1, 6)).values[0] == 5 / 6 != 5 * (1 / 6)
+        assert list(u.scale(Fraction(2, 3)).values) == [2 / 3, 4 / 3, 2.0]
+        assert u.antiderivative().end_value() == 4.0
+        with pytest.raises(ValueError):
+            u * SampledControl(1.0, [1.0, 2.0, 3.0])
 
     def test_coarsen(self):
         u = SampledControl(1.0, np.linspace(0, 1, 9))

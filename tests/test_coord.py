@@ -11,8 +11,9 @@ from lietool.controls import PiecewisePolyControl, Poly, SampledControl, primiti
 from lietool.coord import (chen_coefficient, check_inequalities,
                            match_named_family, rough_bound_constant, xi,
                            xi_closed_form, xi_path)
-from lietool.hall import basis_of_bidegree
+from lietool.hall import basis_of_bidegree, basis_up_to_length
 from lietool.trees import D, M, P, Q_flat, W, X1, parse_tree
+from lietool.words import all_words
 
 UNIT = PiecewisePolyControl.constant(1, 1)
 
@@ -160,6 +161,30 @@ class TestChen:
         u = SampledControl(1.0, np.ones(129))
         val = chen_coefficient((1, 1), u)
         assert abs(val.approx - 0.5) < 1e-3
+
+
+class TestSampledAgainstExact:
+    """The shared recursion on a 257-point sample of u = 1/2 - 3s + 3s^2:
+    every estimate must bound its distance to the exact value."""
+
+    EXACT = PiecewisePolyControl((0, 1), (Poly((Fraction(1, 2), -3, 3)),))
+    SAMPLED = SampledControl(1.0, EXACT.sample(257))
+
+    def check(self, approx, exact):
+        assert approx.exact is None
+        assert abs(approx.approx - float(exact.exact)) <= \
+            approx.error_estimate + 1e-12
+
+    def test_xi_on_hall_elements_up_to_length_6(self):
+        elements = basis_up_to_length(6)
+        assert len(elements) == 23
+        for e in elements:
+            self.check(xi(e, self.SAMPLED), xi(e, self.EXACT))
+
+    def test_chen_on_words_up_to_length_5(self):
+        for word in all_words(5):
+            self.check(chen_coefficient(word, self.SAMPLED),
+                       chen_coefficient(word, self.EXACT))
 
 
 class TestInequalities:

@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -212,3 +213,10 @@ class TestDriftScan:
         a = drift_scan(EASY, "W(1,0)", family_s1(), trials=10, seed=42)
         b = drift_scan(EASY, "W(1,0)", family_s1(), trials=10, seed=42)
         assert a.margins == b.margins
+
+    def test_runs_without_starting_a_thread(self, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("drift_scan started a thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = drift_scan(EASY, "W(1,0)", family_s1(), trials=5, seed=7)
+        assert len(report.margins) == len(report.weak_margins) == 5
