@@ -292,13 +292,14 @@ class PiecewisePolyControl:
 class SampledControl:
     """Float samples on the uniform grid over [0, t] (n >= 2 points)."""
 
-    __slots__ = ("horizon", "values", "__weakref__")
+    __slots__ = ("horizon", "values", "_coarse", "__weakref__")
 
     def __init__(self, t: float, values: Sequence[float]):
         self.horizon = float(t)
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("need a 1-d array of >= 2 samples")
+        self._coarse = None
 
     @property
     def step(self) -> float:
@@ -338,9 +339,13 @@ class SampledControl:
         return float(self.values[-1])
 
     def coarsened(self) -> "SampledControl":
+        """The half grid, built once: the same object on every call, so the
+        coordinate memo serves its paths too."""
         if self.values.size < 5:
             raise ValueError("grid too small to coarsen")
-        return SampledControl(self.horizon, self.values[::2])
+        if self._coarse is None:
+            self._coarse = SampledControl(self.horizon, self.values[::2])
+        return self._coarse
 
     def to_json_dict(self) -> dict:
         return {"type": "samples", "t": self.horizon,

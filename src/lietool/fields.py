@@ -12,6 +12,10 @@ arithmetic).  Each system keeps, per interned tree, the highest-order jet
 computed so far, which serves every lower order; trailing X0 brackets at the
 origin reduce to multiplication by the Jacobian of f0 at 0 (valid because
 f0(0) = 0), which the span machinery exploits.
+
+For simulation `PolyVectorField.eval_float` compiles a field to floats once
+and evaluates it at one point or, on numpy arrays, at many points at once,
+with the same operations in the same order either way.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from . import trees
 from .hall import HallElement, LieElement
@@ -33,7 +39,7 @@ Vector = tuple[Fraction, ...]
 class PolyVectorField:
     """d polynomial components over d state variables."""
 
-    __slots__ = ("dim", "components")
+    __slots__ = ("dim", "components", "_float_form")
 
     def __init__(self, dim: int, components: Sequence[SparsePoly]):
         if len(components) != dim:
@@ -43,6 +49,7 @@ class PolyVectorField:
                 raise ValueError("component variable count != dim")
         self.dim = dim
         self.components = tuple(components)
+        self._float_form = None
 
     @classmethod
     def zero(cls, dim: int) -> "PolyVectorField":
@@ -82,8 +89,31 @@ class PolyVectorField:
     def eval(self, point: Sequence) -> Vector:
         return tuple(c.eval(point) for c in self.components)
 
-    def eval_float(self, point) -> list[float]:
-        return [c.eval_float(point) for c in self.components]
+    def eval_float(self, xs: Sequence) -> list:
+        """f(xs) in floats.  The d coordinates in `xs` are floats (one
+        point) or numpy arrays of one length (one point per entry).
+
+        The float form is built on the first call: per component, the terms
+        as (float(c), ((var, power), ...)) in the order `terms` holds them.
+        Powers go through C `pow` in both cases: `np.float_power` on arrays,
+        because numpy's vectorized `**` rounds differently.
+        """
+        if self._float_form is None:
+            self._float_form = tuple(
+                tuple((float(c), tuple((j, k) for j, k in enumerate(e) if k))
+                      for e, c in comp.terms.items())
+                for comp in self.components)
+        power = np.float_power if isinstance(xs[0], np.ndarray) else pow
+        out = []
+        for terms in self._float_form:
+            total = 0.0
+            for c, powers in terms:
+                term = c
+                for j, k in powers:
+                    term = term * power(xs[j], k)
+                total = total + term
+            out.append(total)
+        return out
 
     def jacobian_at_zero(self) -> list[list[Fraction]]:
         return [[self.components[i].partial(j).constant_term()

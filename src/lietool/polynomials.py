@@ -143,16 +143,6 @@ class SparsePoly:
             total += term
         return total
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for x, k in zip(point, e):
-                if k:
-                    term *= x ** k
-            total += term
-        return total
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 

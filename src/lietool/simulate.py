@@ -2,7 +2,9 @@
 
 * :func:`integrate` - classical fixed-step fourth-order Runge-Kutta, with
   steps aligned to the control's breakpoints so every step sees a smooth
-  right-hand side;
+  right-hand side; the state is a list of Python floats, and the fields are
+  evaluated through their compiled float form
+  (:meth:`~lietool.fields.PolyVectorField.eval_float`);
 * :func:`zm_state` - the truncated bracket expansion of the state
   sum_b eta_b(t,u) f_b(0), an approximate representation whose residual
   shrinks like the (M+1)-th power of the control size;
@@ -11,7 +13,9 @@
   expansion uses the plain second-kind coordinates instead of eta;
 * :func:`drift_scan` - empirical verification of one-sided drift
   inequalities P x(t;u) >= (1-eps) xi_b(t,u) - C |x|^beta over a seeded
-  family of controls.
+  family of controls.  Its trials are stepped in lockstep on (trials,)
+  arrays by the same RK4 step function, each on `integrate`'s schedule, so
+  every final state equals the sequential one bit for bit.
 """
 
 from __future__ import annotations
@@ -58,59 +62,145 @@ class Trajectory:
         return self.states[-1]
 
 
+def _horner(coeffs, s):
+    """`Poly.eval`'s float Horner on ascending coefficients; the coefficients
+    and s are floats, or rows of per-trial arrays."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
+def _float_pieces(u: PiecewisePolyControl) -> list[tuple[float, float, list]]:
+    """(left, right, float coefficients) for each piece of u."""
+    return [(float(u.breakpoints[i]), float(u.breakpoints[i + 1]),
+             [float(c) for c in poly.coeffs])
+            for i, poly in enumerate(u.pieces)]
+
+
+def _substeps(left: float, right: float, step: float) -> tuple[int, float]:
+    """The number of RK4 steps on [left, right] and their common size."""
+    n = max(1, math.ceil((right - left) / step - 1e-12))
+    return n, (right - left) / n
+
+
+def _rk4_step(sys: SystemDef, control_at: Callable, t0, h, x: list) -> list:
+    """One classical RK4 step of x' = f0(x) + u(t) f1(x) from (t0, x).
+
+    x lists the d coordinates.  t0, h and the coordinates are all floats
+    (one trajectory) or all arrays of one length (trials in lockstep); the
+    operations and their order are the same either way.
+    """
+    def rhs(t, y):
+        uv = control_at(t)
+        return [a + uv * b
+                for a, b in zip(sys.f0.eval_float(y), sys.f1.eval_float(y))]
+
+    half = h / 2
+    k1 = rhs(t0, x)
+    k2 = rhs(t0 + half, [v + half * k for v, k in zip(x, k1)])
+    k3 = rhs(t0 + half, [v + half * k for v, k in zip(x, k2)])
+    k4 = rhs(t0 + h, [v + h * k for v, k in zip(x, k3)])
+    sixth = h / 6
+    return [v + sixth * (a + 2 * b + 2 * c + d)
+            for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def _within_guard(x: list):
+    """|x| <= BLOWUP_GUARD, False for a non-finite x (per trial on arrays)."""
+    return sum(v * v for v in x) <= BLOWUP_GUARD ** 2
+
+
 def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
     """Fixed-step RK4 from x(0) = 0, sub-stepping each control piece.
 
     Within one piece the control is evaluated through that piece's own
     polynomial, so stage values at piece boundaries never leak across a
-    discontinuity.
+    discontinuity.  The state is a list of Python floats.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
-    f0 = sys.f0
-    f1 = sys.f1
-
-    def make_rhs(control_at: Callable[[float], float]):
-        def rhs(t: float, x: np.ndarray) -> np.ndarray:
-            uv = control_at(t)
-            a = f0.eval_float(x)
-            b = f1.eval_float(x)
-            return np.array([ai + uv * bi for ai, bi in zip(a, b)])
-        return rhs
-
     if isinstance(u, PiecewisePolyControl):
-        segments = []
-        for i, poly in enumerate(u.pieces):
-            left = float(u.breakpoints[i])
-            right = float(u.breakpoints[i + 1])
-            segments.append(
-                (left, right,
-                 lambda t, p=poly, l=left: p.eval(float(t) - l)))
+        segments = [(left, right,
+                     lambda t, c=coeffs, l=left: _horner(c, t - l))
+                    for left, right, coeffs in _float_pieces(u)]
     else:
         segments = [(0.0, u.horizon, u.eval)]
 
+    x = [0.0] * sys.dim
     times = [0.0]
-    states = [np.zeros(sys.dim)]
-    x = states[0]
-    t = 0.0
+    states = [x]
     for left, right, control_at in segments:
-        rhs = make_rhs(control_at)
-        n = max(1, math.ceil((right - left) / step - 1e-12))
-        h = (right - left) / n
+        n, h = _substeps(left, right, step)
         for i in range(n):
             t0 = left + i * h
-            k1 = rhs(t0, x)
-            k2 = rhs(t0 + h / 2, x + h / 2 * k1)
-            k3 = rhs(t0 + h / 2, x + h / 2 * k2)
-            k4 = rhs(t0 + h, x + h * k3)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t = t0 + h
-            norm = float(np.linalg.norm(x))
-            if not np.isfinite(norm) or norm > BLOWUP_GUARD:
-                raise BlowUpError(t, norm)
+            try:
+                x = _rk4_step(sys, control_at, t0, h, x)
+            except OverflowError:       # a float power past the float range
+                raise BlowUpError(t, math.inf) from None
+            if not _within_guard(x):
+                raise BlowUpError(t, float(np.linalg.norm(x)))
             times.append(t)
             states.append(x)
     return Trajectory(times=np.array(times), states=np.array(states), step=step)
+
+
+def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
+                  step: float) -> np.ndarray:
+    """`integrate(sys, u, step).final_state` for each u, as the rows of one
+    array, with every trial stepped in lockstep on (trials,) arrays.
+
+    The schedule sits in (trials, pieces) tables: each trial keeps
+    `integrate`'s steps, and past its last one it sits in a trailing idle
+    piece (h = 0) with its state held.  A trial that trips the blow-up guard
+    is frozen; after the loop the lowest-index one raises `BlowUpError` with
+    its own time and norm, as the sequential loop would.
+    """
+    trials = len(controls)
+    schedules = [[(left, *_substeps(left, right, step), coeffs)
+                  for left, right, coeffs in _float_pieces(u)]
+                 for u in controls]
+    width = max(map(len, schedules), default=0) + 1
+    terms = max((len(c) for s in schedules for *_, c in s), default=0)
+    left = np.zeros((trials, width))
+    h = np.zeros((trials, width))
+    n = np.ones((trials, width), dtype=np.intp)
+    coeffs = np.zeros((terms, trials, width))
+    for r, schedule in enumerate(schedules):
+        for p, (l, k, hp, cs) in enumerate(schedule):
+            left[r, p], n[r, p], h[r, p] = l, k, hp
+            coeffs[:len(cs), r, p] = cs
+    steps = np.array([sum(k for _, k, _, _ in s) for s in schedules],
+                     dtype=np.intp)
+
+    rows = np.arange(trials)
+    piece = np.zeros(trials, dtype=np.intp)
+    sub = np.zeros(trials, dtype=np.intp)
+    blown = np.zeros(trials, dtype=bool)
+    blow_ups: dict[int, tuple[float, float]] = {}
+    x = [np.zeros(trials) for _ in range(sys.dim)]
+    for s in range(int(steps.max(initial=0))):
+        running = (steps > s) & ~blown
+        lc, hc, cc = left[rows, piece], h[rows, piece], coeffs[:, rows, piece]
+        t0 = lc + sub * hc
+        new = _rk4_step(sys, lambda t: _horner(cc, t - lc), t0, hc, x)
+        x = [np.where(running, a, b) for a, b in zip(new, x)]
+        tripped = running & ~_within_guard(new)
+        if tripped.any():
+            for r in np.flatnonzero(tripped):
+                blow_ups[r] = (float(t0[r] + hc[r]),
+                               float(np.linalg.norm([v[r] for v in new])))
+                for v in x:     # its masked steps must not overflow
+                    v[r] = 0.0
+            blown |= tripped
+        sub += 1
+        ended = sub == n[rows, piece]
+        sub[ended] = 0
+        piece = np.minimum(piece + ended, width - 1)
+    if blow_ups:
+        raise BlowUpError(*blow_ups[min(blow_ups)])
+    return np.stack(x, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +246,7 @@ class ZmResult:
     length_cutoff: int
     tail_estimate: float
     refinement_pieces: int
+    converged: bool
 
     def vector(self) -> np.ndarray:
         return self.value
@@ -167,9 +258,10 @@ def zm_state(sys: SystemDef, u: ControlSignal, M: int,
     eta_b(t,u) f_b(0).
 
     Controls that are not piecewise-constant are refined by midpoint sampling
-    with doubling until the output moves by less than 1e-9.  The tail
-    estimate reports the contribution of the outermost length layer (the
-    summands decay factorially in the length).
+    with doubling until the output moves by less than 1e-9; `converged` is
+    False when the doubling stopped at its cap (1024 pieces) instead.  The
+    tail estimate reports the contribution of the outermost length layer
+    (the summands decay factorially in the length).
     """
     if M < 1 or length_cutoff < M:
         raise ValueError("need 1 <= M <= length_cutoff")
@@ -190,6 +282,7 @@ def zm_state(sys: SystemDef, u: ControlSignal, M: int,
     pieces = 8
     pc = _to_piecewise_constant(u, pieces)
     value, tail = run(pc)
+    converged = exact_input
     if not exact_input:
         while pieces <= 512:
             pieces *= 2
@@ -197,9 +290,11 @@ def zm_state(sys: SystemDef, u: ControlSignal, M: int,
             moved = float(np.linalg.norm(new_value - value))
             value = new_value
             if moved < 1e-9:
+                converged = True
                 break
     return ZmResult(value=value, order=M, length_cutoff=length_cutoff,
-                    tail_estimate=tail, refinement_pieces=pieces)
+                    tail_estimate=tail, refinement_pieces=pieces,
+                    converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +399,7 @@ class DriftScanReport:
     rho: float
     t_max: float
     component: tuple
+    zero_trials: int = 0        # identically zero controls (margin 0)
     margins: list[float] = field(default_factory=list)
     weak_margins: list[float] = field(default_factory=list)
     min_margin: float = math.inf
@@ -324,6 +420,7 @@ class DriftScanReport:
             "system": self.system, "bracket": self.bracket,
             "family": self.family, "eps": self.eps, "C": self.C,
             "beta": self.beta, "seed": self.seed, "trials": self.trials,
+            "zero_trials": self.zero_trials,
             "rho": self.rho, "t_max": self.t_max,
             "component": [str(c) for c in self.component],
             "min_margin": self.min_margin,
@@ -384,7 +481,9 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
     """Empirical margin scan of the drift inequality for one bad bracket.
 
     Refuses to run when the span condition is satisfied (no component
-    functional exists, so there is nothing to scan).
+    functional exists, so there is nothing to scan).  All trials are
+    integrated together (`_final_states`); identically zero controls, whose
+    margins are 0, are counted in `zero_trials`.
     """
     tree = trees.parse_tree(bracket) if isinstance(bracket, str) else bracket
     if isinstance(tree, HallElement):
@@ -401,8 +500,9 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
         family=fam.name, eps=eps, C=C, beta=beta, seed=seed, trials=trials,
         rho=rho, t_max=t_max, component=component, note=note)
     comp = np.array([float(c) for c in component])
-    for u in random_control_family(seed, trials, rho, t_max):
-        x = integrate(sys, u, step).final_state
+    controls = random_control_family(seed, trials, rho, t_max)
+    report.zero_trials = sum(1 for u in controls if not any(u.pieces))
+    for u, x in zip(controls, _final_states(sys, controls, step)):
         xi_val = float(xi(tree, u).exact)
         px = float(comp @ x)
         norm = float(np.linalg.norm(x))

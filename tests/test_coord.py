@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,21 @@ class TestSampledAgainstExact:
         assert len(elements) == 23
         for e in elements:
             self.check(xi(e, self.SAMPLED), xi(e, self.EXACT))
+
+    def test_half_grid_paths_are_memoized(self, monkeypatch):
+        u = SampledControl(1.0, self.EXACT.sample(257))
+        assert u.coarsened() is u.coarsened()
+        calls = Counter()
+        antiderivative = SampledControl.antiderivative
+
+        def counted(v):
+            calls[v.values.size] += 1
+            return antiderivative(v)
+
+        monkeypatch.setattr(SampledControl, "antiderivative", counted)
+        for e in basis_up_to_length(6):
+            xi(e, u)
+        assert calls == {257: 23, 129: 23}
 
     def test_chen_on_words_up_to_length_5(self):
         for word in all_words(5):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lietool.fields import PolyVectorField
 from lietool.polynomials import SparsePoly
 
 
@@ -49,7 +50,8 @@ class TestCalculusAndEval:
         y = SparsePoly.variable(2, 1)
         p = x * y + Fraction(1, 2)
         assert p.eval((Fraction(2), Fraction(3, 2))) == Fraction(7, 2)
-        assert abs(p.eval_float((2.0, 1.5)) - 3.5) < 1e-12
+        field = PolyVectorField(2, [p, SparsePoly(2)])
+        assert field.eval_float([2.0, 1.5]) == [3.5, 0.0]
 
     def test_monomial_coefficient_extraction(self):
         p = SparsePoly.monomial((2, 1), Fraction(5, 3))

@@ -1,15 +1,25 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lietool
 from lietool.conditions import MembershipHoldsError, family_n2, family_s1
 from lietool.controls import PiecewisePolyControl, Poly, SampledControl, primitive
-from lietool.simulate import (BlowUpError, drift_scan, integrate,
-                              pure_counterexample_check,
-                              residual_scaling_slope, zm_state)
+from lietool.coord import xi
+from lietool.fields import PolyVectorField, SystemDef
+from lietool.polynomials import SparsePoly
+from lietool.simulate import (BlowUpError, _final_states, drift_scan,
+                              integrate, pure_counterexample_check,
+                              random_control_family, residual_scaling_slope,
+                              zm_state)
+from lietool.trees import parse_tree
 from lietool.zoo import zoo
 
 EASY = zoo("easy")
@@ -31,7 +41,76 @@ def skew_pc(amplitude, t) -> PiecewisePolyControl:
         (0, t / 6, t / 3, 2 * t / 3, t), (a, -a, -a / 4, a / 4))
 
 
+RUNAWAY = SystemDef(
+    dim=1, f0=PolyVectorField(1, [SparsePoly(1, {(2,): Fraction(10)})]),
+    f1=PolyVectorField.constant(1, (1,)), name="runaway")
+
+
+def reference_rk4(sys_def: SystemDef, u, step: float):
+    """RK4 on numpy state arrays, converting every SparsePoly coefficient
+    at every stage: the arithmetic the compiled float form must reproduce
+    bit for bit."""
+    def field_at(f, x):
+        out = []
+        for comp in f.components:
+            total = 0.0
+            for e, c in comp.terms.items():
+                term = float(c)
+                for v, k in zip(x, e):
+                    if k:
+                        term *= v ** k
+                total += term
+            out.append(total)
+        return out
+
+    if isinstance(u, PiecewisePolyControl):
+        segments = [(float(u.breakpoints[i]), float(u.breakpoints[i + 1]),
+                     lambda t, p=p, l=float(u.breakpoints[i]): p.eval(t - l))
+                    for i, p in enumerate(u.pieces)]
+    else:
+        segments = [(0.0, u.horizon, u.eval)]
+    times, states = [0.0], [np.zeros(sys_def.dim)]
+    x = states[0]
+    for left, right, control_at in segments:
+        def rhs(t, y):
+            uv = control_at(t)
+            return np.array([a + uv * b for a, b in zip(
+                field_at(sys_def.f0, y), field_at(sys_def.f1, y))])
+        n = max(1, math.ceil((right - left) / step - 1e-12))
+        h = (right - left) / n
+        for i in range(n):
+            t0 = left + i * h
+            k1 = rhs(t0, x)
+            k2 = rhs(t0 + h / 2, x + h / 2 * k1)
+            k3 = rhs(t0 + h / 2, x + h / 2 * k2)
+            k4 = rhs(t0 + h, x + h * k3)
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            times.append(t0 + h)
+            states.append(x)
+    return np.array(times), np.array(states)
+
+
+REFERENCE_CONTROLS = {
+    "piecewise_constant": PiecewisePolyControl.piecewise_constant(
+        (0, Fraction(1, 30), Fraction(1, 10)), (Fraction(1, 2), -1)),
+    "quadratic_pieces": PiecewisePolyControl(
+        (0, Fraction(1, 7), Fraction(1, 5)),
+        (Poly((1, -3, 2)), Poly((Fraction(-1, 3), 0, 5)))),
+    "sampled": SampledControl(
+        0.2, 0.5 * np.sin(40 * np.linspace(0, 0.2, 65))),
+}
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("control", sorted(REFERENCE_CONTROLS))
+    @pytest.mark.parametrize("system", ["easy", "w2_vs_q111", "jakubczyk"])
+    def test_bit_identical_to_reference_rk4(self, system, control):
+        sys_def, u = zoo(system), REFERENCE_CONTROLS[control]
+        traj = integrate(sys_def, u, 1e-3)
+        times, states = reference_rk4(sys_def, u, 1e-3)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+
     def test_zero_control_stays_at_origin(self):
         u = PiecewisePolyControl.constant(0, Fraction(1, 10))
         for sys in (EASY, zoo("jakubczyk"), zoo("w3_vs_qb10")):
@@ -107,14 +186,17 @@ class TestIntegrate:
         assert min(orders) >= 3.7
 
     def test_blow_up_guard(self):
-        from lietool.fields import PolyVectorField, SystemDef
-        from lietool.polynomials import SparsePoly
-        runaway = SystemDef(
-            dim=1,
-            f0=PolyVectorField(1, [SparsePoly(1, {(2,): Fraction(10)})]),
-            f1=PolyVectorField.constant(1, (1,)), name="runaway")
         with pytest.raises(BlowUpError):
-            integrate(runaway, PiecewisePolyControl.constant(50, 10), 1e-2)
+            integrate(RUNAWAY, PiecewisePolyControl.constant(50, 10), 1e-2)
+
+    def test_float_overflow_is_a_blow_up(self):
+        # x' = x^9 + u: one stage past the guard overflows a float power
+        sys_def = SystemDef(
+            dim=1, f0=PolyVectorField(1, [SparsePoly(1, {(9,): 1})]),
+            f1=PolyVectorField.constant(1, (1,)), name="nonic")
+        with pytest.raises(BlowUpError) as info:
+            integrate(sys_def, PiecewisePolyControl.constant(900, 1), 0.1)
+        assert info.value.norm == math.inf
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
@@ -139,6 +221,26 @@ class TestZmState:
         z = zm_state(EASY, u, 1, 4)
         assert z.refinement_pieces > 8
         assert np.isfinite(z.value).all()
+
+    def test_converged_on_exact_piecewise_constant_input(self):
+        u = skew_pc(Fraction(1, 5), Fraction(1, 10))
+        z = zm_state(EASY, u, 2, 5)
+        assert z.converged and z.refinement_pieces == 8
+
+    def test_converged_when_refinement_settles(self):
+        # dyadic midpoints: no quantization, the moves shrink like 1/pieces^2
+        u = PiecewisePolyControl((0, Fraction(1, 8)),
+                                 (Poly((0, Fraction(1, 16))),))
+        z = zm_state(EASY, u, 1, 4)
+        assert z.converged and z.refinement_pieces == 256
+
+    def test_not_converged_at_the_piece_cap(self):
+        # a jump at 1/30 never falls on the uniform grid, so the midpoint
+        # surrogate stays first-order accurate and misses 1e-9 at the cap
+        u = PiecewisePolyControl(
+            (0, Fraction(1, 30), Fraction(1, 10)), (Poly((1, 10)), Poly((-1,))))
+        z = zm_state(EASY, u, 1, 4)
+        assert not z.converged and z.refinement_pieces == 1024
 
     def test_parameter_validation(self):
         u = PiecewisePolyControl.constant(1, 1)
@@ -192,8 +294,6 @@ class TestDriftScan:
     def test_zero_control_margin_is_zero(self):
         report = drift_scan(EASY, "W(1,0)", family_s1(), trials=1, seed=0)
         u = PiecewisePolyControl.constant(0, Fraction(1, 10))
-        from lietool.coord import xi
-        from lietool.trees import parse_tree
         x = integrate(EASY, u, 1e-3).final_state
         comp = np.array([float(c) for c in report.component])
         margin = comp @ x - 0.9 * float(xi(parse_tree("W(1,0)"), u).exact)
@@ -220,3 +320,69 @@ class TestDriftScan:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         report = drift_scan(EASY, "W(1,0)", family_s1(), trials=5, seed=7)
         assert len(report.margins) == len(report.weak_margins) == 5
+
+    @pytest.mark.parametrize("system, bracket, family", [
+        ("easy", "W(1,0)", family_s1), ("w2_vs_q111", "W(2,0)", family_n2)])
+    def test_lockstep_margins_equal_sequential_ones(self, system, bracket,
+                                                     family):
+        sys_def, tree = zoo(system), parse_tree(bracket)
+        params = dict(trials=40, seed=11, rho=0.3, t_max=0.2, step=1e-3)
+        report = drift_scan(sys_def, tree, family(), **params)
+        controls = random_control_family(11, 40, 0.3, 0.2)
+        assert len({u.horizon for u in controls}) > 20
+        comp = np.array([float(c) for c in report.component])
+        margins = []
+        for u in controls:
+            x = integrate(sys_def, u, 1e-3).final_state
+            px = float(comp @ x)
+            margins.append(px - 0.9 * float(xi(tree, u).exact)
+                           + 10.0 * float(np.linalg.norm(x)) ** 1.5)
+        assert report.margins == margins
+
+    def test_lockstep_states_equal_integrate_on_polynomial_pieces(self, rng):
+        from conftest import random_poly_control
+        controls = [random_poly_control(rng, Fraction(rng.randint(1, 8), 40),
+                                        max_pieces=4, max_degree=3)
+                    for _ in range(12)]
+        controls.append(PiecewisePolyControl.constant(0, Fraction(1, 20)))
+        for system in ("easy", "w2_vs_q111", "jakubczyk"):
+            states = _final_states(zoo(system), controls, 2e-3)
+            for u, x in zip(controls, states):
+                expected = integrate(zoo(system), u, 2e-3).final_state
+                assert x.tobytes() == expected.tobytes()
+
+    def test_lowest_index_blow_up_is_reported(self):
+        tame = PiecewisePolyControl.constant(Fraction(1, 10), Fraction(1, 2))
+        controls = [tame] * 10
+        controls[3] = PiecewisePolyControl.constant(50, 10)
+        controls[7] = PiecewisePolyControl.constant(500, 10)   # blows first
+        with pytest.raises(BlowUpError) as sequential:
+            integrate(RUNAWAY, controls[3], 1e-2)
+        with pytest.raises(BlowUpError) as lockstep:
+            _final_states(RUNAWAY, controls, 1e-2)
+        with pytest.raises(BlowUpError) as seventh:
+            integrate(RUNAWAY, controls[7], 1e-2)
+        assert seventh.value.time_reached < sequential.value.time_reached
+        assert lockstep.value.time_reached == sequential.value.time_reached
+        assert lockstep.value.norm == sequential.value.norm
+
+    def test_zero_trials_counted(self):
+        report = drift_scan(EASY, "W(1,0)", family_s1(), trials=200, seed=0)
+        zero = [i for i, m in enumerate(report.margins) if m == 0]
+        assert zero == [2, 16, 35, 93]
+        assert report.zero_trials == 4
+        assert report.to_json_dict()["zero_trials"] == 4
+
+    def test_cli_json_is_byte_identical_across_runs(self):
+        src = os.path.dirname(os.path.dirname(lietool.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "lietool.cli", "drift-scan",
+                "--system", "zoo:easy", "--bracket", "W(1,0)", "--family",
+                "s1", "--eps", "0.1", "--C", "10", "--beta", "1.5",
+                "--trials", "200", "--seed", "0", "--json"]
+        outputs = [subprocess.run(argv, capture_output=True, env=env,
+                                  timeout=120, check=True).stdout
+                   for _ in range(2)]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["zero_trials"] == 4
