@@ -254,6 +254,17 @@ def _parse_family(token: str):
     raise CliError(f"unknown family {token!r}; use {FAMILY_GRAMMAR}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _cmd_drift_scan(args) -> int:
     sys_def = _load_system(args.system)
     fam = _parse_family(args.family)
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--C", type=float, default=10.0)
     p.add_argument("--beta", type=float, default=1.5)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=0.1)

@@ -292,7 +292,7 @@ class PiecewisePolyControl:
 class SampledControl:
     """Float samples on the uniform grid over [0, t] (n >= 2 points)."""
 
-    __slots__ = ("horizon", "values", "_coarse", "__weakref__")
+    __slots__ = ("horizon", "values", "_coarse", "_grid", "__weakref__")
 
     def __init__(self, t: float, values: Sequence[float]):
         self.horizon = float(t)
@@ -300,6 +300,7 @@ class SampledControl:
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("need a 1-d array of >= 2 samples")
         self._coarse = None
+        self._grid = None
 
     @property
     def step(self) -> float:
@@ -307,7 +308,10 @@ class SampledControl:
 
     @property
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.values.size)
+        """The sample times, built on first use and kept."""
+        if self._grid is None:
+            self._grid = np.linspace(0.0, self.horizon, self.values.size)
+        return self._grid
 
     def eval(self, s: float) -> float:
         return float(np.interp(s, self.grid, self.values))

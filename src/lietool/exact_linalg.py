@@ -1,13 +1,22 @@
-"""Small exact (Fraction) linear algebra: spans, solving, null spaces.
+"""Exact linear algebra: spans, solving, null spaces, and an integer kernel.
 
-Everything here is dense and meant for the dimensions this package meets
-(state dimensions <= 10, word spaces up to a few hundred).
+`ExactSpan`, `rref`, `null_space` and `solve_least_exact` work densely in
+`Fraction`; they build spans and re-check every certificate.  The Hall
+solver, `independent_rows` and `invert_square` run on one integer kernel:
+rows are chosen modulo a 31-bit prime with numpy int64 (a minor that is
+nonzero mod p is nonzero over Q, and an unlucky prime falls back to the exact
+greedy choice), and the chosen square is inverted fraction-free (Bareiss) in
+Python ints, as an adjugate and a determinant.  Sizes are those this package
+meets: state dimensions <= 10, word spaces up to a few thousand words.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 Vector = tuple[Fraction, ...]
 
@@ -88,36 +97,152 @@ def solve_least_exact(aug: list[list[Fraction]], m: int) -> Optional[list[Fracti
     return x
 
 
-def independent_rows(columns: list[list[Fraction]]) -> list[int]:
-    """Indices of rows forming an invertible square submatrix.
+# Row choice runs modulo this prime (2**31 - 1), so every product of two
+# residues fits in int64.
+PRIME = 2**31 - 1
 
-    `columns` is a full-column-rank matrix given column-wise.
+
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """Integers n_i and the lcm d of the denominators with values_i = n_i / d."""
+    values = [Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _rows_mod_p(columns: Sequence[dict[int, int]], n: int) -> list[int]:
+    """Greedy independent rows of an n-row integer matrix, mod PRIME.
+
+    Row echelon on the transpose, scanning its columns (the rows) in order.
+    A square that is nonsingular mod p is nonsingular over Q, so every row
+    set this returns is valid; an unlucky prime can only make it too short.
     """
-    if not columns:
-        return []
-    n = len(columns[0])
-    span = ExactSpan(len(columns))
+    m = len(columns)
+    t = np.zeros((m, n), dtype=np.int64)
+    for j, col in enumerate(columns):
+        t[j, list(col)] = [x % PRIME for x in col.values()]
     picked: list[int] = []
-    for i in range(n):
-        row = [col[i] for col in columns]
-        if span.add(row):
-            picked.append(i)
-            if len(picked) == len(columns):
-                break
-    if len(picked) != len(columns):
-        raise ValueError("columns are not linearly independent")
+    r = 0
+    for c in range(n):
+        nonzero = np.flatnonzero(t[r:, c])
+        if not nonzero.size:
+            continue
+        s = r + int(nonzero[0])
+        if s != r:
+            t[[r, s]] = t[[s, r]]
+        t[r, c:] = t[r, c:] * pow(int(t[r, c]), PRIME - 2, PRIME) % PRIME
+        below = r + 1 + np.flatnonzero(t[r + 1:, c])
+        if below.size:
+            t[below, c:] = (t[below, c:]
+                            - t[below, c, None] * t[r, c:]) % PRIME
+        picked.append(c)
+        r += 1
+        if r == m:
+            break
     return picked
 
 
+def independent_rows_int(columns: Sequence[dict[int, int]],
+                         n: int) -> list[int]:
+    """Indices of rows forming an invertible square submatrix.
+
+    `columns` is a full-column-rank integer matrix with n rows, given as
+    sparse columns (row index -> nonzero entry).  Rows are chosen mod PRIME;
+    if that falls short of full rank (the prime divides every candidate
+    minor), the exact greedy choice decides.
+    """
+    if not columns:
+        return []
+    m = len(columns)
+    picked = _rows_mod_p(columns, n)
+    if len(picked) == m:
+        return picked
+    span = ExactSpan(m)
+    picked = []
+    for i in range(n):
+        if span.add([col.get(i, 0) for col in columns]):
+            picked.append(i)
+            if len(picked) == m:
+                return picked
+    raise ValueError("columns are not linearly independent")
+
+
+def bareiss_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a square integer matrix, in Python ints.
+
+    Fraction-free Gauss-Jordan on [A | I] (Bareiss, Math. Comp. 22, 1968):
+    every division is exact, and the pass ends at [det I | adj].  Step k
+    touches only the window of left columns k+1.. and right columns ..k; the
+    right columns beyond k still hold the scaled identity, kept implicit.
+    The pivot is the smallest in absolute value, which keeps the minors
+    small; row swaps permute the right columns, undone at the end.  When a
+    pivot equals the previous one, rows change only where the pivot row is
+    nonzero.
+    """
+    m = len(matrix)
+    rows = [list(row) + [0] * m for row in matrix]
+    order = list(range(m))      # right column of each row's identity entry
+    prev, sign = 1, 1
+    for k in range(m):
+        s = min((i for i in range(k, m) if rows[i][k]),
+                key=lambda i: abs(rows[i][k]), default=None)
+        if s is None:
+            raise ValueError("matrix is singular")
+        if s != k:
+            rows[k], rows[s] = rows[s], rows[k]
+            order[k], order[s] = order[s], order[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        pivot_row[m + k] = prev
+        window = slice(k + 1, m + k + 1)
+        kw = pivot_row[window]
+        sparse = ([(j, y) for j, y in enumerate(kw, k + 1) if y]
+                  if pivot == prev else None)
+        for i in range(m):
+            if i == k:
+                continue
+            row = rows[i]
+            f = row[k]
+            if f and sparse is not None:
+                # (prev x - f y) / prev is exact, so f y / prev is too
+                for j, y in sparse:
+                    row[j] -= f * y // prev
+            elif f:
+                row[window] = [(pivot * x - f * y) // prev
+                               for x, y in zip(row[window], kw)]
+            elif pivot != prev:
+                row[window] = [pivot * x // prev for x in row[window]]
+            row[k] = 0
+        prev = pivot
+    adj = [[0] * m for _ in range(m)]
+    for row, out in zip(rows, adj):
+        for k, j in enumerate(order):
+            out[j] = sign * row[m + k]
+    return adj, sign * prev
+
+
+def independent_rows(columns: list[list[Fraction]]) -> list[int]:
+    """Indices of rows forming an invertible square submatrix.
+
+    `columns` is a full-column-rank matrix given column-wise; each column is
+    scaled to integers, which leaves row independence unchanged.
+    """
+    if not columns:
+        return []
+    sparse = [{i: x for i, x in enumerate(clear_denominators(col)[0]) if x}
+              for col in columns]
+    return independent_rows_int(sparse, len(columns[0]))
+
+
 def invert_square(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square invertible matrix (Gauss-Jordan on [A | I])."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
+    """Exact inverse of a square invertible matrix.
+
+    Row i is scaled by d_i to integers, B = D A, so A^-1 = adj(B) D / det(B).
+    """
+    cleared = [clear_denominators(row) for row in matrix]
+    adj, det = bareiss_inverse([row for row, _ in cleared])
+    scales = [d for _, d in cleared]
+    return [[Fraction(x * d, det) for x, d in zip(row, scales)] for row in adj]
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -15,6 +15,10 @@ Rs); the enumeration below reproduces them.
 `decompose` expands arbitrary bracket trees on the basis by exact linear
 algebra in the word space of the matching bidegree, which is unconditionally
 correct because the evaluated Hall set is a basis of the free Lie algebra.
+The solver of a bidegree works in integers: the Hall elements' word
+expansions are integer columns, a square of them picked mod a prime is
+inverted fraction-free, and every decomposition is checked exactly against
+all words of the bidegree before its coefficients become fractions.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from fractions import Fraction
 from typing import Union
 
 from . import trees
-from .exact_linalg import independent_rows, invert_square
+from .exact_linalg import (bareiss_inverse, clear_denominators,
+                           independent_rows_int)
 from .trees import BracketTree, X0, X1, node, strip_trailing_zeros
-from .words import TensorSeries, expand_to_words, words_of_bidegree
+from .words import (TensorSeries, expand_to_words, word_expansion,
+                    words_of_bidegree)
 
 MAX_DECOMPOSE_LENGTH = 16
 
@@ -303,9 +309,11 @@ class LieElement:
         return " + ".join(f"({v})*{k!r}" for k, v in self.items_sorted())
 
 
-# Cached per-bidegree exact solvers: the expansion matrix of the Hall
-# elements at that bidegree, pre-reduced so each decomposition is a solve
-# plus a residual check.
+# Cached per-bidegree integer solvers.  Each Hall element's word expansion is
+# a sparse integer column; the rows picked by `independent_rows_int` give an
+# invertible square whose adjugate and determinant come from
+# `bareiss_inverse`, so each decomposition is an integer product plus an exact
+# residual check over every word of the bidegree.
 _SOLVER_CACHE: dict[tuple[int, int], tuple] = {}
 
 
@@ -317,31 +325,33 @@ def _bidegree_solver(n1: int, n0: int):
     elements = basis_of_bidegree(n1, n0)
     words = words_of_bidegree(n1, n0)
     word_index = {w: i for i, w in enumerate(words)}
-    columns = []
+    columns: list[dict[int, int]] = []
     for element in elements:
-        series = expand_to_words(element.tree, n1 + n0)
-        col = [Fraction(0)] * len(words)
-        for w, c in series.coeffs.items():
+        col = {}
+        for w, c in word_expansion(element.tree).items():
+            if type(c) is not int:
+                raise InternalConsistencyError(
+                    f"non-integer word coefficient {c!r} in {element!r}")
             col[word_index[w]] = c
         columns.append(col)
-    if columns:
-        rows = independent_rows(columns)
-        square = [[columns[j][i] for j in range(len(columns))] for i in rows]
-        inverse = invert_square(square)
-    else:
-        rows, inverse = [], []
-    cached = (elements, words, word_index, columns, rows, inverse)
+    rows = independent_rows_int(columns, len(words))
+    adj, det = bareiss_inverse([[col.get(i, 0) for col in columns]
+                                for i in rows])
+    cached = (elements, word_index, columns, rows, adj, det)
     return _SOLVER_CACHE.setdefault(key, cached)
 
 
 def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
     """Write a bidegree-homogeneous word polynomial over the Hall basis.
 
-    The residual must vanish identically, otherwise the input was not a Lie
-    element of that bidegree (or the library is inconsistent).
+    The target is cleared to integers by the lcm `den` of its denominators;
+    then det * den * coeffs = adj @ (picked target rows), and the residual
+    det * den * target - sum_j (det * den * coeff_j) col_j must vanish on
+    every word, otherwise the input was not a Lie element of that bidegree
+    (or the library is inconsistent).
     """
-    elements, words, word_index, columns, rows, inverse = _bidegree_solver(n1, n0)
-    target = [Fraction(0)] * len(words)
+    elements, word_index, columns, rows, adj, det = _bidegree_solver(n1, n0)
+    target: dict[int, object] = {}
     for w, c in series.coeffs.items():
         if not c:
             continue
@@ -349,28 +359,23 @@ def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
         if i is None:
             raise ValueError(
                 f"word {w} is not of bidegree (n1={n1}, n0={n0})")
-        target[i] = Fraction(c)
-    if not elements:
-        if any(target):
-            raise InternalConsistencyError(
-                f"nonzero series at bidegree ({n1},{n0}) with empty basis")
-        return LieElement()
-    m = len(elements)
-    picked = [target[i] for i in rows]
-    coeffs = [sum((inverse[j][i] * picked[i] for i in range(m)), Fraction(0))
-              for j in range(m)]
-    residual = list(target)
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        col = columns[j]
-        for i in range(len(words)):
-            residual[i] -= c * col[i]
-    if any(residual):
+        target[i] = c
+    numerators, den = clear_denominators(target.values())
+    cleared = dict(zip(target, numerators))
+    picked = [(k, cleared[i]) for k, i in enumerate(rows) if i in cleared]
+    scaled = [sum(row[k] * t for k, t in picked) for row in adj]
+    residual = {i: det * t for i, t in cleared.items()}
+    for c, col in zip(scaled, columns):
+        if c:
+            for i, x in col.items():
+                residual[i] = residual.get(i, 0) - c * x
+    if any(residual.values()):
         raise InternalConsistencyError(
             "nonzero residual: the input is not a Lie element of bidegree "
             f"({n1},{n0})")
-    return LieElement({e: c for e, c in zip(elements, coeffs) if c})
+    scale = det * den
+    return LieElement({e: Fraction(c, scale)
+                       for e, c in zip(elements, scaled) if c})
 
 
 def decompose(b: Union[BracketTree, str, LieElement]) -> LieElement:

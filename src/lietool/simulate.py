@@ -481,10 +481,13 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
     """Empirical margin scan of the drift inequality for one bad bracket.
 
     Refuses to run when the span condition is satisfied (no component
-    functional exists, so there is nothing to scan).  All trials are
+    functional exists, so there is nothing to scan), and refuses an empty
+    scan (`trials < 1`), which would pass vacuously.  All trials are
     integrated together (`_final_states`); identically zero controls, whose
     margins are 0, are counted in `zero_trials`.
     """
+    if trials < 1:
+        raise ValueError(f"a drift scan needs trials >= 1, got {trials}")
     tree = trees.parse_tree(bracket) if isinstance(bracket, str) else bracket
     if isinstance(tree, HallElement):
         tree = tree.tree

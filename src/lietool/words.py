@@ -208,15 +208,16 @@ def _one_like(series: TensorSeries):
 _EXPANSION_CACHE: dict[BracketTree, dict[Word, int]] = {}
 
 
-def _expand(tree: BracketTree) -> dict[Word, int]:
+def word_expansion(tree: BracketTree) -> dict[Word, int]:
+    """Integer word coefficients of the bracket evaluation of `tree` (cached)."""
     cached = _EXPANSION_CACHE.get(tree)
     if cached is not None:
         return cached
     if tree.is_leaf:
         out = {(tree.generator,): 1}
     else:
-        a = _expand(tree.left)
-        b = _expand(tree.right)
+        a = word_expansion(tree.left)
+        b = word_expansion(tree.right)
         out = {}
         for w1, c1 in a.items():
             for w2, c2 in b.items():
@@ -240,4 +241,4 @@ def expand_to_words(tree: BracketTree, cutoff: int) -> TensorSeries:
             f"tree of length {tree.length} needs cutoff >= {tree.length}, "
             f"got {cutoff}")
     return TensorSeries(
-        cutoff, {w: Fraction(c) for w, c in _expand(tree).items()})
+        cutoff, {w: Fraction(c) for w, c in word_expansion(tree).items()})

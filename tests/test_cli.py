@@ -206,6 +206,14 @@ class TestDriftScan:
                            "--trials", "2", "--seed", "0")
         assert code == 0 and "refused" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-2", "x"])
+    def test_trials_below_one_is_usage_error(self, run, trials):
+        code, out, err = run("drift-scan", "--system", "zoo:easy",
+                             "--bracket", "W(1,0)", "--family", "s1",
+                             "--trials", trials, "--seed", "0")
+        assert code == 2
+        assert "--trials" in err and "pass" not in out
+
     def test_unknown_family(self, run):
         code, _, err = run("drift-scan", "--system", "zoo:easy",
                            "--bracket", "W(1,0)", "--family", "oops",

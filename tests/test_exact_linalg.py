@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lietool.exact_linalg import (ExactSpan, independent_rows, invert_square,
-                                  null_space, rref, solve_least_exact)
+from lietool.exact_linalg import (PRIME, ExactSpan, _rows_mod_p,
+                                  bareiss_inverse, independent_rows,
+                                  invert_square, null_space, rref,
+                                  solve_least_exact)
 
 
 def F(a, b=1):
@@ -177,3 +180,106 @@ class TestAgainstSympy:
             assert invert_square(a) == [self.to_fractions(inverse.row(i))
                                         for i in range(n)]
         assert singular > 0
+
+
+def rref_inverse(matrix):
+    """The inverse by Gauss-Jordan on [A | I] in Fraction, or None."""
+    n = len(matrix)
+    reduced, pivots = rref([list(row) + [F(int(i == j)) for j in range(n)]
+                            for i, row in enumerate(matrix)])
+    return [row[n:] for row in reduced] if pivots == list(range(n)) else None
+
+
+def full_column_rank(columns):
+    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
+    return len(rref(rows)[1]) == len(columns)
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """m lists of n rationals, 1 <= m <= n <= 6 (n = m when square)."""
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(m, 6))
+    return [[draw(rationals) for _ in range(n)] for _ in range(m)]
+
+
+class TestIntegerKernel:
+    """Row choice mod p and the fraction-free inverse against rref."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_independent_rows_pick_a_nonsingular_square(self, columns):
+        if not full_column_rank(columns):
+            with pytest.raises(ValueError):
+                independent_rows(columns)
+            return
+        rows = independent_rows(columns)
+        assert len(rows) == len(columns) and rows == sorted(set(rows))
+        square = [[col[i] for col in columns] for i in rows]
+        assert rref_inverse(square) is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(square=True))
+    def test_invert_square_equals_the_rref_inverse(self, matrix):
+        expected = rref_inverse(matrix)
+        if expected is None:
+            with pytest.raises(ValueError):
+                invert_square(matrix)
+        else:
+            assert invert_square(matrix) == expected
+
+    def test_determinant_other_than_one(self):
+        matrix = [[F(2), F(1), F(0)], [F(0), F(3), F(1)], [F(1), F(0), F(4)]]
+        adj, det = bareiss_inverse([[int(x) for x in row] for row in matrix])
+        assert det == 25
+        assert invert_square(matrix) == [[F(x, det) for x in row]
+                                         for row in adj]
+        assert invert_square(matrix) == rref_inverse(matrix)
+
+    @pytest.mark.parametrize("matrix, expected_det", [
+        ([[0, 1], [1, 0]], -1),             # one row swap
+        ([[0, 2, 1], [3, 0, 0], [1, 1, 5]], -27)])
+    def test_adjugate_and_determinant_with_row_swaps(self, matrix,
+                                                      expected_det):
+        adj, det = bareiss_inverse(matrix)
+        assert det == expected_det
+        n = len(matrix)
+        for i in range(n):
+            for j in range(n):
+                assert sum(adj[i][k] * matrix[k][j]
+                           for k in range(n)) == det * (i == j)
+
+    def test_minor_zero_mod_p_falls_back_to_exact_choice(self):
+        # rows (1, 0) and (1, p): the square has det p, which is 0 mod p
+        columns = [[F(1), F(1)], [F(0), F(PRIME)]]
+        assert _rows_mod_p([{0: 1, 1: 1}, {1: PRIME}], 2) == [0]
+        assert independent_rows(columns) == [0, 1]
+        square = [[F(1), F(0)], [F(1), F(PRIME)]]
+        assert invert_square(square) == rref_inverse(square)
+
+    def test_mod_p_choice_may_skip_a_row_that_is_independent_over_q(self):
+        # the second row (1, p) is dependent on the first only mod p
+        columns = [[F(1), F(1), F(1)], [F(0), F(PRIME), F(1)]]
+        assert independent_rows(columns) == [0, 2]
+
+    @pytest.mark.parametrize("columns", [
+        [[F(0), F(0), F(0)]],
+        [[F(1), F(2), F(3)], [F(2), F(4), F(6)]],
+        [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
+        [[F(1, 2), F(1, 3)], [F(3), F(2)]]])
+    def test_dependent_columns_raise(self, columns):
+        with pytest.raises(ValueError):
+            independent_rows(columns)
+
+    @pytest.mark.parametrize("matrix", [
+        [[F(0)]],
+        [[F(1, 2), F(1, 3)], [F(3), F(2)]],
+        [[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(9)]]])
+    def test_singular_squares_raise(self, matrix):
+        with pytest.raises(ValueError):
+            invert_square(matrix)
+        with pytest.raises(ValueError):
+            bareiss_inverse([[int(x * 6) for x in row] for row in matrix])

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
 from lietool import trees
-from lietool.hall import (HallElement, NotInCarrierError, basis_of_bidegree,
+from lietool.hall import (HallElement, InternalConsistencyError,
+                          NotInCarrierError, basis_of_bidegree,
                           basis_up_to_length, coefficient_of, decompose,
-                          enumerate_basis, hall_compare, is_hall, lie_bracket)
+                          decompose_series, enumerate_basis, hall_compare,
+                          is_hall, lie_bracket)
 from lietool.trees import (D, M, P, Q, Q_flat, Q_sharp, R, R_sharp, W, X0, X1,
                            node, parse_tree, zeros)
-from lietool.words import expand_to_words
+from lietool.words import TensorSeries, expand_to_words
 
 
 import functools
@@ -253,6 +255,27 @@ class TestDecompose:
             cutoff = tree.length
             assert element.expand_to_words(cutoff) == \
                 expand_to_words(tree, cutoff)
+
+    def test_non_lie_series_raises(self):
+        # the single word X1 X0 is not a Lie element: [X1, X0] is X1 X0 - X0 X1
+        with pytest.raises(InternalConsistencyError):
+            decompose_series(TensorSeries(2, {(1, 0): Fraction(1)}), 1, 1)
+
+    def test_rational_target_keeps_exact_coefficients(self):
+        tree = node(X1, W(1, 1))
+        series = expand_to_words(tree, tree.length).scale(Fraction(-2, 7))
+        assert decompose_series(series, *tree.bidegree) == decompose(
+            tree).scale(Fraction(-2, 7))
+
+    def test_bidegree_6_7_round_trip(self):
+        tree = parse_tree("((X1,X0),((X0,(X0,X1)),(X0,((((X0,(X0,X1)),X1),"
+                          "X1),(X1,X0)))))")
+        assert tree.bidegree == (6, 7)
+        element = decompose(tree)
+        assert len(element.coeffs) > 1
+        assert all(e.bidegree == (6, 7) and is_hall(e.tree)
+                   for e in element.coeffs)
+        assert element.expand_to_words(13) == expand_to_words(tree, 13)
 
     def test_oversized_tree_rejected(self):
         big = zeros(X1, 17)

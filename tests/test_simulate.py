@@ -111,6 +111,26 @@ class TestIntegrate:
         assert traj.times.tobytes() == times.tobytes()
         assert traj.states.tobytes() == states.tobytes()
 
+    def test_sampled_grid_built_once_with_unchanged_states(self, monkeypatch):
+        class FreshGrid(SampledControl):
+            """Interpolates on a new linspace at every evaluation."""
+            __slots__ = ()
+
+            def eval(self, s):
+                grid = np.linspace(0.0, self.horizon, self.values.size)
+                return float(np.interp(s, grid, self.values))
+
+        values = 0.5 * np.sin(40 * np.linspace(0, 0.2, 65))
+        expected = integrate(EASY, FreshGrid(0.2, values), 1e-3)
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace",
+                            lambda *a, **k: calls.append(a) or linspace(*a, **k))
+        traj = integrate(EASY, SampledControl(0.2, values), 1e-3)
+        assert len(calls) == 1
+        assert traj.states.tobytes() == expected.states.tobytes()
+        assert traj.times.tobytes() == expected.times.tobytes()
+
     def test_zero_control_stays_at_origin(self):
         u = PiecewisePolyControl.constant(0, Fraction(1, 10))
         for sys in (EASY, zoo("jakubczyk"), zoo("w3_vs_qb10")):
@@ -308,6 +328,11 @@ class TestDriftScan:
         with pytest.raises(MembershipHoldsError):
             drift_scan(zoo("jakubczyk"), "W(2,0)", family_n2(),
                        trials=5, seed=1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_empty_scan_refused(self, trials):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            drift_scan(EASY, "W(1,0)", family_s1(), trials=trials, seed=0)
 
     def test_deterministic_given_seed(self):
         a = drift_scan(EASY, "W(1,0)", family_s1(), trials=10, seed=42)
