@@ -5,7 +5,10 @@ one polynomial per piece, written in the local variable (s - left endpoint).
 This class is closed under the operations the coordinate machinery needs:
 sums, products, antidifferentiation (continuous across breakpoints), exact
 definite integrals, and the kernel integrals int_0^t (t-s)^nu/nu! f(s) ds
-(done as iterated antiderivatives).
+(done as iterated antiderivatives).  Its float side (RK4, sampling, norms)
+reads the float coefficient table :meth:`PiecewisePolyControl.float_pieces`,
+built once per control, through one float Horner, :func:`horner`, at a point
+or over a whole grid.
 
 :class:`SampledControl` holds float values on a uniform grid and has the
 operations the coordinate recursion calls (products, powers, scaling, the
@@ -21,6 +24,16 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
+
+
+def horner(coeffs, x):
+    """`Poly.eval`'s float Horner on ascending float coefficients, highest
+    first from 0.0.  x and the coefficients are floats or arrays that
+    broadcast together; no coefficients give the scalar 0.0."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class Poly:
@@ -106,12 +119,12 @@ class Poly:
 
     def eval(self, x):
         """Horner evaluation; exact for Fraction/int, float for float input."""
-        exact = isinstance(x, (Fraction, int))
-        if exact:
-            x = Fraction(x)
-        acc = Fraction(0) if exact else 0.0
+        if not isinstance(x, (Fraction, int)):
+            return horner([float(c) for c in self.coeffs], x)
+        x = Fraction(x)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + (c if exact else float(c))
+            acc = acc * x + c
         return acc
 
     def __repr__(self) -> str:
@@ -127,7 +140,7 @@ class PiecewisePolyControl:
     matter here, so the convention at breakpoints is immaterial).
     """
 
-    __slots__ = ("breakpoints", "pieces", "__weakref__")
+    __slots__ = ("breakpoints", "pieces", "_floats", "__weakref__")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Poly]):
         bps = [Fraction(b) for b in breakpoints]
@@ -140,6 +153,7 @@ class PiecewisePolyControl:
         self.breakpoints = tuple(bps)
         self.pieces = tuple(p if isinstance(p, Poly) else Poly(p)
                             for p in pieces)
+        self._floats = None
 
     @property
     def horizon(self) -> Fraction:
@@ -168,11 +182,21 @@ class PiecewisePolyControl:
             s = Fraction(s)
             i = self.piece_index(s)
             return self.pieces[i].eval(s - self.breakpoints[i])
-        fb = [float(b) for b in self.breakpoints]
+        pieces = self.float_pieces()
         i = 0
-        while i + 1 < len(self.pieces) and s > fb[i + 1]:
+        while i + 1 < len(pieces) and s > pieces[i][1]:
             i += 1
-        return self.pieces[i].eval(float(s) - fb[i])
+        left, _, coeffs = pieces[i]
+        return horner(coeffs, float(s) - left)
+
+    def float_pieces(self) -> tuple[tuple[float, float, tuple], ...]:
+        """(left, right, float coefficients) for each piece, built once."""
+        if self._floats is None:
+            self._floats = tuple(
+                (float(self.breakpoints[i]), float(self.breakpoints[i + 1]),
+                 tuple(float(c) for c in poly.coeffs))
+                for i, poly in enumerate(self.pieces))
+        return self._floats
 
     def _aligned(self, other: "PiecewisePolyControl") \
             -> tuple[tuple[Fraction, ...], list[Poly], list[Poly]]:
@@ -243,26 +267,45 @@ class PiecewisePolyControl:
     # numeric helpers (for reports and inequality checks)
 
     def sample(self, n: int) -> np.ndarray:
+        """The values on `np.linspace(0, t, n)`, as `eval` gives them: each
+        point takes the first piece whose right end is >= it, and one Horner
+        runs over the grid on that piece's coefficients."""
         grid = np.linspace(0.0, float(self.horizon), n)
-        return np.array([self.eval(float(s)) for s in grid])
+        pieces = self.float_pieces()
+        lefts = np.array([left for left, _, _ in pieces])
+        # zero-padded (terms, pieces); one zero row at least, so the zero
+        # control still gives a grid of zeros
+        table = np.zeros((max(1, *(len(c) for *_, c in pieces)), len(pieces)))
+        for p, (_, _, coeffs) in enumerate(pieces):
+            table[:len(coeffs), p] = coeffs
+        idx = np.searchsorted(lefts[1:], grid, side="left")
+        return horner(table[:, idx], grid - lefts[idx])
 
-    def sup_norm(self, n: int = 4097) -> float:
-        vals = [abs(float(p.eval(Fraction(0)))) for p in self.pieces]
-        vals.append(abs(float(self.pieces[-1].eval(
-            self.horizon - self.breakpoints[-2]))))
-        vals.append(float(np.abs(self.sample(n)).max()))
-        return max(vals)
+    def sup_norm(self) -> float:
+        """max |f| over [0, t], from below: |f| at both ends of every piece
+        and at the real parts of the roots of its derivative, clipped to the
+        piece.  Every candidate lies in its piece, so the result never
+        exceeds the true sup, and it reaches it up to rounding."""
+        best = 0.0
+        for left, right, coeffs in self.float_pieces():
+            width = right - left
+            slope = [i * c for i, c in enumerate(coeffs)][1:]
+            roots = np.roots(slope[::-1]).real
+            at = np.concatenate(([0.0, width], np.clip(roots, 0.0, width)))
+            best = max(best, float(np.abs(horner(coeffs, at)).max()))
+        return best
 
     def abs_power_integral(self, exponent: float, n: int = 4097) -> float:
-        """Numeric int |f|^exponent via composite Simpson on each piece."""
+        """Numeric int |f|^exponent via composite Simpson on each piece:
+        about n points over [0, t], at least 9 per piece, and one Horner
+        over each piece's grid."""
         total = 0.0
-        for i, p in enumerate(self.pieces):
-            a = float(self.breakpoints[i])
-            b = float(self.breakpoints[i + 1])
+        for a, b, coeffs in self.float_pieces():
             m = max(8, int(n * (b - a) / float(self.horizon)))
             m += m % 2
             xs = np.linspace(0.0, b - a, m + 1)
-            ys = np.abs([float(p.eval(x)) for x in xs]) ** exponent
+            f = np.broadcast_to(horner(coeffs, xs), xs.shape)  # zero piece
+            ys = np.abs(f) ** exponent
             h = (b - a) / m
             total += h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum()
                               + 2 * ys[2:-1:2].sum())
@@ -270,7 +313,7 @@ class PiecewisePolyControl:
 
     def lp_norm(self, p: float, n: int = 4097) -> float:
         if p == float("inf"):
-            return self.sup_norm(n)
+            return self.sup_norm()
         return self.abs_power_integral(p, n) ** (1.0 / p)
 
     def even_power_integral(self, exponent: int) -> Fraction:

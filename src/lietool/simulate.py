@@ -31,7 +31,8 @@ import numpy as np
 
 from . import trees
 from .conditions import Caps, FamilySpec, component_functional
-from .controls import ControlSignal, PiecewisePolyControl, Poly, primitive
+from .controls import (ControlSignal, PiecewisePolyControl, Poly, horner,
+                       primitive)
 from .coord import xi
 from .expansions import interaction_log
 from .fields import SystemDef, eval_bracket
@@ -60,22 +61,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-def _horner(coeffs, s):
-    """`Poly.eval`'s float Horner on ascending coefficients; the coefficients
-    and s are floats, or rows of per-trial arrays."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
-
-def _float_pieces(u: PiecewisePolyControl) -> list[tuple[float, float, list]]:
-    """(left, right, float coefficients) for each piece of u."""
-    return [(float(u.breakpoints[i]), float(u.breakpoints[i + 1]),
-             [float(c) for c in poly.coeffs])
-            for i, poly in enumerate(u.pieces)]
 
 
 def _substeps(left: float, right: float, step: float) -> tuple[int, float]:
@@ -122,8 +107,8 @@ def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
         raise ValueError("step must be > 0")
     if isinstance(u, PiecewisePolyControl):
         segments = [(left, right,
-                     lambda t, c=coeffs, l=left: _horner(c, t - l))
-                    for left, right, coeffs in _float_pieces(u)]
+                     lambda t, c=coeffs, l=left: horner(c, t - l))
+                    for left, right, coeffs in u.float_pieces()]
     else:
         segments = [(0.0, u.horizon, u.eval)]
 
@@ -159,7 +144,7 @@ def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
     """
     trials = len(controls)
     schedules = [[(left, *_substeps(left, right, step), coeffs)
-                  for left, right, coeffs in _float_pieces(u)]
+                  for left, right, coeffs in u.float_pieces()]
                  for u in controls]
     width = max(map(len, schedules), default=0) + 1
     terms = max((len(c) for s in schedules for *_, c in s), default=0)
@@ -184,7 +169,7 @@ def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
         running = (steps > s) & ~blown
         lc, hc, cc = left[rows, piece], h[rows, piece], coeffs[:, rows, piece]
         t0 = lc + sub * hc
-        new = _rk4_step(sys, lambda t: _horner(cc, t - lc), t0, hc, x)
+        new = _rk4_step(sys, lambda t: horner(cc, t - lc), t0, hc, x)
         x = [np.where(running, a, b) for a, b in zip(new, x)]
         tripped = running & ~_within_guard(new)
         if tripped.any():

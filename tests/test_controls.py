@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +112,127 @@ class TestPiecewise:
         assert abs(u.sup_norm() - 3) < 1e-12
         assert abs(u.lp_norm(2.0) - 3) < 1e-9
         assert abs(u.lp_norm(float("inf")) - 3) < 1e-12
+
+
+def _float_eval(poly: Poly, x: float) -> float:
+    """Per-point float Horner, one coefficient converted at a time."""
+    acc = 0.0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def _reference_sample(u: PiecewisePolyControl, n: int) -> np.ndarray:
+    """One point at a time: the first piece whose right end is >= s."""
+    fb = [float(b) for b in u.breakpoints]
+    out = []
+    for s in np.linspace(0.0, float(u.horizon), n):
+        i = 0
+        while i + 1 < len(u.pieces) and s > fb[i + 1]:
+            i += 1
+        out.append(_float_eval(u.pieces[i], float(s) - fb[i]))
+    return np.array(out)
+
+
+def _reference_abs_power_integral(u: PiecewisePolyControl, exponent,
+                                  n: int = 4097) -> float:
+    """Composite Simpson per piece, one point at a time."""
+    total = 0.0
+    for i, p in enumerate(u.pieces):
+        a = float(u.breakpoints[i])
+        b = float(u.breakpoints[i + 1])
+        m = max(8, int(n * (b - a) / float(u.horizon)))
+        m += m % 2
+        xs = np.linspace(0.0, b - a, m + 1)
+        ys = np.abs([_float_eval(p, x) for x in xs]) ** exponent
+        h = (b - a) / m
+        total += h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum()
+                          + 2 * ys[2:-1:2].sum())
+    return float(total)
+
+
+EXPONENTS = (1, 1.0, 2.0, 3, 5, 7)
+QUARTER = Fraction(1, 4)
+
+
+def _norm_cases():
+    rng = random.Random(8)
+    cases = [random_poly_control(rng, max_pieces=4, max_degree=3)
+             for _ in range(6)]
+    cases += [primitive(u, 2) for u in cases[:3]]
+    cases += [
+        PiecewisePolyControl((0, 1), (Poly(),)),
+        PiecewisePolyControl((0, QUARTER, 1), (Poly(), Poly())),
+        PiecewisePolyControl((0, QUARTER, Fraction(2, 3), 1),
+                             (Poly((2,)), Poly(), Poly((0, -1, 3)))),
+        PiecewisePolyControl.piecewise_constant((0, QUARTER, 1),
+                                                (-3, Fraction(1, 3))),
+        PiecewisePolyControl((0, QUARTER, Fraction(3, 2)),
+                             (Poly((1, -5, 2)), Poly((-1, 0, 0, 4)))),
+    ]
+    return cases
+
+
+class TestVectorizedNorms:
+    """`sample` and `abs_power_integral` equal the per-point loops above
+    bit for bit."""
+
+    @pytest.mark.parametrize("u", _norm_cases())
+    @pytest.mark.parametrize("n", (2, 257, 4097))
+    def test_sample_matches_pointwise(self, u, n):
+        values = u.sample(n)
+        expected = _reference_sample(u, n)
+        assert values.shape == (n,)
+        assert values.tobytes() == expected.tobytes()
+        grid = np.linspace(0.0, float(u.horizon), n)
+        assert [u.eval(float(s)) for s in grid[::64]] == list(expected[::64])
+
+    def test_grid_point_on_a_breakpoint(self):
+        u = PiecewisePolyControl((0, QUARTER, 1),
+                                 (Poly((1, 4)), Poly((-7, 0, 2))))
+        grid = np.linspace(0.0, 1.0, 4097)
+        assert grid[1024] == 0.25
+        values = u.sample(4097)
+        assert values[1024] == 2.0          # the left piece's right end
+        assert values[1025] == -7 + 2 * (grid[1025] - 0.25) ** 2
+        assert values.tobytes() == _reference_sample(u, 4097).tobytes()
+
+    @pytest.mark.parametrize("u", _norm_cases())
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_abs_power_integral_matches_pointwise(self, u, exponent):
+        assert u.abs_power_integral(exponent) \
+            == _reference_abs_power_integral(u, exponent)
+        assert u.abs_power_integral(exponent, 65) \
+            == _reference_abs_power_integral(u, exponent, 65)
+
+
+class TestSupNorm:
+    def test_interior_maximum(self):
+        u = PiecewisePolyControl((0, 1), (Poly((0, 1, 0, -1)),))  # s - s^3
+        exact = 2 / (3 * math.sqrt(3))
+        assert abs(u.sup_norm() - exact) <= 1e-15 * exact
+        assert u.lp_norm(float("inf")) == u.sup_norm()
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_sup_at_a_breakpoint(self, sign):
+        # 3s rises to 1 at s = 1/3, where the second piece drops to 1/2:
+        # the sup is the first piece's end value, at no grid point
+        u = PiecewisePolyControl((0, Fraction(1, 3), 1),
+                                 (Poly((0, 3 * sign)), Poly((sign / 2,))))
+        assert abs(u.sup_norm() - 1.0) <= 1e-15
+        assert np.abs(u.sample(4097)).max() < 1.0 - 1e-5
+
+    def test_zero_control(self):
+        assert PiecewisePolyControl((0, 1), (Poly(),)).sup_norm() == 0.0
+        zero = PiecewisePolyControl((0, QUARTER, 1), (Poly(), Poly()))
+        assert zero.sup_norm() == 0.0
+
+    def test_never_below_a_sample(self, rng):
+        for _ in range(20):
+            u = primitive(random_poly_control(rng, max_degree=3),
+                          rng.randint(0, 2))
+            sup = u.sup_norm()
+            assert sup >= np.abs(u.sample(4097)).max() * (1 - 1e-15)
 
 
 class TestPrimitives:
