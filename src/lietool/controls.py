@@ -42,7 +42,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):  # trailing zeros trimmed
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -87,9 +87,14 @@ class Poly:
         return Poly([c * factor for c in self.coeffs])
 
     def power(self, exponent: int) -> "Poly":
-        out = Poly.constant(1)
-        for _ in range(exponent):
-            out = out * self
+        """self^exponent by repeated squaring."""
+        out, base = Poly.constant(1), self
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return out
 
     def antiderivative(self, constant=0) -> "Poly":

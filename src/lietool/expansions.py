@@ -4,7 +4,8 @@ Four exact views of the same word series, all computed at a degree cutoff:
 
 * :func:`formal_state` - the state as an ordered product of piece
   exponentials exp(dt (X0 + u X1)) (the exact flow of the right-invariant
-  formal ODE for piecewise-constant inputs);
+  formal ODE for piecewise-constant inputs), each built in closed form by
+  :meth:`TensorSeries.piece_exponential`;
 * the letter-by-letter iterated-integral coefficients from
   :mod:`lietool.coord` (cross-checked in tests rather than recomputed here);
 * :func:`ordered_product` - the infinite ordered product of Hall-element
@@ -13,6 +14,11 @@ Four exact views of the same word series, all computed at a degree cutoff:
 * :func:`interaction_log` - the logarithm after factoring exp(t X0) out on
   the left, whose coefficients on the Hall basis are the coordinates of the
   pseudo-first kind eta_b.
+
+The products, exponentials and logarithms run on the dense degree-graded
+series of :mod:`lietool.words`; exp(-t X0) is a piece exponential too, and a
+logarithm reaches the Hall basis through its integer numerators, one
+bidegree solve at a time (:func:`lietool.hall.decompose_words`).
 
 The eta-vs-xi cross terms come from the multivariate
 Campbell-Baker-Hausdorff-Dynkin expansion of the ordered product; the
@@ -31,10 +37,10 @@ from typing import Sequence
 from .controls import PiecewisePolyControl
 from .coord import xi
 from .hall import (HallElement, InternalConsistencyError,
-                   basis_up_to_length, decompose_series)
+                   basis_up_to_length, decompose_series, decompose_words)
 from .polynomials import SparsePoly
 from .trees import X0, X1
-from .words import TensorSeries, expand_to_words, word_bidegree
+from .words import TensorSeries, expand_to_words, word_bidegree, word_expansion
 
 
 @dataclass
@@ -61,10 +67,8 @@ def formal_state(u: PiecewisePolyControl, cutoff: int) -> FormalState:
     state = TensorSeries.unit(cutoff)
     for i, piece in enumerate(u.pieces):
         dt = u.breakpoints[i + 1] - u.breakpoints[i]
-        value = piece.eval(Fraction(0))
-        generator = (TensorSeries.from_word((0,), cutoff, dt)
-                     + TensorSeries.from_word((1,), cutoff, dt * value))
-        state = state * generator.exp()
+        state = state * TensorSeries.piece_exponential(
+            cutoff, dt, piece.eval(Fraction(0)))
     return FormalState(series=state, horizon=u.horizon, control=u)
 
 
@@ -104,23 +108,18 @@ class EtaTable:
 
 def _log_after_factoring_x0(series: TensorSeries, t: Fraction,
                             cutoff: int) -> TensorSeries:
-    minus_tx0 = TensorSeries.from_word((0,), cutoff, -Fraction(t))
-    return (minus_tx0.exp() * series).log()
+    return (TensorSeries.piece_exponential(cutoff, -t, 0) * series).log()
 
 
 def series_to_eta(log_series: TensorSeries, cutoff: int, horizon: Fraction) -> EtaTable:
     """Decompose a Lie word-series onto the Hall basis, bidegree by bidegree."""
     table = EtaTable(cutoff=cutoff, horizon=horizon)
+    numerators, den = log_series.numerators()
     buckets: dict[tuple[int, int], dict] = {}
-    for w, c in log_series.coeffs.items():
-        if not c:
-            continue
+    for w, c in numerators.items():
         buckets.setdefault(word_bidegree(w), {})[w] = c
-    for (p, q), coeffs in sorted(buckets.items()):
-        part = TensorSeries(cutoff, coeffs)
-        element = decompose_series(part, p, q)
-        for k, v in element.coeffs.items():
-            table.values[k] = v
+    for (p, q), part in sorted(buckets.items()):
+        table.values.update(decompose_words(part, p, q, den).coeffs)
     return table
 
 
@@ -134,10 +133,9 @@ def interaction_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     _require_piecewise_constant(u)
     state = formal_state(u, cutoff)
     log_series = _log_after_factoring_x0(state.series, u.horizon, cutoff)
-    for w, c in log_series.coeffs.items():
-        if c and word_bidegree(w)[0] == 0:
-            raise InternalConsistencyError(
-                "factoring exp(t X0) left a pure-X0 term")
+    if any(log_series[(0,) * n] for n in range(1, cutoff + 1)):
+        raise InternalConsistencyError(
+            "factoring exp(t X0) left a pure-X0 term")
     return series_to_eta(log_series, cutoff, u.horizon)
 
 
@@ -174,28 +172,21 @@ def cross_coefficient_element(elements: Sequence[HallElement],
     for i, element in enumerate(elements):
         xi_var = SparsePoly.variable(q, i)
         factor = TensorSeries(
-            degree,
-            {w: xi_var * c
-             for w, c in expand_to_words(element.tree, degree).coeffs.items()})
+            degree, {w: xi_var * c
+                     for w, c in word_expansion(element.tree).items()})
         product = product * factor.exp()
     log_series = product.log()
     target = tuple(powers)
-    word_coeffs = {}
+    buckets: dict[tuple[int, int], dict] = {}
     for w, poly in log_series.coeffs.items():
         c = poly.coefficient(target)
         if c:
-            word_coeffs[w] = c
-    if not word_coeffs:
-        result: dict[str, Fraction] = {}
-    else:
-        bidegrees = {word_bidegree(w) for w in word_coeffs}
-        result = {}
-        for (p, qq) in bidegrees:
-            part = TensorSeries(
-                degree, {w: c for w, c in word_coeffs.items()
-                         if word_bidegree(w) == (p, qq)})
-            for elem, val in decompose_series(part, p, qq).coeffs.items():
-                result[elem.tree.text] = val
+            buckets.setdefault(word_bidegree(w), {})[w] = c
+    result: dict[str, Fraction] = {}
+    for (p, qq), part in buckets.items():
+        element = decompose_series(TensorSeries(degree, part), p, qq)
+        for elem, val in element.coeffs.items():
+            result[elem.tree.text] = val
     return _CROSS_CACHE.setdefault(key, result)
 
 

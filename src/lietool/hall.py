@@ -18,7 +18,10 @@ correct because the evaluated Hall set is a basis of the free Lie algebra.
 The solver of a bidegree works in integers: the Hall elements' word
 expansions are integer columns, a square of them picked mod a prime is
 inverted fraction-free, and every decomposition is checked exactly against
-all words of the bidegree before its coefficients become fractions.
+all words of the bidegree before its coefficients become fractions.  Its
+input is integer too: a tree's cached word expansion, a Lie element's
+expansions over the lcm of its coefficients' denominators, or a series'
+numerators over its common denominator (:func:`decompose_words`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import trees
 from .exact_linalg import (bareiss_inverse, clear_denominators,
                            independent_rows_int)
 from .trees import BracketTree, X0, X1, node, strip_trailing_zeros
-from .words import (TensorSeries, expand_to_words, word_expansion,
+from .words import (CutoffError, TensorSeries, Word, word_expansion,
                     words_of_bidegree)
 
 MAX_DECOMPOSE_LENGTH = 16
@@ -295,10 +298,14 @@ class LieElement:
         return set(self.coeffs)
 
     def expand_to_words(self, cutoff: int) -> TensorSeries:
-        out = TensorSeries(cutoff)
+        out: dict[Word, Fraction] = {}
         for element, coeff in self.coeffs.items():
-            out = out + expand_to_words(element.tree, cutoff).scale(coeff)
-        return out
+            if element.length > cutoff:
+                raise CutoffError(f"{element!r} does not fit under the "
+                                  f"cutoff {cutoff}")
+            for w, c in word_expansion(element.tree).items():
+                out[w] = out.get(w, 0) + coeff * c
+        return TensorSeries(cutoff, out)
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
@@ -341,27 +348,26 @@ def _bidegree_solver(n1: int, n0: int):
     return _SOLVER_CACHE.setdefault(key, cached)
 
 
-def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
-    """Write a bidegree-homogeneous word polynomial over the Hall basis.
+def decompose_words(target: dict[Word, int], n1: int, n0: int,
+                    den: int = 1) -> LieElement:
+    """Write sum_w target[w] w / den, integer numerators of bidegree
+    (n1, n0), over the Hall basis.
 
-    The target is cleared to integers by the lcm `den` of its denominators;
-    then det * den * coeffs = adj @ (picked target rows), and the residual
-    det * den * target - sum_j (det * den * coeff_j) col_j must vanish on
-    every word, otherwise the input was not a Lie element of that bidegree
-    (or the library is inconsistent).
+    With the solver's det, det * den * coeffs = adj @ (picked target rows),
+    and the residual det * target - sum_j (det * den * coeff_j) col_j must
+    vanish on every word, otherwise the input was not a Lie element of that
+    bidegree (or the library is inconsistent).
     """
     elements, word_index, columns, rows, adj, det = _bidegree_solver(n1, n0)
-    target: dict[int, object] = {}
-    for w, c in series.coeffs.items():
+    cleared: dict[int, int] = {}
+    for w, c in target.items():
         if not c:
             continue
         i = word_index.get(w)
         if i is None:
             raise ValueError(
                 f"word {w} is not of bidegree (n1={n1}, n0={n0})")
-        target[i] = c
-    numerators, den = clear_denominators(target.values())
-    cleared = dict(zip(target, numerators))
+        cleared[i] = c
     picked = [(k, cleared[i]) for k, i in enumerate(rows) if i in cleared]
     scaled = [sum(row[k] * t for k, t in picked) for row in adj]
     residual = {i: det * t for i, t in cleared.items()}
@@ -378,20 +384,28 @@ def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
                        for e, c in zip(elements, scaled) if c})
 
 
+def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
+    """Write a bidegree-homogeneous word polynomial over the Hall basis."""
+    numerators, den = series.numerators()
+    return decompose_words(numerators, n1, n0, den)
+
+
 def decompose(b: Union[BracketTree, str, LieElement]) -> LieElement:
     """Coordinates of a bracket tree (or Lie element) on the Hall basis."""
     if isinstance(b, str):
         b = trees.parse_tree(b)
     if isinstance(b, LieElement):
+        # clear the coefficients' denominators once, then add the integer
+        # word expansions bidegree by bidegree
+        numerators, den = clear_denominators(b.coeffs.values())
+        by_bidegree: dict[tuple[int, int], dict[Word, int]] = {}
+        for element, coeff in zip(b.coeffs, numerators):
+            target = by_bidegree.setdefault(element.bidegree, {})
+            for w, c in word_expansion(element.tree).items():
+                target[w] = target.get(w, 0) + coeff * c
         out = LieElement()
-        by_bidegree: dict[tuple[int, int], TensorSeries] = {}
-        for element, coeff in b.coeffs.items():
-            series = expand_to_words(element.tree, element.length).scale(coeff)
-            bd = element.bidegree
-            by_bidegree[bd] = (by_bidegree[bd] + series if bd in by_bidegree
-                               else series)
-        for (p, q), series in by_bidegree.items():
-            out = out + decompose_series(series, p, q)
+        for (p, q), target in by_bidegree.items():
+            out = out + decompose_words(target, p, q, den)
         return out
     if b.length > MAX_DECOMPOSE_LENGTH:
         raise ValueError(
@@ -399,10 +413,10 @@ def decompose(b: Union[BracketTree, str, LieElement]) -> LieElement:
             f"{MAX_DECOMPOSE_LENGTH}")
     if is_hall(b):
         return LieElement.single(b)
-    series = expand_to_words(b, b.length)
-    if not series:
+    target = word_expansion(b)
+    if not target:
         return LieElement()
-    return decompose_series(series, b.n1, b.n0)
+    return decompose_words(target, b.n1, b.n0)
 
 
 def lie_bracket(a: Union[BracketTree, LieElement, str],

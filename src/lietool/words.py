@@ -1,25 +1,38 @@
 """Truncated free associative algebra over {X0, X1} with exact coefficients.
 
-Words are tuples of 0/1 generator indices.  A :class:`TensorSeries` maps words
-of total degree <= cutoff to coefficients; everything beyond the cutoff is
-dropped exactly, so products, exponentials and logarithms of truncated series
-agree with the degree-<=cutoff part of the untruncated ones.
+Words are tuples of 0/1 generator indices.  A :class:`TensorSeries` holds the
+words of total degree <= cutoff; everything beyond the cutoff is dropped
+exactly, so products, exponentials and logarithms of truncated series agree
+with the degree-<=cutoff part of the untruncated ones.
 
-Coefficients default to `fractions.Fraction` but any commutative ring element
-supporting +, -, * (with int/Fraction scalars), == and truth-testing works;
-the cross-term extraction machinery reuses this with polynomial coefficients.
+The layout is dense and graded by degree, as in iisignature (Reizenstein &
+Graham, arXiv:1802.08252) and Signatory (Kidger & Lyons, arXiv:2001.00706):
+degree n is one numpy object array of 2^n numerators, a word being its bit
+index with the first letter as the high bit, so the concatenation of blocks i
+and j is `np.multiply.outer(a_i, b_j).ravel()`, a block of degree i + j.  A
+rational series (int and Fraction coefficients) keeps Python-int numerators
+over one common denominator, reduced by a single gcd after every operation,
+so equal series have equal blocks.  Any other commutative ring element that
+supports +, -, * (with int/Fraction scalars), == and truth-testing is stored
+as is over the denominator 1; the cross-term extraction uses this with
+polynomial coefficients.  An all-zero block may be left out (``None``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+from collections.abc import MutableMapping
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
+from .exact_linalg import clear_denominators
 from .trees import BracketTree
 
 Word = tuple[int, ...]
-
-EMPTY_WORD: Word = ()
 
 
 def word_bidegree(word: Word) -> tuple[int, int]:
@@ -33,11 +46,8 @@ def word_text(word: Word) -> str:
 
 def all_words(max_degree: int) -> Iterable[Word]:
     """All words of total degree <= max_degree, by increasing degree."""
-    level: list[Word] = [()]
-    yield ()
-    for _ in range(max_degree):
-        level = [w + (g,) for w in level for g in (0, 1)]
-        yield from level
+    for n in range(max_degree + 1):
+        yield from _words(n)
 
 
 def words_of_bidegree(n1: int, n0: int) -> list[Word]:
@@ -61,18 +71,94 @@ def words_of_bidegree(n1: int, n0: int) -> list[Word]:
     return out
 
 
+@functools.cache
+def _words(n: int) -> tuple[Word, ...]:
+    """The words of degree n, in bit-index order."""
+    return tuple(itertools.product((0, 1), repeat=n))
+
+
+@functools.cache
+def _ones(n: int) -> np.ndarray:
+    """Number of X1 letters of each word of degree n, by bit index."""
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
+def _index(word: Word) -> int:
+    i = 0
+    for g in word:
+        i = 2 * i + g
+    return i
+
+
+def _support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of the nonzero entries of a block."""
+    index = np.flatnonzero(block)
+    return index, block[index]
+
+
+def _is_rational(c) -> bool:
+    return isinstance(c, (int, Fraction))
+
+
 class CutoffError(ValueError):
     pass
 
 
 class TensorSeries:
-    """A polynomial in the free algebra, truncated at a fixed total degree."""
+    """A polynomial in the free algebra, truncated at a fixed total degree.
 
-    __slots__ = ("cutoff", "coeffs")
+    `blocks[n]` holds the numerators of the degree-n words (or None when they
+    are all zero) and `den` their common denominator; `rational` tells
+    whether the numerators are ints reduced against `den`.
+    """
+
+    __slots__ = ("cutoff", "blocks", "den", "rational", "_coeffs")
 
     def __init__(self, cutoff: int, coeffs: dict[Word, object] | None = None):
+        """The series sum coeffs[w] w; words beyond the cutoff are dropped."""
+        items = [(w, c) for w, c in (coeffs or {}).items()
+                 if len(w) <= cutoff and c]
+        values = [c for _, c in items]
+        rational = all(_is_rational(c) for c in values)
+        den = 1
+        if rational:
+            values, den = clear_denominators(values)
+        blocks: list[np.ndarray | None] = [None] * (cutoff + 1)
+        for (w, _), c in zip(items, values):
+            n = len(w)
+            if blocks[n] is None:
+                blocks[n] = np.zeros(1 << n, dtype=object)
+            blocks[n][_index(w)] = c
+        self._set(cutoff, blocks, den, rational)
+
+    def _set(self, cutoff, blocks, den, rational) -> None:
         self.cutoff = cutoff
-        self.coeffs = {} if coeffs is None else coeffs
+        self.blocks = blocks
+        self.den = den
+        self.rational = rational
+        self._coeffs = None
+
+    @classmethod
+    def _make(cls, cutoff: int, blocks: list, den: int = 1,
+              rational: bool = True) -> "TensorSeries":
+        """A series on the given blocks; a rational one is reduced by the gcd
+        of its denominator and all its numerators."""
+        if rational and den != 1:
+            g = den
+            for b in blocks:
+                if b is not None:
+                    g = math.gcd(g, *b)
+                    if g == 1:
+                        break
+            if g != 1:
+                blocks = [None if b is None else b // g for b in blocks]
+                den //= g
+        out = cls.__new__(cls)
+        out._set(cutoff, blocks, den, rational)
+        return out
 
     @classmethod
     def zero(cls, cutoff: int) -> "TensorSeries":
@@ -80,27 +166,86 @@ class TensorSeries:
 
     @classmethod
     def unit(cls, cutoff: int, one=Fraction(1)) -> "TensorSeries":
-        return cls(cutoff, {EMPTY_WORD: one})
+        return cls(cutoff, {(): one})
 
     @classmethod
     def from_word(cls, word: Word, cutoff: int, coeff=Fraction(1)) -> "TensorSeries":
-        if len(word) > cutoff:
-            return cls(cutoff)
         return cls(cutoff, {word: coeff})
 
+    @classmethod
+    def piece_exponential(cls, cutoff: int, dt, value) -> "TensorSeries":
+        """exp(dt (X0 + value X1)) in closed form: the coefficient of a word
+        w is dt^|w| value^n1(w) / |w|!, for rational dt and value."""
+        dt, value = Fraction(dt), Fraction(value)
+        table = []              # by degree n, then by number k of X1 letters
+        weight = Fraction(1)
+        for n in range(cutoff + 1):
+            if n:
+                weight *= dt / n
+            table.extend(weight * value ** k for k in range(n + 1))
+        numerators, den = clear_denominators(table)
+        blocks = []
+        for n in range(cutoff + 1):
+            start = n * (n + 1) // 2
+            row = np.array(numerators[start:start + n + 1], dtype=object)
+            blocks.append(row[_ones(n)])
+        return cls._make(cutoff, blocks, den)
+
     def __getitem__(self, word: Word):
-        return self.coeffs.get(word, 0)
+        n = len(word)
+        if n > self.cutoff or self.blocks[n] is None:
+            return 0
+        c = self.blocks[n][_index(word)]
+        if self.rational:
+            return Fraction(c, self.den) if c else 0
+        return c
+
+    @property
+    def coeffs(self) -> "WordCoefficients":
+        """The nonzero coefficients by word; assigning to it changes the
+        series."""
+        return WordCoefficients(self)
+
+    def _entries(self):
+        """(word, numerator) for every nonzero entry, by degree and index."""
+        for n, b in enumerate(self.blocks):
+            if b is not None:
+                words = _words(n)
+                for i in np.flatnonzero(b):
+                    yield words[i], b[i]
+
+    def _coeff_dict(self) -> dict[Word, object]:
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = {w: Fraction(c, den) if self.rational else c
+                            for w, c in self._entries()}
+        return self._coeffs
+
+    def _assign(self, word: Word, value) -> None:
+        if len(word) > self.cutoff:
+            raise CutoffError(f"word {word} is longer than the cutoff "
+                              f"{self.cutoff}")
+        new = self + TensorSeries(self.cutoff, {word: value - self[word]})
+        self._set(new.cutoff, new.blocks, new.den, new.rational)
+
+    def numerators(self) -> tuple[dict[Word, int], int]:
+        """The nonzero integer numerators by word and their common
+        denominator, for a rational series."""
+        if not self.rational:
+            raise TypeError("numerators need rational coefficients")
+        return dict(self._entries()), self.den
 
     def __bool__(self) -> bool:
-        return any(self.coeffs.values())
+        return any(b is not None and b.any() for b in self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorSeries):
             return NotImplemented
-        for w in self.coeffs.keys() | other.coeffs.keys():
-            if self.coeffs.get(w, 0) != other.coeffs.get(w, 0):
-                return False
-        return True
+        if self.rational and other.rational:
+            # both reduced: equal series have equal numerators and den
+            return (self.den == other.den
+                    and dict(self._entries()) == dict(other._entries()))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("TensorSeries is unhashable")
@@ -110,99 +255,178 @@ class TensorSeries:
             raise CutoffError(
                 f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
 
+    def _generic_blocks(self) -> list:
+        """The blocks with the denominator divided in, for mixing with
+        coefficients that are not rational."""
+        if self.den == 1:
+            return self.blocks
+        inverse = Fraction(1, self.den)
+        return [None if b is None else b * inverse for b in self.blocks]
+
     def __add__(self, other: "TensorSeries") -> "TensorSeries":
         self._check_cutoff(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return TensorSeries(self.cutoff, out)
+        if not (self.rational and other.rational):
+            blocks = []
+            for a, b in zip(self._generic_blocks(), other._generic_blocks()):
+                if a is not None and b is not None:
+                    index, values = _support(b)
+                    a = a.copy()
+                    a[index] += values
+                blocks.append(b if a is None else a)
+            return TensorSeries._make(self.cutoff, blocks, 1, False)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        left = [b if b is None or fa == 1 else b * fa for b in self.blocks]
+        right = [b if b is None or fb == 1 else b * fb for b in other.blocks]
+        blocks = [a if b is None else b if a is None else a + b
+                  for a, b in zip(left, right)]
+        return TensorSeries._make(self.cutoff, blocks, den)
 
     def __sub__(self, other: "TensorSeries") -> "TensorSeries":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TensorSeries":
-        if not factor:
-            return TensorSeries(self.cutoff)
-        return TensorSeries(
-            self.cutoff, {w: c * factor for w, c in self.coeffs.items()})
+        if self.rational and _is_rational(factor):
+            factor = Fraction(factor)
+            if not factor:
+                return TensorSeries(self.cutoff)
+            p = factor.numerator
+            blocks = [b if b is None or p == 1 else b * p for b in self.blocks]
+            return TensorSeries._make(self.cutoff, blocks,
+                                      self.den * factor.denominator)
+        blocks = []
+        for b in self._generic_blocks():
+            if b is not None:
+                index, values = _support(b)
+                b = np.zeros(len(b), dtype=object)
+                b[index] = values * factor
+            blocks.append(b)
+        return TensorSeries._make(self.cutoff, blocks, 1, False)
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":
-        """Concatenation product, truncated at the cutoff."""
+        """Concatenation product, truncated at the cutoff.
+
+        Rational blocks meet whole, as outer products of ints; ring elements
+        are costly and mostly zero, so there only nonzero entries meet.
+        """
         self._check_cutoff(other)
-        out: dict[Word, object] = {}
         cutoff = self.cutoff
-        for w1, c1 in self.coeffs.items():
-            room = cutoff - len(w1)
-            for w2, c2 in other.coeffs.items():
-                if len(w2) > room:
+        out: list[np.ndarray | None] = [None] * (cutoff + 1)
+        if self.rational and other.rational:
+            for i, a in enumerate(self.blocks):
+                if a is None:
                     continue
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return TensorSeries(cutoff, out)
+                for j in range(cutoff - i + 1):
+                    b = other.blocks[j]
+                    if b is None:
+                        continue
+                    term = np.multiply.outer(a, b).ravel()
+                    if out[i + j] is None:
+                        out[i + j] = term
+                    else:
+                        out[i + j] += term
+            return TensorSeries._make(cutoff, out, self.den * other.den)
+        right = [None if b is None else _support(b)
+                 for b in other._generic_blocks()]
+        for i, a in enumerate(self._generic_blocks()):
+            if a is None:
+                continue
+            ia, va = _support(a)
+            for j in range(cutoff - i + 1):
+                if right[j] is None:
+                    continue
+                ib, vb = right[j]
+                if out[i + j] is None:
+                    out[i + j] = np.zeros(1 << (i + j), dtype=object)
+                index = ((ia[:, None] << j) | ib).ravel()
+                out[i + j][index] += np.multiply.outer(va, vb).ravel()
+        return TensorSeries._make(cutoff, out, 1, False)
 
     def bracket(self, other: "TensorSeries") -> "TensorSeries":
         return self * other - other * self
 
     def truncated(self, cutoff: int) -> "TensorSeries":
-        return TensorSeries(
-            cutoff, {w: c for w, c in self.coeffs.items() if len(w) <= cutoff})
+        blocks = self.blocks[:cutoff + 1]
+        blocks += [None] * (cutoff + 1 - len(blocks))
+        return TensorSeries._make(cutoff, blocks, self.den, self.rational)
+
+    def _power_sum(self, coefficient) -> "TensorSeries":
+        """sum_{k >= 1} coefficient(k) x^k, x this series without its
+        constant term."""
+        x = TensorSeries._make(self.cutoff, [None, *self.blocks[1:]],
+                               self.den, self.rational)
+        result, power = TensorSeries(self.cutoff), x
+        for k in range(1, self.cutoff + 1):
+            if not power:
+                break
+            result = result + power.scale(coefficient(k))
+            power = power * x
+        return result
 
     def exp(self) -> "TensorSeries":
         """exp of a series with zero constant term (checked)."""
-        if self.coeffs.get(EMPTY_WORD, 0):
+        if self[()]:
             raise ValueError("exp requires a zero constant term")
-        result = TensorSeries.unit(self.cutoff, _one_like(self))
-        power = TensorSeries.unit(self.cutoff, _one_like(self))
-        factorial = 1
-        for k in range(1, self.cutoff + 1):
-            power = power * self
-            factorial *= k
-            if not power:
-                break
-            result = result + power.scale(Fraction(1, factorial))
-        return result
+        return TensorSeries.unit(self.cutoff) + self._power_sum(
+            lambda k: Fraction(1, math.factorial(k)))
 
     def log(self) -> "TensorSeries":
         """log of a series with constant term 1 (checked)."""
-        if self.coeffs.get(EMPTY_WORD, 0) != 1:
+        if self[()] != 1:
             raise ValueError("log requires constant term 1")
-        rest = TensorSeries(
-            self.cutoff,
-            {w: c for w, c in self.coeffs.items() if w != EMPTY_WORD})
         # log(1+x) = sum (-1)^{k+1} x^k / k
-        result = TensorSeries(self.cutoff)
-        power = TensorSeries.unit(self.cutoff, _one_like(self))
-        for k in range(1, self.cutoff + 1):
-            power = power * rest
-            if not power:
-                break
-            result = result + power.scale(Fraction((-1) ** (k + 1), k))
-        return result
+        return self._power_sum(lambda k: Fraction((-1) ** (k + 1), k))
 
     def pretty(self) -> str:
         if not self.coeffs:
             return "0"
-        items = sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        return " + ".join(f"({c})*{word_text(w)}" for w, c in items if c)
+        return " + ".join(f"({c})*{word_text(w)}"
+                          for w, c in self.coeffs.items())
 
     def __repr__(self) -> str:
         return f"TensorSeries(cutoff={self.cutoff}, {self.pretty()})"
 
 
-def _one_like(series: TensorSeries):
-    """Multiplicative unit compatible with the series' coefficient ring."""
-    for c in series.coeffs.values():
-        one = c * 0 + 1
-        return one
-    return Fraction(1)
+class WordCoefficients(MutableMapping):
+    """`TensorSeries.coeffs`: a mapping word -> nonzero coefficient.
+
+    Reads go to a dict built once per state of the series; a write or a
+    deletion re-encodes the series' blocks.
+    """
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series: TensorSeries):
+        self._series = series
+
+    def _dict(self) -> dict[Word, object]:
+        return self._series._coeff_dict()
+
+    def __getitem__(self, word: Word):
+        return self._dict()[word]
+
+    def __setitem__(self, word: Word, value) -> None:
+        self._series._assign(word, value)
+
+    def __delitem__(self, word: Word) -> None:
+        if word not in self:
+            raise KeyError(word)
+        self._series._assign(word, 0)
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def values(self):
+        return self._dict().values()
+
+    def items(self):
+        return self._dict().items()
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
 
 
 _EXPANSION_CACHE: dict[BracketTree, dict[Word, int]] = {}
@@ -240,5 +464,4 @@ def expand_to_words(tree: BracketTree, cutoff: int) -> TensorSeries:
         raise CutoffError(
             f"tree of length {tree.length} needs cutoff >= {tree.length}, "
             f"got {cutoff}")
-    return TensorSeries(
-        cutoff, {w: Fraction(c) for w, c in word_expansion(tree).items()})
+    return TensorSeries(cutoff, word_expansion(tree))

@@ -19,6 +19,19 @@ class TestPoly:
         assert (p * p).coeffs == (1, 4, 4)
         assert p.scale(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
 
+    def test_power_equals_repeated_products(self):
+        for p in (Poly((Fraction(1, 3), -2, Fraction(5, 4))), Poly((0, 1)),
+                  Poly()):
+            expected = Poly((1,))
+            for exponent in range(9):
+                assert p.power(exponent) == expected
+                expected = expected * p
+
+    def test_coefficients_are_fractions(self):
+        p = Poly((1, 2.5, Fraction(1, 3), 0))
+        assert p.coeffs == (1, Fraction(5, 2), Fraction(1, 3))
+        assert all(type(c) is Fraction for c in p.coeffs)
+
     def test_antiderivative_and_derivative(self):
         p = Poly((0, 0, 3))
         assert p.antiderivative().coeffs == (0, 0, 0, 1)

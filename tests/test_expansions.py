@@ -92,6 +92,17 @@ class TestInteractionLog:
         # would raise InternalConsistencyError otherwise
         interaction_log(random_pc_control(rng), 5)
 
+    def test_cutoff_eleven_three_pieces(self):
+        # every bidegree of length <= 11 passes its exact residual check
+        # inside the solve; the anchors pin the two degree-one coordinates
+        u = PiecewisePolyControl.piecewise_constant(
+            (0, Fraction(1, 3), Fraction(2, 3), 1), (1, -2, Fraction(1, 2)))
+        eta = interaction_log(u, 11)
+        assert eta[X0] == 0
+        assert eta[X1] == primitive(u, 1).end_value()
+        assert eta[M(1)] == xi(M(1), u).exact
+        assert max(e.length for e in eta.values) == 11
+
 
 class TestMagnusUsual:
     def test_degree_one_coordinates(self, rng):

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
+from lietool.expansions import _factor_patterns, cross_coefficient_element
+from lietool.hall import basis_up_to_length, decompose_series
+from lietool.polynomials import SparsePoly
 from lietool.trees import X0, X1, node, parse_tree
 from lietool.words import (CutoffError, TensorSeries, expand_to_words,
                            word_bidegree, words_of_bidegree)
@@ -167,3 +170,219 @@ def test_bidegree_homogeneity(rng):
 def test_words_of_bidegree_counts():
     assert len(words_of_bidegree(2, 2)) == 6
     assert words_of_bidegree(0, 0) == [()]
+
+
+# ---------------------------------------------------------------------------
+# the dense series against a dict-of-tuples reference
+
+def ref_add(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_scale(a, factor):
+    return {w: c * factor for w, c in a.items() if c * factor}
+
+
+def ref_mul(a, b, cutoff):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            if len(w1) + len(w2) <= cutoff:
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_truncated(a, cutoff):
+    return {w: c for w, c in a.items() if len(w) <= cutoff}
+
+
+def ref_exp(a, cutoff, one=Fraction(1)):
+    result = {(): one}
+    power = {(): one}
+    factorial = 1
+    for k in range(1, cutoff + 1):
+        power = ref_mul(power, a, cutoff)
+        factorial *= k
+        result = ref_add(result, ref_scale(power, Fraction(1, factorial)))
+    return result
+
+
+def ref_log(a, cutoff, one=Fraction(1)):
+    rest = {w: c for w, c in a.items() if w}
+    result = {}
+    power = {(): one}
+    for k in range(1, cutoff + 1):
+        power = ref_mul(power, rest, cutoff)
+        result = ref_add(result, ref_scale(power, Fraction((-1) ** (k + 1), k)))
+    return result
+
+
+@st.composite
+def fraction_dicts(draw, cutoff, constant=None):
+    """A dict word -> Fraction with words of degree <= cutoff; `constant`
+    fixes the empty word's coefficient (None: drawn like the others)."""
+    out = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        degree = draw(st.integers(min_value=0, max_value=cutoff))
+        word = tuple(draw(st.integers(min_value=0, max_value=1))
+                     for _ in range(degree))
+        out[word] = Fraction(draw(st.integers(min_value=-9, max_value=9)),
+                             draw(st.integers(min_value=1, max_value=6)))
+    if constant is not None:
+        out[()] = constant
+    return {w: c for w, c in out.items() if c}
+
+
+cutoffs = st.integers(min_value=0, max_value=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ring_operations_match_the_reference(data):
+    cutoff = data.draw(cutoffs)
+    a = data.draw(fraction_dicts(cutoff))
+    b = data.draw(fraction_dicts(cutoff))
+    factor = Fraction(data.draw(st.integers(-5, 5)),
+                      data.draw(st.integers(1, 5)))
+    sa, sb = TensorSeries(cutoff, a), TensorSeries(cutoff, b)
+    assert sa.coeffs == a
+    assert (sa + sb).coeffs == ref_add(a, b)
+    assert (sa - sb).coeffs == ref_add(a, ref_scale(b, -1))
+    assert (sa * sb).coeffs == ref_mul(a, b, cutoff)
+    assert sa.scale(factor).coeffs == ref_scale(a, factor)
+    for k in range(cutoff + 3):
+        assert sa.truncated(k).coeffs == ref_truncated(a, k)
+        assert sa.truncated(k).cutoff == k
+    assert (sa == sb) == (a == b)
+    assert sa == TensorSeries(cutoff, dict(a)) == sa * TensorSeries.unit(cutoff)
+    assert (sa + sb - sb) == sa
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exp_and_log_match_the_reference(data):
+    cutoff = data.draw(cutoffs)
+    x = data.draw(fraction_dicts(cutoff, constant=Fraction(0)))
+    y = data.draw(fraction_dicts(cutoff, constant=Fraction(1)))
+    assert TensorSeries(cutoff, x).exp().coeffs == ref_exp(x, cutoff)
+    assert TensorSeries(cutoff, y).log().coeffs == ref_log(y, cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_log_exp_round_trips(data):
+    cutoff = data.draw(cutoffs)
+    x = TensorSeries(cutoff, data.draw(fraction_dicts(cutoff, Fraction(0))))
+    assert x.exp().log() == x
+    y = TensorSeries(cutoff, data.draw(fraction_dicts(cutoff, Fraction(1))))
+    assert y.log().exp() == y
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoffs, st.fractions(max_denominator=12), st.fractions(max_denominator=12))
+def test_closed_form_piece_exponential(cutoff, dt, value):
+    generator = (TensorSeries.from_word((0,), cutoff, dt)
+                 + TensorSeries.from_word((1,), cutoff, dt * value))
+    assert TensorSeries.piece_exponential(cutoff, dt, value) == generator.exp()
+    assert (TensorSeries.piece_exponential(cutoff, dt, 0)
+            == TensorSeries.from_word((0,), cutoff, dt).exp())
+
+
+def test_reduced_to_one_common_denominator():
+    s = TensorSeries(2, {(0,): Fraction(1, 6), (1, 0): Fraction(1, 4)})
+    assert s.den == 12
+    assert s.scale(6).den == 2
+    assert s.scale(12).den == 1
+    assert (s - s).den == 1 and not (s - s)
+
+
+def test_coefficient_assignment_changes_the_series():
+    s = TensorSeries(3, {(1,): Fraction(1, 2)})
+    s.coeffs[(0, 1)] = Fraction(2, 3)
+    assert s == TensorSeries(3, {(1,): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+    del s.coeffs[(1,)]
+    assert s.coeffs == {(0, 1): Fraction(2, 3)} and s.den == 3
+    with pytest.raises(KeyError):
+        del s.coeffs[(1,)]
+    with pytest.raises(CutoffError):
+        s.coeffs[(0, 0, 0, 0)] = 1
+
+
+def test_empty_series():
+    empty = TensorSeries(3, {})
+    assert empty.coeffs == {} and not empty
+    assert empty == TensorSeries.zero(3) == TensorSeries.zero(5)
+    assert empty.pretty() == "0"
+    assert empty.exp() == TensorSeries.unit(3)
+    assert not empty * TensorSeries.unit(3)
+    assert empty.numerators() == ({}, 1)
+    with pytest.raises(ValueError):
+        empty.log()
+
+
+def test_cutoff_zero():
+    a = TensorSeries(0, {(): Fraction(2, 3)})
+    assert (a * a).coeffs == {(): Fraction(4, 9)}
+    assert not TensorSeries.from_word((1,), 0)
+    assert TensorSeries.zero(0).exp() == TensorSeries.unit(0)
+    assert not TensorSeries.unit(0).log()
+    assert TensorSeries.piece_exponential(0, 3, 5) == TensorSeries.unit(0)
+
+
+def test_words_longer_than_the_cutoff_are_dropped():
+    s = TensorSeries(2, {(0, 1, 1): Fraction(5), (1,): Fraction(1, 3)})
+    assert s.coeffs == {(1,): Fraction(1, 3)}
+    assert s[(0, 1, 1)] == 0 and s[(1,)] == Fraction(1, 3)
+    assert not TensorSeries.from_word((0, 0, 0), 2)
+    assert s == TensorSeries(2, {(1,): Fraction(1, 3)})
+
+
+def test_polynomial_coefficients():
+    x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+    a = {(0,): x, (1,): y * Fraction(1, 2)}
+    b = {(1, 0): x * y, (): SparsePoly.constant(2, 3)}
+    sa, sb = TensorSeries(3, a), TensorSeries(3, b)
+    assert not sa.rational and sa.den == 1
+    assert (sa * sb).coeffs == ref_mul(a, b, 3)
+    assert (sa + sb).coeffs == ref_add(a, b)
+    assert sa.exp().coeffs == ref_exp(a, 3)
+    mixed = sa * TensorSeries(3, {(1,): Fraction(1, 3)})
+    assert mixed.coeffs == ref_mul(a, {(1,): Fraction(1, 3)}, 3)
+
+
+def ref_cross_coefficient_element(elements, powers):
+    """The CBHD cross coefficient by dict algebra over SparsePoly."""
+    q = len(elements)
+    degree = sum(e.length * h for e, h in zip(elements, powers))
+    one = SparsePoly.constant(q, 1)
+    product = {(): one}
+    for i, element in enumerate(elements):
+        var = SparsePoly.variable(q, i)
+        factor = {w: var * c for w, c in brute_expand(element.tree).items()}
+        product = ref_mul(product, ref_exp(factor, degree, one), degree)
+    buckets = {}
+    for w, poly in ref_log(product, degree, one).items():
+        c = poly.coefficient(tuple(powers))
+        if c:
+            buckets.setdefault(word_bidegree(w), {})[w] = c
+    result = {}
+    for (p, qq), part in buckets.items():
+        element = decompose_series(TensorSeries(degree, part), p, qq)
+        result.update((e.tree.text, v) for e, v in element.coeffs.items())
+    return result
+
+
+def test_cross_coefficients_match_the_reference():
+    pool = [e for e in basis_up_to_length(4) if e.tree is not X0]
+    patterns = {pattern for target in basis_up_to_length(5)
+                if target.tree is not X0
+                for pattern in _factor_patterns(target, pool)}
+    assert len(patterns) >= 10
+    for pattern in patterns:
+        elements = [e for e, _ in pattern]
+        powers = [h for _, h in pattern]
+        assert (cross_coefficient_element(elements, powers)
+                == ref_cross_coefficient_element(elements, powers))
