@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-expansions",
                        help="randomized exact identity checks")
-    p.add_argument("--degree", type=int, default=5)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--degree", type=_positive_int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_expansions)
 

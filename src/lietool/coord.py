@@ -7,12 +7,13 @@ with m maximal,
     xi_b(t,u) = (1/m!) int_0^t xi_{b1}(s,u)^m  d xi_{b2}(s,u).
 
 One recursion (`xi_path`, and `chen_coefficient_path` for word
-coefficients) serves both control types through the operations they share.
-For exact piecewise-polynomial controls every xi_b(s, .) is itself an exact
-piecewise polynomial in s, so values are exact rationals.  For sampled
-controls the antiderivative is the cumulative trapezoid sum, and `xi` and
-`chen_coefficient` report the fine-grid value with the fine-minus-coarse
-(half grid) difference as a Richardson error estimate.
+coefficients, both memoized per control) serves both control types through
+the operations they share.  For exact piecewise-polynomial controls every
+xi_b(s, .) is itself an exact piecewise polynomial in s, so values are exact
+rationals.  For sampled controls the antiderivative is the cumulative
+trapezoid sum, and `xi` and `chen_coefficient` report the fine-grid value
+with the fine-minus-coarse (half grid) difference as a Richardson error
+estimate.
 
 Closed forms exist for every element whose germ lies in the eight named
 families (M, W, P, Q, Qs, Qf, R, Rs), as recognized by the structural matcher
@@ -69,7 +70,8 @@ def match_named_family(b) -> Optional[trees.FamilyPattern]:
 # ---------------------------------------------------------------------------
 # the recursion, for exact and sampled controls alike
 
-# memo tables die with their control: weak keys avoid stale-id collisions
+# memo tables, keyed by tree (xi paths) or word tuple (Chen paths), die with
+# their control: weak keys avoid stale-id collisions
 _XI_CACHE: "weakref.WeakKeyDictionary[ControlSignal, dict]" = (
     weakref.WeakKeyDictionary())
 
@@ -188,13 +190,20 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
 def chen_coefficient_path(word: Word, u: ControlSignal) -> ControlSignal:
     """s -> coefficient of `word` in the word-series state at time s.
 
-    Convention: the LAST letter of the word is the outermost integral.
+    Convention: the LAST letter of the word is the outermost integral, so the
+    path is the antiderivative of the prefix's path times that letter; every
+    prefix is memoized with the xi paths of the same control.
     """
-    one = u.power(0)
-    path = one
-    for letter in word:
-        path = (path * (u if letter else one)).antiderivative()
-    return path
+    word = tuple(word)
+    cache = _XI_CACHE.setdefault(u, {})
+    cached = cache.get(word)
+    if cached is not None:
+        return cached
+    if not word:
+        return cache.setdefault(word, u.power(0))
+    letter = u if word[-1] else u.power(0)
+    path = (chen_coefficient_path(word[:-1], u) * letter).antiderivative()
+    return cache.setdefault(word, path)
 
 
 def chen_coefficient(word: Word, u: ControlSignal) -> XiValue:

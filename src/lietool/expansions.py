@@ -21,26 +21,27 @@ logarithm reaches the Hall basis through its integer numerators, one
 bidegree solve at a time (:func:`lietool.hall.decompose_words`).
 
 The eta-vs-xi cross terms come from the multivariate
-Campbell-Baker-Hausdorff-Dynkin expansion of the ordered product; the
-coefficient elements are extracted symbolically in
-:func:`cross_coefficient_element` by running the same machinery with
-polynomial indeterminates as magnitudes, and the per-element identity is
-verified by :func:`cross_term_check`.
+Campbell-Baker-Hausdorff-Dynkin expansion of the ordered product.
+:func:`cross_coefficient_element` extracts one universal coefficient element
+as the x^h entry of log(prod_i exp(x_i E(b_i))), computed as a series in the
+magnitudes x whose entries are rational word series and whose exponents are
+cut at h; :func:`cross_term_check` verifies the per-element identity.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .controls import PiecewisePolyControl
-from .coord import xi
+from .coord import chen_coefficient, xi
 from .hall import (HallElement, InternalConsistencyError,
                    basis_up_to_length, decompose_series, decompose_words)
-from .polynomials import SparsePoly
 from .trees import X0, X1
-from .words import TensorSeries, expand_to_words, word_bidegree, word_expansion
+from .words import TensorSeries, all_words, expand_to_words, word_bidegree
 
 
 @dataclass
@@ -152,6 +153,19 @@ def magnus_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
 _CROSS_CACHE: dict[tuple, dict[str, Fraction]] = {}
 
 
+def _truncated_product(a: dict, b: dict, top: tuple) -> dict:
+    """Product of two series in the magnitudes, {exponent: TensorSeries},
+    keeping only the exponents <= top componentwise."""
+    out: dict[tuple, TensorSeries] = {}
+    for ma, sa in a.items():
+        for mb, sb in b.items():
+            m = tuple(i + j for i, j in zip(ma, mb))
+            if all(e <= t for e, t in zip(m, top)):
+                term = sa * sb
+                out[m] = out[m] + term if m in out else term
+    return out
+
+
 def cross_coefficient_element(elements: Sequence[HallElement],
                               powers: Sequence[int]) -> dict[str, Fraction]:
     """Hall coefficients of the CBHD cross term for a factor pattern.
@@ -160,31 +174,40 @@ def cross_coefficient_element(elements: Sequence[HallElement],
     returns the Hall-basis expansion of the coefficient of
     x_1^{h_1} ... x_q^{h_q} in log(prod_i exp(x_i E(b_i))) with the product
     ordered decreasing left to right.  Keys are canonical tree texts.
+
+    The product and its logarithm are series in the magnitudes x with
+    rational word series as coefficients, cut at the exponents <= h, so no
+    monomial beyond the one asked for is ever formed.
     """
     key = tuple(zip(elements, powers))
     cached = _CROSS_CACHE.get(key)
     if cached is not None:
         return cached
     q = len(elements)
-    degree = sum(e.length * h for e, h in zip(elements, powers))
-    one = SparsePoly.constant(q, 1)
-    product = TensorSeries.unit(degree, one)
-    for i, element in enumerate(elements):
-        xi_var = SparsePoly.variable(q, i)
-        factor = TensorSeries(
-            degree, {w: xi_var * c
-                     for w, c in word_expansion(element.tree).items()})
-        product = product * factor.exp()
-    log_series = product.log()
     target = tuple(powers)
-    buckets: dict[tuple[int, int], dict] = {}
-    for w, poly in log_series.coeffs.items():
-        c = poly.coefficient(target)
-        if c:
-            buckets.setdefault(word_bidegree(w), {})[w] = c
+    degree = sum(e.length * h for e, h in zip(elements, powers))
+    constant = (0,) * q
+    product = {constant: TensorSeries.unit(degree)}
+    for i, (element, h) in enumerate(zip(elements, powers)):
+        generator = expand_to_words(element.tree, degree)
+        factor, power = {}, TensorSeries.unit(degree)
+        for k in range(h + 1):                  # exp(x_i A_i), x_i^k <= x_i^h
+            exponent = tuple(k if j == i else 0 for j in range(q))
+            factor[exponent] = power.scale(Fraction(1, math.factorial(k)))
+            power = power * generator
+        product = _truncated_product(product, factor, target)
+    # log(1 + x) = sum_k (-1)^{k+1} x^k / k; x^k has total exponent >= k
+    x = {m: s for m, s in product.items() if m != constant}
+    coefficient, power = TensorSeries.zero(degree), x
+    for k in range(1, sum(powers) + 1):
+        if target in power:
+            coefficient = coefficient + power[target].scale(
+                Fraction((-1) ** (k + 1), k))
+        power = _truncated_product(power, x, target)
     result: dict[str, Fraction] = {}
-    for (p, qq), part in buckets.items():
-        element = decompose_series(TensorSeries(degree, part), p, qq)
+    if coefficient:
+        n1 = sum(e.n1 * h for e, h in zip(elements, powers))
+        element = decompose_series(coefficient, n1, degree - n1)
         for elem, val in element.coeffs.items():
             result[elem.tree.text] = val
     return _CROSS_CACHE.setdefault(key, result)
@@ -271,12 +294,13 @@ def cross_term_check(u: PiecewisePolyControl, cutoff: int = 4) -> list[CrossTerm
 def verify_expansions(degree: int, trials: int, seed: int = 0) -> list[tuple[str, bool]]:
     """Randomized identity checks between the four state views.
 
-    Returns (identity name, passed) pairs; all exact comparisons.
+    Returns (identity name, passed) pairs; all exact comparisons.  Needs
+    degree >= 1 and trials >= 1: anything less would check nothing.
     """
-    import random
-
-    from .coord import chen_coefficient
-
+    if degree < 1:
+        raise ValueError(f"verify_expansions needs degree >= 1, got {degree}")
+    if trials < 1:
+        raise ValueError(f"verify_expansions needs trials >= 1, got {trials}")
     rng = random.Random(seed)
     outcomes = {
         "formal_state == chen coefficients": True,
@@ -295,9 +319,9 @@ def verify_expansions(degree: int, trials: int, seed: int = 0) -> list[tuple[str
                   for _ in range(pieces)]
         u = PiecewisePolyControl.piecewise_constant(breakpoints, values)
         state = formal_state(u, degree)
-        for w, c in state.series.coeffs.items():
-            if chen_coefficient(w, u).exact != c:
-                outcomes["formal_state == chen coefficients"] = False
+        if any(chen_coefficient(w, u).exact != state.coefficient(w)
+               for w in all_words(degree)):
+            outcomes["formal_state == chen coefficients"] = False
         if ordered_product(u, degree) != state.series:
             outcomes["formal_state == ordered_product"] = False
         try:

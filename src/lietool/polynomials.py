@@ -1,8 +1,6 @@
 """Sparse multivariate polynomials over Fraction.
 
-Doubles as the component type of polynomial vector fields and as the scalar
-ring for symbolic cross-term extraction (series whose coefficients are
-polynomials in indeterminate magnitudes).
+The component type of polynomial vector fields (:mod:`lietool.fields`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Truncated free associative algebra over {X0, X1} with exact coefficients.
+"""Truncated free associative algebra over {X0, X1} with rational coefficients.
 
 Words are tuples of 0/1 generator indices.  A :class:`TensorSeries` holds the
 words of total degree <= cutoff; everything beyond the cutoff is dropped
@@ -7,15 +7,13 @@ with the degree-<=cutoff part of the untruncated ones.
 
 The layout is dense and graded by degree, as in iisignature (Reizenstein &
 Graham, arXiv:1802.08252) and Signatory (Kidger & Lyons, arXiv:2001.00706):
-degree n is one numpy object array of 2^n numerators, a word being its bit
-index with the first letter as the high bit, so the concatenation of blocks i
-and j is `np.multiply.outer(a_i, b_j).ravel()`, a block of degree i + j.  A
-rational series (int and Fraction coefficients) keeps Python-int numerators
-over one common denominator, reduced by a single gcd after every operation,
-so equal series have equal blocks.  Any other commutative ring element that
-supports +, -, * (with int/Fraction scalars), == and truth-testing is stored
-as is over the denominator 1; the cross-term extraction uses this with
-polynomial coefficients.  An all-zero block may be left out (``None``).
+degree n is one numpy object array of 2^n Python-int numerators, a word being
+its bit index with the first letter as the high bit, so the concatenation of
+blocks i and j is `np.multiply.outer(a_i, b_j).ravel()`, a block of degree
+i + j.  All numerators share one common denominator, reduced by a single gcd
+after every operation, so equal series have equal blocks.  Coefficients are
+rational (`numbers.Rational`); anything else is refused with a TypeError.  An
+all-zero block may be left out (``None``).
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections.abc import MutableMapping
 from fractions import Fraction
 from typing import Iterable
@@ -93,14 +92,10 @@ def _index(word: Word) -> int:
     return i
 
 
-def _support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and values of the nonzero entries of a block."""
-    index = np.flatnonzero(block)
-    return index, block[index]
-
-
-def _is_rational(c) -> bool:
-    return isinstance(c, (int, Fraction))
+def _require_rational(c) -> None:
+    if not isinstance(c, numbers.Rational):
+        raise TypeError(f"TensorSeries coefficients are rational, "
+                        f"got {type(c).__name__} {c!r}")
 
 
 class CutoffError(ValueError):
@@ -110,43 +105,39 @@ class CutoffError(ValueError):
 class TensorSeries:
     """A polynomial in the free algebra, truncated at a fixed total degree.
 
-    `blocks[n]` holds the numerators of the degree-n words (or None when they
-    are all zero) and `den` their common denominator; `rational` tells
-    whether the numerators are ints reduced against `den`.
+    `blocks[n]` holds the integer numerators of the degree-n words (or None
+    when they are all zero) and `den` their common denominator, reduced
+    against them.
     """
 
-    __slots__ = ("cutoff", "blocks", "den", "rational", "_coeffs")
+    __slots__ = ("cutoff", "blocks", "den", "_coeffs")
 
     def __init__(self, cutoff: int, coeffs: dict[Word, object] | None = None):
         """The series sum coeffs[w] w; words beyond the cutoff are dropped."""
-        items = [(w, c) for w, c in (coeffs or {}).items()
-                 if len(w) <= cutoff and c]
-        values = [c for _, c in items]
-        rational = all(_is_rational(c) for c in values)
-        den = 1
-        if rational:
-            values, den = clear_denominators(values)
+        coeffs = coeffs or {}
+        for c in coeffs.values():
+            _require_rational(c)
+        items = [(w, c) for w, c in coeffs.items() if len(w) <= cutoff and c]
+        values, den = clear_denominators([c for _, c in items])
         blocks: list[np.ndarray | None] = [None] * (cutoff + 1)
         for (w, _), c in zip(items, values):
             n = len(w)
             if blocks[n] is None:
                 blocks[n] = np.zeros(1 << n, dtype=object)
             blocks[n][_index(w)] = c
-        self._set(cutoff, blocks, den, rational)
+        self._set(cutoff, blocks, den)
 
-    def _set(self, cutoff, blocks, den, rational) -> None:
+    def _set(self, cutoff, blocks, den) -> None:
         self.cutoff = cutoff
         self.blocks = blocks
         self.den = den
-        self.rational = rational
         self._coeffs = None
 
     @classmethod
-    def _make(cls, cutoff: int, blocks: list, den: int = 1,
-              rational: bool = True) -> "TensorSeries":
-        """A series on the given blocks; a rational one is reduced by the gcd
-        of its denominator and all its numerators."""
-        if rational and den != 1:
+    def _make(cls, cutoff: int, blocks: list, den: int = 1) -> "TensorSeries":
+        """A series on the given blocks, reduced by the gcd of its
+        denominator and all its numerators."""
+        if den != 1:
             g = den
             for b in blocks:
                 if b is not None:
@@ -157,7 +148,7 @@ class TensorSeries:
                 blocks = [None if b is None else b // g for b in blocks]
                 den //= g
         out = cls.__new__(cls)
-        out._set(cutoff, blocks, den, rational)
+        out._set(cutoff, blocks, den)
         return out
 
     @classmethod
@@ -165,8 +156,8 @@ class TensorSeries:
         return cls(cutoff)
 
     @classmethod
-    def unit(cls, cutoff: int, one=Fraction(1)) -> "TensorSeries":
-        return cls(cutoff, {(): one})
+    def unit(cls, cutoff: int) -> "TensorSeries":
+        return cls(cutoff, {(): 1})
 
     @classmethod
     def from_word(cls, word: Word, cutoff: int, coeff=Fraction(1)) -> "TensorSeries":
@@ -196,9 +187,7 @@ class TensorSeries:
         if n > self.cutoff or self.blocks[n] is None:
             return 0
         c = self.blocks[n][_index(word)]
-        if self.rational:
-            return Fraction(c, self.den) if c else 0
-        return c
+        return Fraction(c, self.den) if c else 0
 
     @property
     def coeffs(self) -> "WordCoefficients":
@@ -214,11 +203,10 @@ class TensorSeries:
                 for i in np.flatnonzero(b):
                     yield words[i], b[i]
 
-    def _coeff_dict(self) -> dict[Word, object]:
+    def _coeff_dict(self) -> dict[Word, Fraction]:
         if self._coeffs is None:
             den = self.den
-            self._coeffs = {w: Fraction(c, den) if self.rational else c
-                            for w, c in self._entries()}
+            self._coeffs = {w: Fraction(c, den) for w, c in self._entries()}
         return self._coeffs
 
     def _assign(self, word: Word, value) -> None:
@@ -226,13 +214,11 @@ class TensorSeries:
             raise CutoffError(f"word {word} is longer than the cutoff "
                               f"{self.cutoff}")
         new = self + TensorSeries(self.cutoff, {word: value - self[word]})
-        self._set(new.cutoff, new.blocks, new.den, new.rational)
+        self._set(new.cutoff, new.blocks, new.den)
 
     def numerators(self) -> tuple[dict[Word, int], int]:
         """The nonzero integer numerators by word and their common
-        denominator, for a rational series."""
-        if not self.rational:
-            raise TypeError("numerators need rational coefficients")
+        denominator."""
         return dict(self._entries()), self.den
 
     def __bool__(self) -> bool:
@@ -241,11 +227,9 @@ class TensorSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorSeries):
             return NotImplemented
-        if self.rational and other.rational:
-            # both reduced: equal series have equal numerators and den
-            return (self.den == other.den
-                    and dict(self._entries()) == dict(other._entries()))
-        return self.coeffs == other.coeffs
+        # both reduced: equal series have equal numerators and den
+        return (self.den == other.den
+                and dict(self._entries()) == dict(other._entries()))
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("TensorSeries is unhashable")
@@ -255,25 +239,8 @@ class TensorSeries:
             raise CutoffError(
                 f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
 
-    def _generic_blocks(self) -> list:
-        """The blocks with the denominator divided in, for mixing with
-        coefficients that are not rational."""
-        if self.den == 1:
-            return self.blocks
-        inverse = Fraction(1, self.den)
-        return [None if b is None else b * inverse for b in self.blocks]
-
     def __add__(self, other: "TensorSeries") -> "TensorSeries":
         self._check_cutoff(other)
-        if not (self.rational and other.rational):
-            blocks = []
-            for a, b in zip(self._generic_blocks(), other._generic_blocks()):
-                if a is not None and b is not None:
-                    index, values = _support(b)
-                    a = a.copy()
-                    a[index] += values
-                blocks.append(b if a is None else a)
-            return TensorSeries._make(self.cutoff, blocks, 1, False)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         left = [b if b is None or fa == 1 else b * fa for b in self.blocks]
@@ -286,61 +253,34 @@ class TensorSeries:
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TensorSeries":
-        if self.rational and _is_rational(factor):
-            factor = Fraction(factor)
-            if not factor:
-                return TensorSeries(self.cutoff)
-            p = factor.numerator
-            blocks = [b if b is None or p == 1 else b * p for b in self.blocks]
-            return TensorSeries._make(self.cutoff, blocks,
-                                      self.den * factor.denominator)
-        blocks = []
-        for b in self._generic_blocks():
-            if b is not None:
-                index, values = _support(b)
-                b = np.zeros(len(b), dtype=object)
-                b[index] = values * factor
-            blocks.append(b)
-        return TensorSeries._make(self.cutoff, blocks, 1, False)
+        _require_rational(factor)
+        factor = Fraction(factor)
+        if not factor:
+            return TensorSeries(self.cutoff)
+        p = factor.numerator
+        blocks = [b if b is None or p == 1 else b * p for b in self.blocks]
+        return TensorSeries._make(self.cutoff, blocks,
+                                  self.den * factor.denominator)
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":
-        """Concatenation product, truncated at the cutoff.
-
-        Rational blocks meet whole, as outer products of ints; ring elements
-        are costly and mostly zero, so there only nonzero entries meet.
-        """
+        """Concatenation product, truncated at the cutoff: blocks meet whole,
+        as outer products of ints."""
         self._check_cutoff(other)
         cutoff = self.cutoff
         out: list[np.ndarray | None] = [None] * (cutoff + 1)
-        if self.rational and other.rational:
-            for i, a in enumerate(self.blocks):
-                if a is None:
-                    continue
-                for j in range(cutoff - i + 1):
-                    b = other.blocks[j]
-                    if b is None:
-                        continue
-                    term = np.multiply.outer(a, b).ravel()
-                    if out[i + j] is None:
-                        out[i + j] = term
-                    else:
-                        out[i + j] += term
-            return TensorSeries._make(cutoff, out, self.den * other.den)
-        right = [None if b is None else _support(b)
-                 for b in other._generic_blocks()]
-        for i, a in enumerate(self._generic_blocks()):
+        for i, a in enumerate(self.blocks):
             if a is None:
                 continue
-            ia, va = _support(a)
             for j in range(cutoff - i + 1):
-                if right[j] is None:
+                b = other.blocks[j]
+                if b is None:
                     continue
-                ib, vb = right[j]
+                term = np.multiply.outer(a, b).ravel()
                 if out[i + j] is None:
-                    out[i + j] = np.zeros(1 << (i + j), dtype=object)
-                index = ((ia[:, None] << j) | ib).ravel()
-                out[i + j][index] += np.multiply.outer(va, vb).ravel()
-        return TensorSeries._make(cutoff, out, 1, False)
+                    out[i + j] = term
+                else:
+                    out[i + j] += term
+        return TensorSeries._make(cutoff, out, self.den * other.den)
 
     def bracket(self, other: "TensorSeries") -> "TensorSeries":
         return self * other - other * self
@@ -348,13 +288,12 @@ class TensorSeries:
     def truncated(self, cutoff: int) -> "TensorSeries":
         blocks = self.blocks[:cutoff + 1]
         blocks += [None] * (cutoff + 1 - len(blocks))
-        return TensorSeries._make(cutoff, blocks, self.den, self.rational)
+        return TensorSeries._make(cutoff, blocks, self.den)
 
     def _power_sum(self, coefficient) -> "TensorSeries":
         """sum_{k >= 1} coefficient(k) x^k, x this series without its
         constant term."""
-        x = TensorSeries._make(self.cutoff, [None, *self.blocks[1:]],
-                               self.den, self.rational)
+        x = TensorSeries._make(self.cutoff, [None, *self.blocks[1:]], self.den)
         result, power = TensorSeries(self.cutoff), x
         for k in range(1, self.cutoff + 1):
             if not power:
@@ -399,7 +338,7 @@ class WordCoefficients(MutableMapping):
     def __init__(self, series: TensorSeries):
         self._series = series
 
-    def _dict(self) -> dict[Word, object]:
+    def _dict(self) -> dict[Word, Fraction]:
         return self._series._coeff_dict()
 
     def __getitem__(self, word: Word):

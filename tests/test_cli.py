@@ -177,6 +177,16 @@ class TestVerifyExpansions:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"),
+                                             ("--degree", "0"),
+                                             ("--degree", "-1")])
+    def test_checking_nothing_is_usage_error(self, run, flag, value):
+        args = {"--degree": "3", "--trials": "2", flag: value}
+        code, out, err = run("verify-expansions",
+                             *(x for pair in args.items() for x in pair))
+        assert code == 2
+        assert flag in err and "pass" not in out and "FAIL" not in out
+
 
 class TestSimulate:
     def test_csv_output(self, run, tmp_path, control_file):

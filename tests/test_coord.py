@@ -9,8 +9,8 @@ import pytest
 from conftest import random_poly_control
 from lietool import trees
 from lietool.controls import PiecewisePolyControl, Poly, SampledControl, primitive
-from lietool.coord import (chen_coefficient, check_inequalities,
-                           match_named_family, rough_bound_constant, xi,
+from lietool.coord import (chen_coefficient, chen_coefficient_path,
+                           check_inequalities, match_named_family, rough_bound_constant, xi,
                            xi_closed_form, xi_path)
 from lietool.hall import basis_of_bidegree, basis_up_to_length
 from lietool.trees import D, M, P, Q_flat, W, X1, parse_tree
@@ -162,6 +162,57 @@ class TestChen:
         u = SampledControl(1.0, np.ones(129))
         val = chen_coefficient((1, 1), u)
         assert abs(val.approx - 0.5) < 1e-3
+
+
+def _chen_by_letters(word, u):
+    """The Chen path built letter by letter from the constant 1, no memo."""
+    one = u.power(0)
+    path = one
+    for letter in word:
+        path = (path * (u if letter else one)).antiderivative()
+    return path
+
+
+class TestChenMemo:
+    """The prefix-memoized Chen paths equal the letter-by-letter loop, bit
+    for bit, on an exact and on a sampled control."""
+
+    EXACT = random_poly_control(random.Random(7), max_pieces=3, max_degree=2)
+
+    def test_exact_control(self):
+        u = self.EXACT
+        for word in all_words(6):
+            got, want = chen_coefficient_path(word, u), _chen_by_letters(word, u)
+            assert got.breakpoints == want.breakpoints
+            assert got.pieces == want.pieces
+            assert chen_coefficient(word, u).exact == want.end_value()
+
+    def test_sampled_control(self):
+        u = SampledControl(1.0, self.EXACT.sample(257))
+        for word in all_words(6):
+            for v in (u, u.coarsened()):
+                assert np.array_equal(chen_coefficient_path(word, v).values,
+                                      _chen_by_letters(word, v).values)
+            fine = _chen_by_letters(word, u).end_value()
+            coarse = _chen_by_letters(word, u.coarsened()).end_value()
+            value = chen_coefficient(word, u)
+            assert value.approx == fine
+            assert value.error_estimate == abs(fine - coarse)
+
+    def test_each_prefix_is_integrated_once(self, monkeypatch):
+        u = SampledControl(1.0, self.EXACT.sample(257))
+        calls = Counter()
+        antiderivative = SampledControl.antiderivative
+
+        def counted(v):
+            calls[v.values.size] += 1
+            return antiderivative(v)
+
+        monkeypatch.setattr(SampledControl, "antiderivative", counted)
+        for word in all_words(5):
+            chen_coefficient(word, u)
+        # one antiderivative per nonempty word, on each grid
+        assert calls == {257: 62, 129: 62}
 
 
 class TestSampledAgainstExact:

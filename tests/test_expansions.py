@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_pc_control
-from lietool import trees
+from lietool import expansions, trees
 from lietool.controls import PiecewisePolyControl, primitive
 from lietool.coord import chen_coefficient, xi
 from lietool.expansions import (cross_coefficient_element, cross_term_check,
@@ -159,6 +159,14 @@ class TestCrossTermCheck:
         for report in cross_term_check(ZERO, cutoff=4):
             assert report.eta == 0 and report.xi == 0
 
+    def test_all_elements_match_at_cutoff_six_three_pieces(self):
+        u = PiecewisePolyControl.piecewise_constant(
+            (0, Fraction(1, 3), Fraction(2, 3), 1), (1, -2, Fraction(1, 2)))
+        reports = cross_term_check(u, cutoff=6)
+        assert len(reports) == 22
+        assert all(r.matched for r in reports)
+        assert any(r.cross_sum for r in reports if r.element.length == 6)
+
     def test_w1_cross_term_is_product_of_lower_coordinates(self, rng):
         u = random_pc_control(rng)
         reports = {r.element: r for r in cross_term_check(u, cutoff=3)}
@@ -171,3 +179,24 @@ class TestCrossTermCheck:
 def test_verify_expansions_all_pass():
     outcomes = verify_expansions(degree=4, trials=6, seed=11)
     assert all(passed for _, passed in outcomes)
+
+
+@pytest.mark.parametrize("degree, trials", [(4, 0), (0, 3), (-1, 3)])
+def test_verify_expansions_refuses_checking_nothing(degree, trials):
+    with pytest.raises(ValueError, match="degree" if degree < 1 else "trials"):
+        verify_expansions(degree=degree, trials=trials)
+
+
+def test_chen_identity_sees_a_word_the_state_drops(monkeypatch):
+    # X1 X1 X1 has a nonzero Chen coefficient on every control with
+    # u1(t) != 0; a state without it must fail the identity
+    real = expansions.formal_state
+
+    def dropping(u, cutoff):
+        state = real(u, cutoff)
+        state.series.coeffs.pop((1, 1, 1), None)
+        return state
+
+    monkeypatch.setattr(expansions, "formal_state", dropping)
+    outcomes = dict(verify_expansions(degree=3, trials=2, seed=1))
+    assert outcomes["formal_state == chen coefficients"] is False
