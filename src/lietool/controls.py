@@ -2,15 +2,20 @@
 
 The exact backbone is :class:`PiecewisePolyControl`: rational breakpoints with
 one polynomial per piece, written in the local variable (s - left endpoint).
-This class is closed under the operations the coordinate machinery needs:
-sums, products, antidifferentiation (continuous across breakpoints), exact
-definite integrals, and the kernel integrals int_0^t (t-s)^nu/nu! f(s) ds
-(done as iterated antiderivatives).  Its float side (RK4, sampling, norms)
-reads the float coefficient table :meth:`PiecewisePolyControl.float_pieces`,
-built once per control, through one float Horner, :func:`horner`, at a point
-or over a whole grid.
+Each piece is a :class:`Poly`, held as integer numerators over one positive
+denominator and reduced by one gcd per operation, and each piece width is kept
+as an integer pair (p, q), so every exact operation runs on Python ints.  The
+class is closed under the operations the coordinate machinery needs: sums,
+products, antidifferentiation (continuous across breakpoints, the running
+constant carried by a homogeneous integer Horner at the width), exact definite
+integrals, and the kernel integrals int_0^t (t-s)^nu/nu! f(s) ds (done as
+iterated antiderivatives).  Operands with the same breakpoints combine piece
+by piece; others are first split onto the union of the breakpoints.  Its float
+side (RK4, sampling, norms) reads the float coefficient table
+:meth:`PiecewisePolyControl.float_pieces`, built once per control, through one
+float Horner, :func:`horner`, at a point or over a whole grid.
 
-:class:`SampledControl` holds float values on a uniform grid and has the
+:class:`SampledControl` holds finite float values on a uniform grid and has the
 operations the coordinate recursion calls (products, powers, scaling, the
 trapezoid antiderivative, the end value), so one recursion serves both
 control types; a sampled value carries a Richardson error estimate against
@@ -19,8 +24,11 @@ the half grid.  Every iterated primitive of either type is :func:`primitive`.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from fractions import Fraction
+from math import comb, gcd
 from typing import Sequence, Union
 
 import numpy as np
@@ -36,104 +44,182 @@ def horner(coeffs, x):
     return acc
 
 
-class Poly:
-    """Dense univariate polynomial with Fraction coefficients (ascending)."""
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
-    __slots__ = ("coeffs",)
+
+@functools.cache
+def _primitive_factors(n: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (L/1, ..., L/n)) with L = lcm(1, ..., n): the primitive of n
+    numerators over den is (c_i L/(i+1)) over den L."""
+    lcm = math.lcm(*range(1, n + 1))
+    return lcm, tuple(lcm // i for i in range(1, n + 1))
+
+
+def _reduced(nums: Sequence[int], den: int) -> "Poly":
+    """The Poly nums / den (den > 0): trailing zeros trimmed, then numerators
+    and denominator divided by their one gcd."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    g = gcd(den, *nums[:n])         # den itself when every numerator is 0
+    out = object.__new__(Poly)
+    out.nums, out.den = tuple(c // g for c in nums[:n]), den // g
+    return out
+
+
+class Poly:
+    """Dense univariate polynomial with rational coefficients, ascending.
+
+    The coefficients are `nums[i] / den`: a tuple of integer numerators with
+    no trailing zero and one positive denominator sharing no factor with all
+    of them, so equal polynomials have equal fields (the zero polynomial is
+    `()` over 1).  The constructor takes int, Fraction, float (converted
+    exactly) or anything else `Fraction` accepts.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence = ()):  # trailing zeros trimmed
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fracs))
+        reduced = _reduced([f.numerator * (den // f.denominator)
+                            for f in fracs], den)
+        self.nums, self.den = reduced.nums, reduced.den
 
     @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.nums == other.nums
+                and self.den == other.den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)])
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            a = [c * (other.den // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * other.den
+        if len(a) < len(b):
+            a, b = b, a
+        return _reduced([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scale(-1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return _reduced(_convolve(self.nums, other.nums),
+                        self.den * other.den)
 
     def scale(self, factor) -> "Poly":
         factor = Fraction(factor)
-        return Poly([c * factor for c in self.coeffs])
+        return _reduced([c * factor.numerator for c in self.nums],
+                        self.den * factor.denominator)
 
     def power(self, exponent: int) -> "Poly":
-        """self^exponent by repeated squaring."""
-        out, base = Poly.constant(1), self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return out
+        """self^exponent by repeated squaring of the numerators; by Gauss's
+        lemma the content of nums^k is content(nums)^k, prime to den^k, so
+        the result needs no gcd."""
+        if exponent < 0:
+            raise ValueError(f"exponent must be >= 0, got {exponent}")
+        if exponent == 0:
+            return _ONE
+        if exponent == 1:
+            return self
+        out, base, k = [1], self.nums, exponent
+        while k:
+            if k & 1:
+                out = _convolve(out, base)
+            k >>= 1
+            if k:
+                base = _convolve(base, base)
+        result = object.__new__(Poly)
+        result.nums, result.den = tuple(out), self.den ** exponent
+        return result
 
     def antiderivative(self, constant=0) -> "Poly":
-        out = [Fraction(constant)]
-        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return Poly(out)
+        constant = Fraction(constant)
+        return self._primitive(constant.numerator, constant.denominator)
+
+    def _primitive(self, a: int, b: int) -> "Poly":
+        """The antiderivative with constant term a / b (b > 0)."""
+        lcm, factors = _primitive_factors(len(self.nums))
+        den = self.den * lcm
+        spread = b // gcd(den, b)      # den * spread = lcm(den, b)
+        den *= spread
+        nums = [a * (den // b)]
+        nums.extend(c * f * spread for c, f in zip(self.nums, factors))
+        return _reduced(nums, den)
 
     def derivative(self) -> "Poly":
-        return Poly([c * i for i, c in enumerate(self.coeffs) if i >= 1])
+        return _reduced([c * i for i, c in enumerate(self.nums)][1:], self.den)
 
     def shift(self, delta) -> "Poly":
-        """Compose with (x + delta): p(x + delta), exact."""
+        """Compose with (x + delta): p(x + delta), exact.  With delta = p/q and
+        degree n, numerator j over den q^n is
+        sum_i nums[i] C(i, j) p^(i-j) q^(n-i+j)."""
         delta = Fraction(delta)
-        if not delta:
+        if not delta or not self.nums:
             return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            binom = 1
-            dpow = Fraction(1)
-            for j in range(i, -1, -1):
-                out[j] += c * binom * dpow
-                binom = binom * j // (i - j + 1)
-                dpow *= delta
-        return Poly(out)
+        p, q = delta.numerator, delta.denominator
+        n = len(self.nums) - 1
+        ppow = [p ** k for k in range(n + 1)]
+        qpow = [q ** k for k in range(n + 1)]
+        out = [0] * (n + 1)
+        for i, c in enumerate(self.nums):
+            if c:
+                for j in range(i + 1):
+                    out[j] += c * comb(i, j) * ppow[i - j] * qpow[n - i + j]
+        return _reduced(out, self.den * qpow[n])
+
+    def _value(self, p: int, q: int) -> tuple[int, int]:
+        """The value at p/q (q > 0) as a reduced pair (numerator,
+        denominator), by a homogeneous integer Horner."""
+        acc, qk = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * qk
+            qk *= q
+        den = self.den * q ** max(0, len(self.nums) - 1)
+        g = gcd(acc, den)
+        return acc // g, den // g
 
     def eval(self, x):
         """Horner evaluation; exact for Fraction/int, float for float input."""
         if not isinstance(x, (Fraction, int)):
-            return horner([float(c) for c in self.coeffs], x)
+            return horner(self.float_coeffs(), x)
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(*self._value(x.numerator, x.denominator))
+
+    def float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients as floats; int / int is correctly rounded, so
+        each equals float() of its Fraction."""
+        return tuple(c / self.den for c in self.nums)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
+
+
+_ONE = Poly((1,))
 
 
 class PiecewisePolyControl:
@@ -145,7 +231,7 @@ class PiecewisePolyControl:
     matter here, so the convention at breakpoints is immaterial).
     """
 
-    __slots__ = ("breakpoints", "pieces", "_floats", "__weakref__")
+    __slots__ = ("breakpoints", "pieces", "_widths", "_floats", "__weakref__")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Poly]):
         bps = [Fraction(b) for b in breakpoints]
@@ -158,7 +244,20 @@ class PiecewisePolyControl:
         self.breakpoints = tuple(bps)
         self.pieces = tuple(p if isinstance(p, Poly) else Poly(p)
                             for p in pieces)
+        self._widths = _widths(self.breakpoints)
         self._floats = None
+
+    def _derived(self, pieces, breakpoints=None) -> "PiecewisePolyControl":
+        """A control built from checked parts, by default on self's
+        breakpoints: no validation, no re-wrapping."""
+        out = object.__new__(PiecewisePolyControl)
+        if breakpoints is None:
+            out.breakpoints, out._widths = self.breakpoints, self._widths
+        else:
+            out.breakpoints, out._widths = breakpoints, _widths(breakpoints)
+        out.pieces = tuple(pieces)
+        out._floats = None
+        return out
 
     @property
     def horizon(self) -> Fraction:
@@ -183,8 +282,13 @@ class PiecewisePolyControl:
         return len(self.pieces) - 1
 
     def eval(self, s):
+        """The value at s: exact for Fraction/int s, which must lie in
+        [0, t]; a float s is evaluated leniently past the ends (RK4 stage
+        times can round past the horizon)."""
         if isinstance(s, (Fraction, int)):
             s = Fraction(s)
+            if not 0 <= s <= self.horizon:
+                raise ValueError(f"s = {s} lies outside [0, {self.horizon}]")
             i = self.piece_index(s)
             return self.pieces[i].eval(s - self.breakpoints[i])
         pieces = self.float_pieces()
@@ -199,74 +303,76 @@ class PiecewisePolyControl:
         if self._floats is None:
             self._floats = tuple(
                 (float(self.breakpoints[i]), float(self.breakpoints[i + 1]),
-                 tuple(float(c) for c in poly.coeffs))
+                 poly.float_coeffs())
                 for i, poly in enumerate(self.pieces))
         return self._floats
 
-    def _aligned(self, other: "PiecewisePolyControl") \
-            -> tuple[tuple[Fraction, ...], list[Poly], list[Poly]]:
-        if self.horizon != other.horizon:
-            raise ValueError("horizon mismatch")
-        merged = sorted(set(self.breakpoints) | set(other.breakpoints))
-        mine, theirs = [], []
+    def _split(self, merged: Sequence[Fraction]) -> list[Poly]:
+        """The pieces on `merged`, a refinement of the breakpoints."""
+        out, i = [], 0
         for left in merged[:-1]:
-            i = self.piece_index(left) if left else 0
             while self.breakpoints[i + 1] <= left:
                 i += 1
-            mine.append(self.pieces[i].shift(left - self.breakpoints[i]))
-            j = other.piece_index(left) if left else 0
-            while other.breakpoints[j + 1] <= left:
-                j += 1
-            theirs.append(other.pieces[j].shift(left - other.breakpoints[j]))
-        return tuple(merged), mine, theirs
+            out.append(self.pieces[i].shift(left - self.breakpoints[i]))
+        return out
+
+    def _combine(self, other: "PiecewisePolyControl", op) \
+            -> "PiecewisePolyControl":
+        """op piece by piece: directly on shared breakpoints, else after
+        splitting both operands onto the union of their breakpoints."""
+        if self.breakpoints == other.breakpoints:
+            return self._derived(map(op, self.pieces, other.pieces))
+        if self.horizon != other.horizon:
+            raise ValueError("horizon mismatch")
+        merged = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
+        return self._derived(map(op, self._split(merged), other._split(merged)),
+                             merged)
 
     def __add__(self, other: "PiecewisePolyControl") -> "PiecewisePolyControl":
-        bps, mine, theirs = self._aligned(other)
-        return PiecewisePolyControl(bps, [a + b for a, b in zip(mine, theirs)])
+        return self._combine(other, Poly.__add__)
 
     def __sub__(self, other: "PiecewisePolyControl") -> "PiecewisePolyControl":
-        return self + other.scale(-1)
+        return self._combine(other, Poly.__sub__)
 
     def __mul__(self, other: "PiecewisePolyControl") -> "PiecewisePolyControl":
-        bps, mine, theirs = self._aligned(other)
-        return PiecewisePolyControl(bps, [a * b for a, b in zip(mine, theirs)])
+        return self._combine(other, Poly.__mul__)
 
     def scale(self, factor) -> "PiecewisePolyControl":
-        return PiecewisePolyControl(
-            self.breakpoints, [p.scale(factor) for p in self.pieces])
+        return self._derived(p.scale(factor) for p in self.pieces)
 
     def power(self, exponent: int) -> "PiecewisePolyControl":
-        return PiecewisePolyControl(
-            self.breakpoints, [p.power(exponent) for p in self.pieces])
+        return self._derived(p.power(exponent) for p in self.pieces)
 
     def antiderivative(self) -> "PiecewisePolyControl":
-        """The primitive vanishing at 0, continuous across breakpoints."""
+        """The primitive vanishing at 0, continuous across breakpoints: each
+        piece starts from the previous one's value at its width."""
         pieces = []
-        running = Fraction(0)
-        for i, p in enumerate(self.pieces):
-            prim = p.antiderivative(running)
+        a, b = 0, 1
+        for poly, (p, q) in zip(self.pieces, self._widths):
+            prim = poly._primitive(a, b)
+            a, b = prim._value(p, q)
             pieces.append(prim)
-            running = prim.eval(self.breakpoints[i + 1] - self.breakpoints[i])
-        return PiecewisePolyControl(self.breakpoints, pieces)
+        return self._derived(pieces)
 
     def derivative(self) -> "PiecewisePolyControl":
-        return PiecewisePolyControl(
-            self.breakpoints, [p.derivative() for p in self.pieces])
+        return self._derived(p.derivative() for p in self.pieces)
 
     def integral(self) -> Fraction:
         """Exact integral over the full domain [0, t]."""
-        return self.antiderivative().eval(self.horizon)
+        return self.antiderivative().end_value()
 
     def kernel_integral(self, nu: int) -> Fraction:
-        """Exact value of int_0^t (t-s)^nu / nu! f(s) ds.
+        """Exact value of int_0^t (t-s)^nu / nu! f(s) ds, for nu >= 0.
 
         Equals the (nu+1)-fold iterated primitive of f at t (Cauchy's
         repeated-integration formula).
         """
+        if nu < 0:
+            raise ValueError(f"kernel order nu must be >= 0, got {nu}")
         return primitive(self, nu + 1).end_value()
 
     def end_value(self) -> Fraction:
-        return self.eval(self.horizon)
+        return Fraction(*self.pieces[-1]._value(*self._widths[-1]))
 
     # ------------------------------------------------------------------
     # numeric helpers (for reports and inequality checks)
@@ -337,18 +443,43 @@ class PiecewisePolyControl:
         }
 
 
+def _widths(breakpoints: Sequence[Fraction]) -> tuple[tuple[int, int], ...]:
+    """Each piece's width as a reduced integer pair (p, q), q > 0."""
+    return tuple(((b - a).numerator, (b - a).denominator)
+                 for a, b in zip(breakpoints, breakpoints[1:]))
+
+
 class SampledControl:
-    """Float samples on the uniform grid over [0, t] (n >= 2 points)."""
+    """Finite float samples on the uniform grid over [0, t] (t > 0, n >= 2
+    points)."""
 
     __slots__ = ("horizon", "values", "_coarse", "_grid", "__weakref__")
 
     def __init__(self, t: float, values: Sequence[float]):
-        self.horizon = float(t)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 2:
+        horizon = float(t)
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError(f"horizon t must be finite and > 0, got {t!r}")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or values.size < 2:
             raise ValueError("need a 1-d array of >= 2 samples")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]} is not finite: "
+                             f"{float(values[bad[0]])}")
+        self._set(horizon, values)
+
+    def _set(self, horizon: float, values: np.ndarray) -> None:
+        self.horizon = horizon
+        self.values = values
         self._coarse = None
         self._grid = None
+
+    def _derived(self, values: np.ndarray) -> "SampledControl":
+        """New samples on the same horizon, without re-validation (float
+        arithmetic on the samples may legitimately overflow)."""
+        out = object.__new__(SampledControl)
+        out._set(self.horizon, values)
+        return out
 
     @property
     def step(self) -> float:
@@ -368,24 +499,24 @@ class SampledControl:
         if (self.horizon, self.values.size) != (other.horizon,
                                                 other.values.size):
             raise ValueError("grid mismatch")
-        return SampledControl(self.horizon, self.values * other.values)
+        return self._derived(self.values * other.values)
 
     def scale(self, factor) -> "SampledControl":
         """Multiply by the numerator, then divide by the denominator, so a
         factor 1/n is the one float division by n."""
         factor = Fraction(factor)
-        return SampledControl(
-            self.horizon, self.values * factor.numerator / factor.denominator)
+        return self._derived(
+            self.values * factor.numerator / factor.denominator)
 
     def power(self, exponent: int) -> "SampledControl":
-        return SampledControl(self.horizon, self.values ** exponent)
+        return self._derived(self.values ** exponent)
 
     def antiderivative(self) -> "SampledControl":
         """Cumulative trapezoid primitive on the same grid."""
         v = self.values
         h = self.step
-        out = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) * (h / 2))))
-        return SampledControl(self.horizon, out)
+        return self._derived(
+            np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) * (h / 2)))))
 
     def end_value(self) -> float:
         return float(self.values[-1])
@@ -396,7 +527,7 @@ class SampledControl:
         if self.values.size < 5:
             raise ValueError("grid too small to coarsen")
         if self._coarse is None:
-            self._coarse = SampledControl(self.horizon, self.values[::2])
+            self._coarse = self._derived(self.values[::2])
         return self._coarse
 
     def to_json_dict(self) -> dict:

@@ -93,7 +93,8 @@ def _xi_derivative(b: BracketTree, u: ControlSignal) -> ControlSignal:
     if b is X1:
         return u
     b1, m, b2 = hall_factor(b)
-    return (xi_path(b1, u).power(m) * _xi_derivative(b2, u)).scale(
+    integrand = xi_path(b1, u).power(m) * _xi_derivative(b2, u)
+    return integrand if m == 1 else integrand.scale(
         Fraction(1, math.factorial(m)))
 
 
@@ -256,7 +257,8 @@ def check_inequalities(u: PiecewisePolyControl,
 
     Returns one result per inequality with both side values; the inequality
     requiring u_1(t) = 0 is reported not-applicable when the precondition
-    fails.
+    fails, and on the identically zero control, where both sides of every
+    inequality are 0, all of them are reported not-applicable.
     """
     results: list[InequalityResult] = []
     t = float(u.horizon)
@@ -310,4 +312,7 @@ def check_inequalities(u: PiecewisePolyControl,
         results.append(InequalityResult(
             f"rough bound {text}", True, lhs, rhs, _leq(lhs, rhs)))
 
+    if not any(u.pieces):
+        return [InequalityResult(r.name, False, None, None, None,
+                                 note="zero control") for r in results]
     return results

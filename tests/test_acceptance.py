@@ -262,10 +262,16 @@ def test_criterion_10_inequality_suite():
             if i % 2:
                 u = random_poly_control(rng, max_pieces=2, max_degree=2)
             else:
-                # force u1(t) = 0 so the gated inequality actually runs
-                base = random_poly_control(rng, max_pieces=2, max_degree=1)
-                shift = primitive(base, 1).end_value() / base.horizon
-                u = base - PiecewisePolyControl.constant(shift, base.horizon)
+                # force u1(t) = 0 so the gated inequality actually runs; a
+                # constant base becomes the zero control, on which no
+                # inequality applies, so draw again
+                u = PiecewisePolyControl.constant(0, 1)
+                while not any(u.pieces):
+                    base = random_poly_control(rng, max_pieces=2,
+                                               max_degree=1)
+                    shift = primitive(base, 1).end_value() / base.horizon
+                    u = base - PiecewisePolyControl.constant(shift,
+                                                             base.horizon)
             for result in check_inequalities(u):
                 if result.applicable:
                     assert result.passed, result.line()

@@ -2,13 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import lietool
+from lietool import simulate
 from lietool.cli import (CONDITION_GRAMMAR, CONTROL_FORMAT_HINT,
                          FAMILY_GRAMMAR, ZOO_SPEC_FORM, _parse_family, main)
 from lietool.conditions import family_loose, family_sextic
+from lietool.coord import xi
+from lietool.trees import parse_tree
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -209,6 +215,38 @@ class TestDriftScan:
         assert code1 == code2 == 0
         assert out1 == out2
         assert json.loads(out1)["passed"] is True
+
+    @pytest.mark.parametrize("system, bracket, family", [
+        ("easy", "W(1,0)", "s1"), ("w2_vs_q111", "W(2,0)", "n2")])
+    def test_readme_scan_is_pinned(self, run, monkeypatch, system, bracket,
+                                   family):
+        """The README scans against `tests/data/readme_scan_<system>*`, made
+        with Fraction-coefficient controls: the `--json` output byte for
+        byte, every margin and weak margin bit for bit, and the exact xi of
+        every trial."""
+        reports = []
+        scan = simulate.drift_scan
+
+        def recording(*args, **kwargs):
+            reports.append(scan(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(simulate, "drift_scan", recording)
+        code, out, _ = run("drift-scan", "--system", f"zoo:{system}",
+                           "--bracket", bracket, "--family", family,
+                           "--eps", "0.1", "--C", "10", "--beta", "1.5",
+                           "--trials", "200", "--seed", "0", "--json")
+        assert code == 0
+        assert out == (DATA / f"readme_scan_{system}.json").read_text()
+        pinned = json.loads(
+            (DATA / f"readme_scan_{system}.trials.json").read_text())
+        (report,) = reports
+        assert [m.hex() for m in report.margins] == pinned["margins"]
+        assert [m.hex() for m in report.weak_margins] \
+            == pinned["weak_margins"]
+        tree = parse_tree(bracket)
+        assert [str(xi(tree, u).exact) for u in simulate.random_control_family(
+            0, 200, report.rho, report.t_max)] == pinned["xi"]
 
     def test_refusal_message(self, run):
         code, out, _ = run("drift-scan", "--system", "zoo:jakubczyk",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly_control
 from lietool.controls import (PiecewisePolyControl, Poly, SampledControl,
@@ -112,6 +113,22 @@ class TestPiecewise:
                     integrand = (kern * p).antiderivative()
                     total += integrand.eval(width)
                 assert kernel_value == total / math.factorial(nu)
+
+    def test_exact_eval_outside_the_domain_is_refused(self):
+        u = PiecewisePolyControl((0, Fraction(1, 2), 1),
+                                 (Poly((1, 2)), Poly((3,))))
+        assert u.eval(0) == 1 and u.eval(1) == 3
+        for s in (3, -1, Fraction(-1, 10 ** 9), Fraction(1001, 1000)):
+            with pytest.raises(ValueError, match="outside"):
+                u.eval(s)
+        # floats stay lenient: RK4 stage times can round past the horizon
+        assert u.eval(1.0 + 1e-12) == 3.0 and u.eval(-1e-12) == 1.0 - 2e-12
+
+    def test_negative_kernel_order_is_refused(self):
+        u = PiecewisePolyControl.constant(1, 1)
+        assert u.kernel_integral(0) == 1
+        with pytest.raises(ValueError, match="nu"):
+            u.kernel_integral(-1)
 
     def test_even_power_integral_exact(self):
         u = PiecewisePolyControl.piecewise_constant(
@@ -288,6 +305,19 @@ class TestSampled:
         u = SampledControl(1.0, np.linspace(0, 1, 9))
         assert u.coarsened().values.size == 5
 
+    @pytest.mark.parametrize("t, values, named", [
+        (1.0, [0.0, "inf", 1.0], "sample 1 is not finite: inf"),
+        (1.0, [0.0, 1.0, float("nan")], "sample 2 is not finite: nan"),
+        (-1.0, [0.0, 1.0], "-1.0"),
+        (0.0, [0.0, 1.0], "0.0"),
+        ("inf", [0.0, 1.0], "inf")])
+    def test_non_finite_samples_and_bad_horizon_refused(self, t, values,
+                                                        named):
+        with pytest.raises(ValueError) as info:
+            control_from_json_dict({"type": "samples", "t": t,
+                                    "values": values})
+        assert named in str(info.value)
+
 
 class TestJson:
     def test_round_trip_piecewise(self):
@@ -311,3 +341,153 @@ class TestJson:
         u = control_from_json_dict(
             {"type": "samples", "t": 1.0, "values": [0.0, 1.0, 0.0]})
         assert isinstance(u, SampledControl)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a plain-Fraction reference
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_eval(cs, x):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_shift(cs, delta):
+    out = [Fraction(0)] * len(cs)
+    for i, c in enumerate(cs):
+        for j in range(i + 1):
+            out[j] += c * math.comb(i, j) * delta ** (i - j)
+    return _trim(out)
+
+
+class _Ref:
+    """A piecewise polynomial as Fraction breakpoints and Fraction
+    coefficient lists, with the textbook operations."""
+
+    def __init__(self, bps, pieces):
+        self.bps = [Fraction(b) for b in bps]
+        self.pieces = [_trim(Fraction(c) for c in cs) for cs in pieces]
+
+    def control(self):
+        return PiecewisePolyControl(self.bps, [Poly(cs) for cs in self.pieces])
+
+    def _split(self, merged):
+        out, i = [], 0
+        for left in merged[:-1]:
+            while self.bps[i + 1] <= left:
+                i += 1
+            out.append(_ref_shift(self.pieces[i], left - self.bps[i]))
+        return out
+
+    def combine(self, other, op):
+        merged = sorted(set(self.bps) | set(other.bps))
+        return _Ref(merged, [op(a, b) for a, b in zip(self._split(merged),
+                                                       other._split(merged))])
+
+    def map(self, op):
+        return _Ref(self.bps, [op(cs) for cs in self.pieces])
+
+    def antiderivative(self):
+        pieces, running = [], Fraction(0)
+        for i, cs in enumerate(self.pieces):
+            prim = _trim([running] + [c / (k + 1) for k, c in enumerate(cs)])
+            running = _ref_eval(prim, self.bps[i + 1] - self.bps[i])
+            pieces.append(prim)
+        return _Ref(self.bps, pieces)
+
+    def end_value(self):
+        return _ref_eval(self.pieces[-1], self.bps[-1] - self.bps[-2])
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def _assert_matches(u: PiecewisePolyControl, ref: _Ref):
+    assert u.breakpoints == tuple(ref.bps)
+    assert all(type(b) is Fraction for b in u.breakpoints)
+    assert [p.coeffs for p in u.pieces] == [tuple(cs) for cs in ref.pieces]
+    for p in u.pieces:
+        assert all(type(c) is Fraction for c in p.coeffs)
+        # canonical: no trailing zero, one positive denominator, one gcd
+        assert p.den > 0 and (not p.nums or p.nums[-1])
+        assert math.gcd(p.den, *p.nums) == 1
+    floats = [(float(ref.bps[i]).hex(), float(ref.bps[i + 1]).hex(),
+               [float(c).hex() for c in cs]) for i, cs in enumerate(ref.pieces)]
+    assert [(left.hex(), right.hex(), [c.hex() for c in cs])
+            for left, right, cs in u.float_pieces()] == floats
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_PIECE = st.one_of(st.just([]), st.lists(_COEFF, min_size=1, max_size=4))
+_CUT = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(
+    lambda c: 0 < c < 1)
+
+
+@st.composite
+def _ref_pair(draw):
+    horizon = draw(st.fractions(min_value=Fraction(1, 3), max_value=3,
+                                max_denominator=4))
+    refs = []
+    for _ in range(2):
+        cuts = sorted(draw(st.sets(_CUT, max_size=3)))
+        bps = [Fraction(0), *(horizon * c for c in cuts), horizon]
+        refs.append(_Ref(bps, draw(st.lists(_PIECE, min_size=len(bps) - 1,
+                                            max_size=len(bps) - 1))))
+    return refs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ref_pair(), _COEFF, st.fractions(min_value=-2, max_value=2,
+                                         max_denominator=7))
+def test_integer_representation_matches_fraction_reference(pair, factor,
+                                                           delta):
+    ref_u, ref_v = pair
+    u, v = ref_u.control(), ref_v.control()
+    _assert_matches(u, ref_u)
+    _assert_matches(u + v, ref_u.combine(ref_v, _ref_add))
+    _assert_matches(u - v, ref_u.combine(
+        ref_v, lambda a, b: _ref_add(a, [-c for c in b])))
+    _assert_matches(u * v, ref_u.combine(ref_v, _ref_mul))
+    power = _Ref(ref_u.bps, [[Fraction(1)]] * len(ref_u.pieces))
+    for exponent in range(5):
+        _assert_matches(u.power(exponent), power)
+        power = power.combine(ref_u, _ref_mul)
+    _assert_matches(u.scale(factor),
+                    ref_u.map(lambda cs: _trim(c * factor for c in cs)))
+    _assert_matches(u.derivative(), ref_u.map(
+        lambda cs: [c * k for k, c in enumerate(cs)][1:]))
+    for p, cs in zip(u.pieces, ref_u.pieces):
+        assert p.shift(delta).coeffs == tuple(_ref_shift(cs, delta))
+        assert p.eval(delta) == _ref_eval(cs, delta)
+    prim = ref_u
+    for nu in range(3):
+        prim = prim.antiderivative()
+        _assert_matches(primitive(u, nu + 1), prim)
+        assert u.kernel_integral(nu) == prim.end_value()
+        if nu == 0:
+            assert u.integral() == prim.end_value()
+    assert u.end_value() == ref_u.end_value()
+    assert u.eval(u.horizon) == ref_u.end_value()
+    data = json.loads(json.dumps(u.to_json_dict()))
+    assert data["pieces"] == [[str(c) for c in cs] or ["0"]
+                              for cs in ref_u.pieces]
+    _assert_matches(control_from_json_dict(data), ref_u)

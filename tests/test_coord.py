@@ -255,11 +255,16 @@ class TestSampledAgainstExact:
 
 
 class TestInequalities:
-    def test_zero_control_all_pass(self):
-        u = PiecewisePolyControl.constant(0, 1)
-        for result in check_inequalities(u):
-            if result.applicable:
-                assert result.passed, result.line()
+    @pytest.mark.parametrize("u", [
+        PiecewisePolyControl.constant(0, 1),
+        PiecewisePolyControl((0, Fraction(1, 3), 1), (Poly(), Poly()))])
+    def test_zero_control_is_not_applicable(self, u):
+        # both sides of every inequality are 0: a pass would be vacuous
+        results = check_inequalities(u)
+        assert len(results) == len(check_inequalities(UNIT)) == 12
+        for result in results:
+            assert not result.applicable and result.passed is None
+            assert result.line().endswith("not applicable (zero control)")
 
     def test_unit_control_first_interpolation_values(self):
         results = check_inequalities(UNIT)
