@@ -19,7 +19,8 @@ float Horner, :func:`horner`, at a point or over a whole grid.
 operations the coordinate recursion calls (products, powers, scaling, the
 trapezoid antiderivative, the end value), so one recursion serves both
 control types; a sampled value carries a Richardson error estimate against
-the half grid.  Every iterated primitive of either type is :func:`primitive`.
+the half grid.  Every iterated primitive of either type is :func:`primitive`;
+:func:`primitives` shares one chain of them between several orders.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 import math
 from fractions import Fraction
 from math import comb, gcd
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -540,12 +541,22 @@ ControlSignal = Union[PiecewisePolyControl, SampledControl]
 
 def primitive(u: ControlSignal, j: int) -> ControlSignal:
     """The j-th iterated primitive (j = 0 returns u itself)."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    out = u
-    for _ in range(j):
-        out = out.antiderivative()
-    return out
+    return primitives(u)(j)
+
+
+def primitives(u: ControlSignal) -> Callable[[int], ControlSignal]:
+    """j -> primitive(u, j), building each antiderivative of u once, so
+    callers that need several primitives of one control share one chain."""
+    chain = [u]
+
+    def prim(j: int) -> ControlSignal:
+        if j < 0:
+            raise ValueError("j must be >= 0")
+        while len(chain) <= j:
+            chain.append(chain[-1].antiderivative())
+        return chain[j]
+
+    return prim
 
 
 def control_from_json_dict(data: dict) -> ControlSignal:

@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import trees
-from .controls import ControlSignal, PiecewisePolyControl, primitive
+from .controls import (ControlSignal, PiecewisePolyControl, primitive,
+                       primitives)
 from .hall import HallElement, hall_factor
 from .trees import BracketTree, X0, X1
 from .words import Word
@@ -147,9 +148,7 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     if pattern is None:
         raise ValueError(f"{_as_tree(b).text} is outside the named families")
     fam, idx, nu = pattern.family, pattern.indices, pattern.nu
-
-    def prim(j: int) -> PiecewisePolyControl:
-        return primitive(u, j)
+    prim = primitives(u)
 
     if fam == "M":
         integrand = u
@@ -262,7 +261,8 @@ def check_inequalities(u: PiecewisePolyControl,
     """
     results: list[InequalityResult] = []
     t = float(u.horizon)
-    u1 = u.antiderivative()
+    prim = primitives(u)
+    u1 = prim(1)
     u1_sup = u1.sup_norm()
 
     # interpolation: ||u1||_{2k+1}^{2k+1} <= ||u1||_inf ||u1||_{2k}^{2k}
@@ -292,10 +292,8 @@ def check_inequalities(u: PiecewisePolyControl,
 
     # ||u_j||_p <= t^(j-j0)/(j-j0)! ||u_j0||_p
     for j, j0, p in primitive_norm_cases:
-        upj = primitive(u, j)
-        upj0 = primitive(u, j0)
-        lhs = upj.lp_norm(p)
-        rhs = t ** (j - j0) / math.factorial(j - j0) * upj0.lp_norm(p)
+        lhs = prim(j).lp_norm(p)
+        rhs = t ** (j - j0) / math.factorial(j - j0) * prim(j0).lp_norm(p)
         results.append(InequalityResult(
             f"primitive norm j={j} j0={j0} p={p}", True, lhs, rhs,
             _leq(lhs, rhs)))

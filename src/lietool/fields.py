@@ -13,6 +13,13 @@ computed so far, which serves every lower order; trailing X0 brackets at the
 origin reduce to multiplication by the Jacobian of f0 at 0 (valid because
 f0(0) = 0), which the span machinery exploits.
 
+The jets run on integers.  A system clears the denominators of its fields
+once, f0 = F0 / D0 and f1 = F1 / D1 with integer fields F0, F1, and its jet
+cache holds the integer numerators F_b built from them by the same bracket
+recursion; since the bracket is bilinear, f_b = F_b / (D0^n0 D1^n1).  Only
+the public values divide: `bracket_jet` and `bracket_field` return the
+rational field, and f_b(0) and every `Vector` are tuples of `Fraction`.
+
 For simulation `PolyVectorField.eval_float` compiles a field to floats once
 and evaluates it at one point or, on numpy arrays, at many points at once,
 with the same operations in the same order either way.
@@ -20,15 +27,18 @@ with the same operations in the same order either way.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import trees
+from .exact_linalg import clear_denominators
 from .hall import HallElement, LieElement
 from .polynomials import SparsePoly
 from .trees import BracketTree
@@ -53,7 +63,7 @@ class PolyVectorField:
 
     @classmethod
     def zero(cls, dim: int) -> "PolyVectorField":
-        return cls(dim, [SparsePoly(dim) for _ in range(dim)])
+        return cls(dim, [SparsePoly._make(dim, {}) for _ in range(dim)])
 
     @classmethod
     def constant(cls, dim: int, vector: Sequence) -> "PolyVectorField":
@@ -84,7 +94,7 @@ class PolyVectorField:
             raise ValueError("dimension mismatch")
 
     def value_at_zero(self) -> Vector:
-        return tuple(c.constant_term() for c in self.components)
+        return tuple(Fraction(c.constant_term()) for c in self.components)
 
     def eval(self, point: Sequence) -> Vector:
         return tuple(c.eval(point) for c in self.components)
@@ -116,7 +126,7 @@ class PolyVectorField:
         return out
 
     def jacobian_at_zero(self) -> list[list[Fraction]]:
-        return [[self.components[i].partial(j).constant_term()
+        return [[Fraction(self.components[i].partial(j).constant_term())
                  for j in range(self.dim)] for i in range(self.dim)]
 
     def degree(self) -> int:
@@ -133,45 +143,83 @@ def jet_bracket(f: PolyVectorField, g: PolyVectorField,
                 order: int) -> PolyVectorField:
     """[f, g] = (Dg) f - (Df) g without its terms of total degree above order.
 
-    Exact up to `order` whenever f and g are exact up to order + 1.
+    Exact up to `order` whenever f and g are exact up to order + 1.  The
+    products run on exponents packed into one int each, `width` bits per
+    variable (:func:`_packed`): no exponent a product forms exceeds
+    order + 1 < 2**width, so no field carries into its neighbour and a
+    monomial product is one integer addition.
     """
     f._check(g)
-    f_terms = [_by_degree(c) for c in f.components]
-    g_terms = [_by_degree(c) for c in g.components]
+    if order < 0:
+        return PolyVectorField.zero(f.dim)
+    width = (order + 1).bit_length()
+    f_terms = [_packed(c, order + 1, width) for c in f.components]
+    g_terms = [_packed(c, order + 1, width) for c in g.components]
+    f_rooms = [_by_room(t, order + 1) for t in f_terms]
+    g_rooms = [_by_room(t, order + 1) for t in g_terms]
     out = []
-    for fi, gi in zip(f.components, g.components):
-        acc: dict = {}
-        _add_derivative(acc, gi, f_terms, order, 1)
-        _add_derivative(acc, fi, g_terms, order, -1)
-        out.append(SparsePoly(f.dim, acc))
+    for fi, gi in zip(f_terms, g_terms):
+        acc: defaultdict = defaultdict(int)
+        _add_derivative(acc, gi, f_rooms, order, width, 1)
+        _add_derivative(acc, fi, g_rooms, order, width, -1)
+        out.append(SparsePoly._summed(f.dim, _unpacked(acc, f.dim, width)))
     return PolyVectorField(f.dim, out)
 
 
-def _by_degree(p: SparsePoly) -> list:
-    return sorted((sum(e), e, c) for e, c in p.terms.items())
+def _packed(p: SparsePoly, top: int, width: int) -> list:
+    """The terms of p of total degree <= top as (degree, exponents, key, c),
+    with exponent i in bits [i * width, (i + 1) * width) of key."""
+    out = []
+    for e, c in p.terms.items():
+        degree = sum(e)
+        if degree <= top:
+            key = 0
+            for k in reversed(e):
+                key = (key << width) | k
+            out.append((degree, e, key, c))
+    return out
 
 
-def _add_derivative(acc: dict, p: SparsePoly, direction: list, order: int,
-                    sign: int) -> None:
+def _by_room(terms: list, top: int) -> list:
+    """rooms[r]: the (key, c) pairs of the terms of degree <= r, r <= top."""
+    rooms: list[list] = [[] for _ in range(top + 1)]
+    for degree, _, key, c in terms:
+        rooms[degree].append((key, c))
+    for r in range(1, top + 1):
+        rooms[r] = rooms[r - 1] + rooms[r]
+    return rooms
+
+
+def _add_derivative(acc: defaultdict, terms: list, direction: list,
+                    order: int, width: int, sign: int) -> None:
     """acc += sign * (Dp) . direction, cut at total degree `order`.
 
-    `direction[j]` lists the terms of the j-th component by increasing
-    degree, so no product of terms whose degrees sum past `order` is formed.
+    `terms` are p's packed terms and `direction[j]` the rooms of the j-th
+    component, so no product of terms whose degrees sum past `order` is
+    formed.
     """
-    for e, c in p.terms.items():
-        room = order + 1 - sum(e)
-        if room < 0:
-            continue
+    for degree, e, key, c in terms:
+        room = order + 1 - degree
         for j, k in enumerate(e):
-            if not k:
-                continue
-            base = e[:j] + (k - 1,) + e[j + 1:]
-            scale = sign * k * c
-            for degree, e2, c2 in direction[j]:
-                if degree > room:
-                    break
-                key = tuple(map(add, base, e2))
-                acc[key] = acc.get(key, 0) + scale * c2
+            if k:
+                base = key - (1 << (j * width))
+                scale = sign * k * c
+                for key2, c2 in direction[j][room]:
+                    acc[base + key2] += scale * c2
+
+
+def _unpacked(acc: dict, dim: int, width: int) -> dict:
+    """The nonzero packed terms of acc keyed by exponent tuples."""
+    mask = (1 << width) - 1
+    out = {}
+    for key, c in acc.items():
+        if c:
+            e = []
+            for _ in range(dim):
+                e.append(key & mask)
+                key >>= width
+            out[tuple(e)] = c
+    return out
 
 
 def vf_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
@@ -199,21 +247,30 @@ class SystemDef:
         self.expected_values = {
             trees.parse_tree(k).text: tuple(Fraction(x) for x in v)
             for k, v in self.expected_values.items()}
+        # f0 = F0 / D0 and f1 = F1 / D1 with integer fields F0, F1; the jet
+        # cache holds integer numerators F_b, f_b = F_b / (D0^n0 D1^n1)
+        (f0_num, d0), (f1_num, d1) = map(_numerator_field, (self.f0, self.f1))
+        self._leaf_numerators = (f0_num, f1_num)
+        self._leaf_denominators = (d0, d1)
         self._field_cache: dict[BracketTree, PolyVectorField] = {}
         self._jet_order: dict[BracketTree, int] = {}
         self._value_cache: dict[BracketTree, Vector] = {}
         self._leaf_degrees = (self.f0.degree(), self.f1.degree())
-        self._h0: Optional[list[list[Fraction]]] = None
 
-    @property
-    def h0(self) -> list[list[Fraction]]:
-        if self._h0 is None:
-            self._h0 = self.f0.jacobian_at_zero()
-        return self._h0
+    @functools.cached_property
+    def _h0_rows(self) -> list[list[int]]:
+        """The Jacobian J of F0 at 0, integer: the Jacobian of f0 at 0 is
+        H0 = J / D0."""
+        return [[int(c) for c in row]
+                for row in self._leaf_numerators[0].jacobian_at_zero()]
 
     def h0_apply(self, v: Sequence[Fraction]) -> Vector:
-        return tuple(sum((row[j] * v[j] for j in range(self.dim)),
-                         Fraction(0)) for row in self.h0)
+        """H0 v, as J times the numerators of v over one denominator."""
+        den = math.lcm(*(x.denominator for x in v))
+        nums = [x.numerator * (den // x.denominator) for x in v]
+        den *= self._leaf_denominators[0]
+        return tuple(Fraction(sum(c * n for c, n in zip(row, nums)), den)
+                     for row in self._h0_rows)
 
     def _degree_bound(self, b: BracketTree) -> int:
         """A bound on deg f_b: deg f0 or deg f1 at a leaf, deg L + deg R - 1
@@ -221,25 +278,30 @@ class SystemDef:
         d0, d1 = self._leaf_degrees
         return b.n0 * (d0 - 1) + b.n1 * (d1 - 1) + 1
 
-    def bracket_jet(self, b: BracketTree, order: int) -> PolyVectorField:
-        """f_b without its terms of total degree above `order`.
+    def _denominator(self, b: BracketTree) -> int:
+        d0, d1 = self._leaf_denominators
+        return d0 ** b.n0 * d1 ** b.n1
+
+    def _numerator_jet(self, b: BracketTree, order: int) -> PolyVectorField:
+        """F_b exact up to total degree `order`, possibly with higher terms.
 
         `_field_cache[b]` holds the highest-order jet computed so far for b
-        (its order in `_jet_order[b]`): a lower order is cut from it, a
-        higher one is recomputed from the children's jets one order up.
+        (its order in `_jet_order[b]`) and serves every lower order as it
+        is: a constant term or a `jet_bracket` to order k reads only the
+        terms of degree <= k + 1.  A higher order is recomputed from the
+        children's jets one order up.  The bracket is bilinear, so
+        F_b = [F_left, F_right] on integers.
         """
         order = min(order, self._degree_bound(b))
         if order < 0:
             return PolyVectorField.zero(self.dim)
-        have = self._jet_order.get(b, -1)
-        if have >= order:
-            jet = self._field_cache[b]
-            return jet if have == order else jet.truncated(order)
+        if self._jet_order.get(b, -1) >= order:
+            return self._field_cache[b]
         if b.is_leaf:
-            out = (self.f0 if b is trees.X0 else self.f1).truncated(order)
+            out = self._leaf_numerators[b is not trees.X0].truncated(order)
         else:
-            left = self.bracket_jet(b.left, order + 1)
-            right = self.bracket_jet(b.right, order + 1)
+            left = self._numerator_jet(b.left, order + 1)
+            right = self._numerator_jet(b.right, order + 1)
             if not left or not right:
                 out = PolyVectorField.zero(self.dim)
             else:
@@ -247,6 +309,14 @@ class SystemDef:
         self._field_cache[b] = out
         self._jet_order[b] = order
         return out
+
+    def bracket_jet(self, b: BracketTree, order: int) -> PolyVectorField:
+        """f_b without its terms of total degree above `order`."""
+        jet = self._numerator_jet(b, order)
+        if self._jet_order.get(b, -1) > order:
+            jet = jet.truncated(order)
+        den = self._denominator(b)
+        return jet if den == 1 else jet.scale(Fraction(1, den))
 
     def bracket_field(self, b: BracketTree) -> PolyVectorField:
         """f_b in full: its jet at the degree bound."""
@@ -258,10 +328,22 @@ class SystemDef:
         if cached is not None:
             return cached
         core, nu = trees.strip_trailing_zeros(b)
-        value = self.bracket_jet(core, 0).value_at_zero()
+        den = self._denominator(core)
+        value = tuple(Fraction(c.constant_term(), den)
+                      for c in self._numerator_jet(core, 0).components)
         for _ in range(nu):
             value = self.h0_apply(value)
         return self._value_cache.setdefault(b, value)
+
+
+def _numerator_field(f: PolyVectorField) -> tuple[PolyVectorField, int]:
+    """(F, D) with f = F / D, F integer and D the lcm of the denominators."""
+    numerators, den = clear_denominators(
+        [c for comp in f.components for c in comp.terms.values()])
+    it = iter(numerators)
+    return PolyVectorField(f.dim, [
+        SparsePoly._make(f.dim, {e: next(it) for e in comp.terms})
+        for comp in f.components]), den
 
 
 def eval_bracket(sys: SystemDef, b: Union[BracketTree, HallElement, str]) -> Vector:
@@ -290,12 +372,24 @@ def field_from_json(dim: int, data: list) -> PolyVectorField:
     for entry in data:
         terms = {}
         for mono in entry:
-            powers = tuple(int(p) for p in mono["powers"])
+            powers = tuple(_power(p, mono) for p in mono["powers"])
             if len(powers) != dim:
                 raise ValueError("powers length != dim")
             terms[powers] = terms.get(powers, Fraction(0)) + Fraction(mono["coeff"])
         comps.append(SparsePoly(dim, terms))
     return PolyVectorField(dim, comps)
+
+
+def _power(p, mono) -> int:
+    """A JSON power as an int.  Non-integral powers are refused here and
+    negative ones by `SparsePoly`."""
+    try:
+        value = Fraction(p)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        value = None
+    if isinstance(p, bool) or value is None or value.denominator != 1:
+        raise ValueError(f"power {p!r} in monomial {mono!r} is not an integer")
+    return int(value)
 
 
 def field_to_json(f: PolyVectorField) -> list:

@@ -6,7 +6,12 @@ peeling trailing right X0 factors), the order compares, lexicographically,
 
     (n1(germ), left factor of germ, right factor of germ, nu),
 
-with X0 the maximal element and X1 the minimal one.  The associated Hall set
+with X0 the maximal element and X1 the minimal one.  Each tree caches one
+sort key (:func:`hall_key`) that spells this out as nested tuples: X0 has
+(inf,), X1 0^nu has (1, (), (), nu), and any other tree
+(n1(germ), key(germ.left), key(germ.right), nu).  Python's tuple comparison
+is then the order, so enumeration sorts with `key=` and no pair of trees is
+ever compared through a memoized comparator.  The associated Hall set
 (written `basis` throughout) has the crucial closure property that b in the
 basis implies b 0^nu in the basis, and its layers with a fixed number of X1
 factors are spanned by a handful of named families (M, W, P, Q, Qs, Qf, R,
@@ -26,7 +31,9 @@ numerators over its common denominator (:func:`decompose_words`).
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -73,43 +80,36 @@ def germ_split(b: BracketTree) -> tuple[BracketTree, int]:
     return strip_trailing_zeros(b)
 
 
-_COMPARE_CACHE: dict[tuple[BracketTree, BracketTree], int] = {}
+_KEY_CACHE: dict[BracketTree, tuple] = {}
+
+
+def hall_key(b: BracketTree) -> tuple:
+    """The sort key of b in G: (inf,) for X0, (1, (), (), nu) for X1 0^nu,
+    and (n1(germ), key(germ.left), key(germ.right), nu) otherwise."""
+    cached = _KEY_CACHE.get(b)
+    if cached is not None:
+        return cached
+    if b is X0:
+        key: tuple = (math.inf,)
+    else:
+        germ, nu = germ_split(b)
+        if germ is X1:
+            key = (1, (), (), nu)
+        else:
+            # n1(germ) >= 2: a germ with one X1 factor is X1 itself
+            key = (germ.n1, hall_key(germ.left), hall_key(germ.right), nu)
+    return _KEY_CACHE.setdefault(b, key)
 
 
 def hall_compare(a: BracketTree, b: BracketTree) -> int:
     """Total order on G: -1, 0 or +1.  X0 maximal, X1 minimal."""
     if a is b:
         return 0
-    key = (a, b)
-    cached = _COMPARE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not in_carrier(a):
-        raise NotInCarrierError(f"{a.text} is not in the carrier set G")
-    if not in_carrier(b):
-        raise NotInCarrierError(f"{b.text} is not in the carrier set G")
-    if a is X0:
-        result = 1
-    elif b is X0:
-        result = -1
-    else:
-        ga, nua = strip_trailing_zeros(a)
-        gb, nub = strip_trailing_zeros(b)
-        if ga is gb:
-            result = -1 if nua < nub else 1
-        elif ga.n1 != gb.n1:
-            result = -1 if ga.n1 < gb.n1 else 1
-        else:
-            # equal n1 >= 2: both germs are proper nodes
-            result = hall_compare(ga.left, gb.left)
-            if result == 0:
-                result = hall_compare(ga.right, gb.right)
-            if result == 0:
-                raise InternalConsistencyError(
-                    f"distinct germs compare equal: {ga.text} / {gb.text}")
-    _COMPARE_CACHE[key] = result
-    _COMPARE_CACHE[(b, a)] = -result
-    return result
+    ka, kb = hall_key(a), hall_key(b)
+    if ka == kb:
+        raise InternalConsistencyError(
+            f"distinct trees share a sort key: {a.text} / {b.text}")
+    return -1 if ka < kb else 1
 
 
 _IS_HALL_CACHE: dict[BracketTree, bool] = {}
@@ -127,8 +127,8 @@ def is_hall(b: BracketTree) -> bool:
     else:
         b1, b2 = b.left, b.right
         result = (is_hall(b1) and is_hall(b2)
-                  and hall_compare(b1, b2) < 0
-                  and (b2.is_leaf or hall_compare(b2.left, b1) <= 0))
+                  and hall_key(b1) < hall_key(b2)
+                  and (b2.is_leaf or hall_key(b2.left) <= hall_key(b1)))
     return _IS_HALL_CACHE.setdefault(b, result)
 
 
@@ -186,7 +186,7 @@ class HallElement:
         return isinstance(other, HallElement) and self.tree is other.tree
 
     def __lt__(self, other: "HallElement") -> bool:
-        return hall_compare(self.tree, other.tree) < 0
+        return hall_key(self.tree) < hall_key(other.tree)
 
     def __hash__(self) -> int:
         return hash(self.tree)
@@ -204,11 +204,11 @@ def basis_of_bidegree(n1: int, n0: int) -> tuple[HallElement, ...]:
     cached = _BIDEGREE_CACHE.get(key)
     if cached is not None:
         return cached
-    found: set[BracketTree] = set()
+    found: list[BracketTree] = []
     if (n1, n0) == (0, 1):
-        found.add(X0)
+        found.append(X0)
     elif (n1, n0) == (1, 0):
-        found.add(X1)
+        found.append(X1)
     elif n1 + n0 >= 2 and n1 >= 1:
         # both factors of a Hall node are Hall; sweep factor bidegrees
         for p1 in range(n1 + 1):
@@ -216,18 +216,17 @@ def basis_of_bidegree(n1: int, n0: int) -> tuple[HallElement, ...]:
                 if (p1, q1) in ((0, 0), (n1, n0)):
                     continue
                 left = basis_of_bidegree(p1, q1)
-                right = basis_of_bidegree(n1 - p1, n0 - q1)
+                right = [b.tree for b in basis_of_bidegree(n1 - p1, n0 - q1)]
+                right_keys = [hall_key(b) for b in right]
                 for a in left:
                     if a.tree is X0:
                         continue
-                    for b in right:
-                        if hall_compare(a.tree, b.tree) >= 0:
-                            continue
-                        if not (b.tree.is_leaf
-                                or hall_compare(b.tree.left, a.tree) <= 0):
-                            continue
-                        found.add(node(a.tree, b.tree))
-    result = tuple(sorted((HallElement.of(t) for t in found)))
+                    # right ascends: the b with a < b are a suffix of it
+                    ka = hall_key(a.tree)
+                    for b in right[bisect.bisect_right(right_keys, ka):]:
+                        if b.is_leaf or hall_key(b.left) <= ka:
+                            found.append(node(a.tree, b))
+    result = tuple(HallElement.of(t) for t in sorted(found, key=hall_key))
     return _BIDEGREE_CACHE.setdefault(key, result)
 
 

@@ -1,6 +1,9 @@
-"""Sparse multivariate polynomials over Fraction.
+"""Sparse multivariate polynomials with exact rational coefficients.
 
-The component type of polynomial vector fields (:mod:`lietool.fields`).
+The component type of polynomial vector fields (:mod:`lietool.fields`).  A
+coefficient is stored as an `int` whenever its value is an integer and as a
+`Fraction` otherwise, never as a float; on integer systems every product in
+the bracket jets is then an integer product.
 """
 
 from __future__ import annotations
@@ -9,37 +12,70 @@ from fractions import Fraction
 from typing import Sequence
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
+
+
+def _exact(c) -> Coefficient:
+    """c as an `int` when its value is an integer, else as a `Fraction`
+    (floats and strings are read exactly, as `Fraction` reads them)."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
 
 
 class SparsePoly:
-    """Polynomial in `nvars` variables: map exponent-tuple -> Fraction."""
+    """Polynomial in `nvars` variables: map exponent-tuple -> coefficient."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponents, Fraction] | None = None):
+    def __init__(self, nvars: int,
+                 terms: dict[Exponents, Coefficient] | None = None):
         self.nvars = nvars
-        self.terms: dict[Exponents, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    if len(e) != nvars:
-                        raise ValueError("exponent arity mismatch")
-                    self.terms[e] = c
+        self.terms: dict[Exponents, Coefficient] = {}
+        for e, c in (terms or {}).items():
+            if (type(e) is not tuple or len(e) != nvars
+                    or any(type(k) is not int or k < 0 for k in e)):
+                raise ValueError(f"monomial exponents {e!r} are not "
+                                 f"{nvars} non-negative ints")
+            c = _exact(c)
+            if c:
+                self.terms[e] = c
+
+    @classmethod
+    def _make(cls, nvars: int,
+              terms: dict[Exponents, Coefficient]) -> "SparsePoly":
+        """A polynomial on terms that are already valid: exponent tuples of
+        arity `nvars` and nonzero coefficients as `_exact` gives them."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
+    def _summed(cls, nvars: int,
+                terms: dict[Exponents, Coefficient]) -> "SparsePoly":
+        """`_make` on sums of valid coefficients: zeros are dropped and
+        integral Fractions become ints."""
+        return cls._make(nvars, {
+            e: (c.numerator if type(c) is Fraction and c.denominator == 1
+                else c)
+            for e, c in terms.items() if c})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int, power: int = 1) -> "SparsePoly":
         e = [0] * nvars
         e[i] = power
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], coeff=1) -> "SparsePoly":
-        return cls(len(exponents), {tuple(exponents): Fraction(coeff)})
+        return cls(len(exponents), {tuple(exponents): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -47,14 +83,13 @@ class SparsePoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> Coefficient:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePoly):
             return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             if not other:
                 return not self.terms
             return self.is_constant() and self.constant_term() == other
@@ -74,17 +109,14 @@ class SparsePoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SparsePoly(self.nvars, out)
+            out[e] = out.get(e, 0) + c
+        return SparsePoly._summed(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._make(self.nvars,
+                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-self._coerce(other))
@@ -94,41 +126,37 @@ class SparsePoly:
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = _exact(other)
             if not other:
                 return SparsePoly(self.nvars)
-            return SparsePoly(
+            return SparsePoly._summed(
                 self.nvars, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparsePoly(self.nvars, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return SparsePoly._summed(self.nvars, out)
 
     __rmul__ = __mul__
 
     def truncated(self, order: int) -> "SparsePoly":
         """The terms of total degree <= order."""
-        return SparsePoly(self.nvars, {e: c for e, c in self.terms.items()
-                                       if sum(e) <= order})
+        return SparsePoly._make(self.nvars, {
+            e: c for e, c in self.terms.items() if sum(e) <= order})
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+    def coefficient(self, exponents: Sequence[int]) -> Coefficient:
+        return self.terms.get(tuple(exponents), 0)
 
     def partial(self, i: int) -> "SparsePoly":
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
         for e, c in self.terms.items():
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        return SparsePoly(self.nvars, out)
+        return SparsePoly._summed(self.nvars, out)
 
     def eval(self, point: Sequence) -> Fraction:
         total = Fraction(0)
@@ -153,3 +181,4 @@ class SparsePoly:
                             for i, k in enumerate(e) if k)
             bits.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+

@@ -176,6 +176,38 @@ class TestCheck:
                                               "compensated"}
 
 
+    def test_catalog_verdicts_are_pinned(self, run, tmp_path):
+        """`check --json` on the benchmark catalog (the acceptance criterion
+        6 list, sextic p=7/8 and ag:1,6 on w3_vs_q111) and n2 / sussmann:1
+        on three seeded dense 3-state systems, against pinned reports."""
+        pinned = json.loads((DATA / "catalog_verdicts.json").read_text())
+        paths = []
+        for i, system in enumerate(pinned["dense_systems"]):
+            paths.append(tmp_path / f"dense{i}.json")
+            paths[-1].write_text(json.dumps(system))
+        assert len(pinned["checks"]) == 25 + 2 * len(paths) == 31
+        for check in pinned["checks"]:
+            spec = check["system"]
+            if spec.startswith("dense:"):
+                spec = str(paths[int(spec[len("dense:"):])])
+            code, out, _ = run("check", "--system", spec,
+                               "--condition", check["condition"], "--json")
+            assert code == 0
+            assert json.loads(out) == check["report"], \
+                (check["system"], check["condition"])
+
+    def test_rational_system_file_matches_the_zoo(self, run):
+        # the one catalog system with a non-integer coefficient (1/2 in f0)
+        path = str(DATA / "rational_system.json")
+        assert '"1/2"' in (DATA / "rational_system.json").read_text()
+        for condition in ("n2", "sussmann:1"):
+            from_file = run("check", "--system", path,
+                            "--condition", condition, "--json")
+            from_zoo = run("check", "--system", "zoo:no_zm_pure",
+                           "--condition", condition, "--json")
+            assert from_file == from_zoo
+
+
 class TestVerifyExpansions:
     def test_all_identities_pass(self, run):
         code, out, _ = run("verify-expansions", "--degree", "4",

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 import pytest
 import sympy
 
@@ -11,7 +13,7 @@ from lietool import trees
 from lietool.fields import (PolyVectorField, SystemDef, eval_bracket,
                             eval_lie, jet_bracket, system_from_json_dict,
                             system_to_json_dict, vf_bracket)
-from lietool.hall import decompose
+from lietool.hall import basis_up_to_length, decompose
 from lietool.polynomials import SparsePoly
 from lietool.trees import M, P, W, X0, X1, ad, node
 from lietool.zoo import zoo
@@ -226,3 +228,174 @@ class TestJets:
             assert up.bracket_field(tree) == whole, tree
             assert _random_system(11, 3).bracket_field(tree) == whole, tree
             assert up.bracket_jet(tree, 1) == whole.truncated(1), tree
+
+
+# ---------------------------------------------------------------------------
+# Plain-Fraction reference: terms as {exponent tuple: Fraction}, the product
+# and the truncated bracket computed the direct way, with no packing and no
+# denominator clearing.
+
+def _ref_terms(poly):
+    return {e: Fraction(c) for e, c in poly.terms.items()}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _ref_jet_bracket(f, g, order):
+    """[f, g] = (Dg) f - (Df) g on lists of Fraction term dicts, without its
+    terms of total degree above order."""
+    out = []
+    for fi, gi in zip(f, g):
+        acc = {}
+        for p, direction, sign in ((gi, f, 1), (fi, g, -1)):
+            for e, c in p.items():
+                for j, k in enumerate(e):
+                    if not k:
+                        continue
+                    base = e[:j] + (k - 1,) + e[j + 1:]
+                    for e2, c2 in direction[j].items():
+                        key = tuple(a + b for a, b in zip(base, e2))
+                        if sum(key) <= order:
+                            acc[key] = acc.get(key, Fraction(0)) + sign * k * c * c2
+        out.append({e: c for e, c in acc.items() if c})
+    return out
+
+
+def _ref_jet(leaves, tree, order, memo):
+    """f_b up to `order` by the Taylor recursion on Fraction term dicts."""
+    key = (tree, order)
+    if key not in memo:
+        if tree.is_leaf:
+            memo[key] = [{e: c for e, c in comp.items() if sum(e) <= order}
+                         for comp in leaves[tree]]
+        else:
+            memo[key] = _ref_jet_bracket(
+                _ref_jet(leaves, tree.left, order + 1, memo),
+                _ref_jet(leaves, tree.right, order + 1, memo), order)
+    return memo[key]
+
+
+def _rational_system(seed, dim, rational):
+    """f0 with monomials of degree 1..2 (f0(0) = 0), f1 of degree 0..1 with
+    f1(0) != 0; coefficients with denominators 1..6 when `rational`."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                        rng.randint(1, 6) if rational else 1)
+
+    def component(low, high):
+        monomials = [e for e in product(range(high + 1), repeat=dim)
+                     if low <= sum(e) <= high]
+        return SparsePoly(dim, {e: coeff() for e in rng.sample(monomials, 2)})
+
+    f1 = [component(1, 1) for _ in range(dim)]
+    f1[0] = f1[0] + coeff()
+    return SystemDef(
+        dim=dim, name=f"rational{dim}",
+        f0=PolyVectorField(dim, [component(1, 2) for _ in range(dim)]),
+        f1=PolyVectorField(dim, f1))
+
+
+def _exact_form(field):
+    """Every coefficient an int or a non-integral Fraction."""
+    return all(type(c) is int
+               or (type(c) is Fraction and c.denominator != 1)
+               for comp in field.components for c in comp.terms.values())
+
+
+class TestIntegerJets:
+    """Integer-coefficient jets against the plain-Fraction reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+           rational=st.booleans())
+    def test_jets_values_and_fields_match_the_fraction_reference(
+            self, seed, dim, rational):
+        sys = _rational_system(seed, dim, rational)
+        leaves = {X0: [_ref_terms(c) for c in sys.f0.components],
+                  X1: [_ref_terms(c) for c in sys.f1.components]}
+        memo = {}
+        for element in basis_up_to_length(6):
+            tree = element.tree
+            value = eval_bracket(sys, element)
+            assert all(type(x) is Fraction for x in value), tree.text
+            expected = _ref_jet(leaves, tree, 0, memo)
+            assert value == tuple(comp.get((0,) * dim, Fraction(0))
+                                  for comp in expected), tree.text
+            for order in range(3):
+                jet = sys.bracket_jet(tree, order)
+                assert _exact_form(jet), tree.text
+                assert [jet_c.terms for jet_c in jet.components] == \
+                    _ref_jet(leaves, tree, order, memo), (tree.text, order)
+            whole = sys.bracket_field(tree)
+            assert _exact_form(whole), tree.text
+            assert [c.terms for c in whole.components] == \
+                _ref_jet(leaves, tree, sys._degree_bound(tree), memo), tree.text
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rational=st.booleans())
+    def test_products_match_the_fraction_reference(self, seed, rational):
+        sys = _rational_system(seed, 3, rational)
+        for p in sys.f0.components + sys.f1.components:
+            for q in sys.f0.components:
+                product_ = p * q
+                assert product_.terms == _ref_mul(_ref_terms(p), _ref_terms(q))
+                assert all(type(c) is int or c.denominator != 1
+                           for c in product_.terms.values())
+
+    @pytest.mark.parametrize("order", [13, 14, 15, 16, 31, 32])
+    def test_orders_past_a_bit_field_boundary(self, order):
+        # a jet bracket to `order` packs exponents up to order + 1: 4 bits
+        # each suffice at order 14 but not at 15, 5 at order 30 but not at
+        # 31; pure powers x^(order + 1) reach that bound, and their
+        # derivatives times the constant terms reach x^order in the output
+        rng = random.Random(order)
+        monomials = [(a, b) for a in range(order + 2)
+                     for b in range(order + 2 - a)]
+        edges = [(order + 1, 0), (0, order + 1), (order, 1), (1, order),
+                 (0, 0), (1, 0), (0, 1)]
+
+        def poly():
+            picked = set(rng.sample(monomials, 30) + edges)
+            return SparsePoly(2, {e: rng.choice((-3, -2, -1, 1, 2, 3))
+                                  for e in picked})
+
+        f = PolyVectorField(2, [poly(), poly()])
+        g = PolyVectorField(2, [poly(), poly()])
+        expected = _ref_jet_bracket([_ref_terms(c) for c in f.components],
+                                    [_ref_terms(c) for c in g.components],
+                                    order)
+        got = jet_bracket(f, g, order)
+        assert [c.terms for c in got.components] == expected
+        assert any(max(e) == order for comp in expected for e in comp)
+
+
+class TestExponentValidation:
+    def _system(self, powers):
+        return {"dim": 2,
+                "f0": [[{"coeff": "1", "powers": [0, 1]}],
+                       [{"coeff": "1", "powers": [1, 0]}]],
+                "f1": [[{"coeff": "1", "powers": [0, 0]}],
+                       [{"coeff": "1", "powers": powers}]]}
+
+    @pytest.mark.parametrize("powers", [[1.7, 0], [-1, 0], ["1/2", 0],
+                                        [True, 0], [None, 0], ["x", 1]])
+    def test_field_from_json_refuses_non_polynomial_powers(self, powers):
+        with pytest.raises(ValueError, match="monomial"):
+            system_from_json_dict(self._system(powers))
+
+    def test_field_from_json_reads_integral_powers(self):
+        sys = system_from_json_dict(self._system([2.0, "1"]))
+        assert sys.f1.components[1].terms == {(2, 1): 1}

@@ -1,11 +1,13 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_tree
+from conftest import random_carrier_tree, random_tree
 from lietool import trees
 from lietool.hall import (HallElement, InternalConsistencyError,
                           NotInCarrierError, basis_of_bidegree,
@@ -13,8 +15,10 @@ from lietool.hall import (HallElement, InternalConsistencyError,
                           decompose_series, enumerate_basis, hall_compare,
                           is_hall, lie_bracket)
 from lietool.trees import (D, M, P, Q, Q_flat, Q_sharp, R, R_sharp, W, X0, X1,
-                           node, parse_tree, zeros)
+                           node, parse_tree, strip_trailing_zeros, zeros)
 from lietool.words import TensorSeries, expand_to_words
+
+DATA = Path(__file__).parent / "data"
 
 
 import functools
@@ -99,6 +103,60 @@ class TestOrder:
         for a in sample:
             for b in sample:
                 assert hall_compare(a, b) == -hall_compare(b, a)
+
+
+def reference_compare(a, b) -> int:
+    """The carrier order as a pairwise recursion: X0 maximal; otherwise the
+    germ's n1, then the germ's left and right factors, then the trailing
+    X0 count decide."""
+    if a is b:
+        return 0
+    if a is X0:
+        return 1
+    if b is X0:
+        return -1
+    ga, nua = strip_trailing_zeros(a)
+    gb, nub = strip_trailing_zeros(b)
+    if ga is gb:
+        return -1 if nua < nub else 1
+    if ga.n1 != gb.n1:
+        return -1 if ga.n1 < gb.n1 else 1
+    return (reference_compare(ga.left, gb.left)
+            or reference_compare(ga.right, gb.right))
+
+
+class TestOrderAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_pairwise_reference_and_is_a_total_order(self, seed):
+        rng = random.Random(seed)
+        sample = list({random_carrier_tree(rng, rng.randint(1, 9))
+                       for _ in range(16)})
+        for a in sample:
+            for b in sample:
+                assert hall_compare(a, b) == reference_compare(a, b)
+                assert hall_compare(a, b) == -hall_compare(b, a)
+                assert (hall_compare(a, b) == 0) == (a is b)
+        for a in sample:
+            for b in sample:
+                if hall_compare(a, b) < 0:
+                    for c in sample:
+                        if hall_compare(b, c) < 0:
+                            assert hall_compare(a, c) < 0
+
+    def test_outside_the_carrier_is_refused_on_either_side(self):
+        outside = node(W(1, 0), node(X0, X1))
+        for a, b in ((outside, X1), (X0, outside), (M(2), outside)):
+            with pytest.raises(NotInCarrierError):
+                hall_compare(a, b)
+
+    def test_hall_order_is_pinned(self):
+        pinned = json.loads((DATA / "hall_order.json").read_text())
+        for key, texts in pinned["bidegrees"].items():
+            n1, n0 = map(int, key.split(","))
+            assert [e.tree.text for e in basis_of_bidegree(n1, n0)] == texts, key
+        assert [e.tree.text for e in basis_up_to_length(11)] == \
+            pinned["up_to_length_11"]
 
 
 class TestMembership:

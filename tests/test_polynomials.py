@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,3 +58,31 @@ class TestCalculusAndEval:
         p = SparsePoly.monomial((2, 1), Fraction(5, 3))
         assert p.coefficient((2, 1)) == Fraction(5, 3)
         assert p.total_degree() == 3
+
+
+class TestRepresentation:
+    def test_integer_values_are_stored_as_ints(self):
+        p = SparsePoly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3),
+                           (0, 0): 0.5, (2, 0): "3"})
+        assert {e: type(c) for e, c in p.terms.items()} == {
+            (1, 0): int, (0, 1): Fraction, (0, 0): Fraction, (2, 0): int}
+        assert p.coefficient((0, 0)) == Fraction(1, 2)
+        q = p * 3 + p
+        assert type(q.coefficient((0, 1))) is Fraction
+        assert type((q * Fraction(3, 4)).coefficient((0, 1))) is int
+        assert type(q.partial(1).constant_term()) is Fraction
+
+    def test_missing_coefficients_are_integer_zero(self):
+        p = SparsePoly.variable(2, 0)
+        assert p.constant_term() == 0 and type(p.constant_term()) is int
+        assert type(p.coefficient((5, 5))) is int
+
+    @pytest.mark.parametrize("exponents", [(1.7, 0), (-1, 0), (1,),
+                                           (1, 0, 0), ("1", 0), (True, 0)])
+    def test_bad_exponents_are_refused_with_the_monomial(self, exponents):
+        with pytest.raises(ValueError, match=re.escape(repr(exponents))):
+            SparsePoly(2, {exponents: 1})
+
+    def test_monomial_refuses_a_negative_power(self):
+        with pytest.raises(ValueError, match="monomial"):
+            SparsePoly.monomial([1, -2])
