@@ -375,7 +375,7 @@ def field_from_json(dim: int, data: list) -> PolyVectorField:
             powers = tuple(_power(p, mono) for p in mono["powers"])
             if len(powers) != dim:
                 raise ValueError("powers length != dim")
-            terms[powers] = terms.get(powers, Fraction(0)) + Fraction(mono["coeff"])
+            terms[powers] = terms.get(powers, 0) + Fraction(mono["coeff"])
         comps.append(SparsePoly(dim, terms))
     return PolyVectorField(dim, comps)
 
@@ -383,11 +383,13 @@ def field_from_json(dim: int, data: list) -> PolyVectorField:
 def _power(p, mono) -> int:
     """A JSON power as an int.  Non-integral powers are refused here and
     negative ones by `SparsePoly`."""
+    if type(p) is int:
+        return p
     try:
-        value = Fraction(p)
+        value = None if isinstance(p, bool) else Fraction(p)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         value = None
-    if isinstance(p, bool) or value is None or value.denominator != 1:
+    if value is None or value.denominator != 1:
         raise ValueError(f"power {p!r} in monomial {mono!r} is not an integer")
     return int(value)
 

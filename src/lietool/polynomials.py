@@ -18,11 +18,11 @@ Coefficient = int | Fraction
 def _exact(c) -> Coefficient:
     """c as an `int` when its value is an integer, else as a `Fraction`
     (floats and strings are read exactly, as `Fraction` reads them)."""
-    if type(c) is not int:
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
         c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
 class SparsePoly:

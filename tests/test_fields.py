@@ -3,10 +3,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
-
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
 from lietool import trees
