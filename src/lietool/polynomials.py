@@ -58,10 +58,8 @@ class SparsePoly:
                 terms: dict[Exponents, Coefficient]) -> "SparsePoly":
         """`_make` on sums of valid coefficients: zeros are dropped and
         integral Fractions become ints."""
-        return cls._make(nvars, {
-            e: (c.numerator if type(c) is Fraction and c.denominator == 1
-                else c)
-            for e, c in terms.items() if c})
+        return cls._make(nvars,
+                         {e: _exact(c) for e, c in terms.items() if c})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "SparsePoly":
