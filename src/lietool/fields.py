@@ -20,9 +20,13 @@ recursion; since the bracket is bilinear, f_b = F_b / (D0^n0 D1^n1).  Only
 the public values divide: `bracket_jet` and `bracket_field` return the
 rational field, and f_b(0) and every `Vector` are tuples of `Fraction`.
 
-For simulation `PolyVectorField.eval_float` compiles a field to floats once
-and evaluates it at one point or, on numpy arrays, at many points at once,
-with the same operations in the same order either way.
+For simulation :func:`float_function` generates one straight-line Python
+function per field, or per system the right-hand side f0(x) + uv f1(x)
+(`SystemDef.float_rhs`), built on first use.  It computes each power x_j^k
+once per call through the power function it is given (C `pow`, on floats or
+elementwise on arrays), so it evaluates at one point or, on numpy arrays,
+at many points at once, with the same operations in the same order either
+way; `PolyVectorField.eval_float` calls the same generated code.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ Vector = tuple[Fraction, ...]
 class PolyVectorField:
     """d polynomial components over d state variables."""
 
-    __slots__ = ("dim", "components", "_float_form")
+    __slots__ = ("dim", "components", "_float_eval")
 
     def __init__(self, dim: int, components: Sequence[SparsePoly]):
         if len(components) != dim:
@@ -59,7 +63,7 @@ class PolyVectorField:
                 raise ValueError("component variable count != dim")
         self.dim = dim
         self.components = tuple(components)
-        self._float_form = None
+        self._float_eval = None
 
     @classmethod
     def zero(cls, dim: int) -> "PolyVectorField":
@@ -103,27 +107,13 @@ class PolyVectorField:
         """f(xs) in floats.  The d coordinates in `xs` are floats (one
         point) or numpy arrays of one length (one point per entry).
 
-        The float form is built on the first call: per component, the terms
-        as (float(c), ((var, power), ...)) in the order `terms` holds them.
-        Powers go through C `pow` in both cases: `np.float_power` on arrays,
-        because numpy's vectorized `**` rounds differently.
+        The function is generated on the first call (:func:`float_function`)
+        and evaluates the same operations in the same order either way.
         """
-        if self._float_form is None:
-            self._float_form = tuple(
-                tuple((float(c), tuple((j, k) for j, k in enumerate(e) if k))
-                      for e, c in comp.terms.items())
-                for comp in self.components)
+        if self._float_eval is None:
+            self._float_eval = float_function(self)
         power = np.float_power if isinstance(xs[0], np.ndarray) else pow
-        out = []
-        for terms in self._float_form:
-            total = 0.0
-            for c, powers in terms:
-                term = c
-                for j, k in powers:
-                    term = term * power(xs[j], k)
-                total = total + term
-            out.append(total)
-        return out
+        return self._float_eval(xs, power)
 
     def jacobian_at_zero(self) -> list[list[Fraction]]:
         return [[Fraction(self.components[i].partial(j).constant_term())
@@ -137,6 +127,48 @@ class PolyVectorField:
         """The terms of total degree <= order."""
         return PolyVectorField(self.dim,
                                [c.truncated(order) for c in self.components])
+
+
+def float_function(f0: PolyVectorField, f1: PolyVectorField | None = None):
+    """f0 in floats as one generated straight-line function `f(x, P)`, or,
+    given f1, the right-hand side `rhs(uv, x, P)` with components
+    f0_i(x) + uv * f1_i(x).
+
+    x lists the d coordinates, floats or arrays of one length, and P is
+    their power function: C `pow` either way, `pow` on floats and
+    `np.float_power` on arrays (numpy's vectorized `**` rounds
+    differently).  A component is 0.0 + c*p*p + ... over its terms in the
+    order `terms` holds them, each product running from the coefficient
+    through the powers in variable order.  Each power x_j^k with k >= 2 is
+    computed once per call; x_j^1 is x_j itself, as pow returns it.
+    """
+    powers: dict[tuple[int, int], str] = {}     # (j, k) -> local for x_j^k
+
+    def power(j: int, k: int) -> str:
+        return f"x{j}" if k == 1 else powers.setdefault((j, k), f"x{j}_{k}")
+
+    def component(p: SparsePoly) -> str:
+        return " + ".join(["0.0"] + [
+            "*".join([repr(float(c))]
+                     + [power(j, k) for j, k in enumerate(e) if k])
+            for e, c in p.terms.items()])
+
+    if f1 is None:
+        name, args = "f", "x, P"
+        rows = [component(a) for a in f0.components]
+    else:
+        f0._check(f1)
+        name, args = "rhs", "uv, x, P"
+        rows = [f"({component(a)}) + uv * ({component(b)})"
+                for a, b in zip(f0.components, f1.components)]
+    source = "\n".join(
+        [f"def {name}({args}):",
+         f"    {''.join(f'x{j}, ' for j in range(f0.dim))}= x"]
+        + [f"    {local} = P(x{j}, {k})" for (j, k), local in powers.items()]
+        + [f"    return [{', '.join(rows)}]"])
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace[name]
 
 
 def jet_bracket(f: PolyVectorField, g: PolyVectorField,
@@ -256,6 +288,12 @@ class SystemDef:
         self._jet_order: dict[BracketTree, int] = {}
         self._value_cache: dict[BracketTree, Vector] = {}
         self._leaf_degrees = (self.f0.degree(), self.f1.degree())
+
+    @functools.cached_property
+    def float_rhs(self):
+        """`rhs(uv, x, P)` = f0(x) + uv f1(x) in floats, generated on first
+        use (:func:`float_function`)."""
+        return float_function(self.f0, self.f1)
 
     @functools.cached_property
     def _h0_rows(self) -> list[list[int]]:

@@ -2,9 +2,9 @@
 
 * :func:`integrate` - classical fixed-step fourth-order Runge-Kutta, with
   steps aligned to the control's breakpoints so every step sees a smooth
-  right-hand side; the state is a list of Python floats, and the fields are
-  evaluated through their compiled float form
-  (:meth:`~lietool.fields.PolyVectorField.eval_float`);
+  right-hand side; the state is a list of Python floats, and the right-hand
+  side is the system's generated straight-line function
+  (:attr:`~lietool.fields.SystemDef.float_rhs`);
 * :func:`zm_state` - the truncated bracket expansion of the state
   sum_b eta_b(t,u) f_b(0), an approximate representation whose residual
   shrinks like the (M+1)-th power of the control size;
@@ -14,8 +14,11 @@
 * :func:`drift_scan` - empirical verification of one-sided drift
   inequalities P x(t;u) >= (1-eps) xi_b(t,u) - C |x|^beta over a seeded
   family of controls.  Its trials are stepped in lockstep on (trials,)
-  arrays by the same RK4 step function, each on `integrate`'s schedule, so
-  every final state equals the sequential one bit for bit.
+  arrays by the same RK4 step function and the same generated right-hand
+  side, each on `integrate`'s schedule, so every final state equals the
+  sequential one bit for bit.  The trials run longest first, so the ones
+  still running are always a prefix of the arrays and each step works on
+  views of it.
 """
 
 from __future__ import annotations
@@ -63,29 +66,34 @@ class Trajectory:
         return self.states[-1]
 
 
+def _check_step(step: float) -> None:
+    """Refuse an integration step that is not finite and > 0."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+
+
 def _substeps(left: float, right: float, step: float) -> tuple[int, float]:
     """The number of RK4 steps on [left, right] and their common size."""
     n = max(1, math.ceil((right - left) / step - 1e-12))
     return n, (right - left) / n
 
 
-def _rk4_step(sys: SystemDef, control_at: Callable, t0, h, x: list) -> list:
-    """One classical RK4 step of x' = f0(x) + u(t) f1(x) from (t0, x).
+def _rk4_step(rhs: Callable, P: Callable, control_at: Callable, t0, h,
+              x: list) -> list:
+    """One classical RK4 step of x' = rhs(u(t), x, P) from (t0, x).
 
     x lists the d coordinates.  t0, h and the coordinates are all floats
-    (one trajectory) or all arrays of one length (trials in lockstep); the
-    operations and their order are the same either way.
+    (one trajectory, P = pow) or all arrays of one length (trials in
+    lockstep, P = np.float_power); the operations and their order are the
+    same either way.  The control is evaluated once at each of t0,
+    t0 + h/2 and t0 + h.
     """
-    def rhs(t, y):
-        uv = control_at(t)
-        return [a + uv * b
-                for a, b in zip(sys.f0.eval_float(y), sys.f1.eval_float(y))]
-
     half = h / 2
-    k1 = rhs(t0, x)
-    k2 = rhs(t0 + half, [v + half * k for v, k in zip(x, k1)])
-    k3 = rhs(t0 + half, [v + half * k for v, k in zip(x, k2)])
-    k4 = rhs(t0 + h, [v + h * k for v, k in zip(x, k3)])
+    mid = control_at(t0 + half)
+    k1 = rhs(control_at(t0), x, P)
+    k2 = rhs(mid, [v + half * k for v, k in zip(x, k1)], P)
+    k3 = rhs(mid, [v + half * k for v, k in zip(x, k2)], P)
+    k4 = rhs(control_at(t0 + h), [v + h * k for v, k in zip(x, k3)], P)
     sixth = h / 6
     return [v + sixth * (a + 2 * b + 2 * c + d)
             for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
@@ -103,8 +111,7 @@ def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
     polynomial, so stage values at piece boundaries never leak across a
     discontinuity.  The state is a list of Python floats.
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    _check_step(step)
     if isinstance(u, PiecewisePolyControl):
         segments = [(left, right,
                      lambda t, c=coeffs, l=left: horner(c, t - l))
@@ -112,6 +119,7 @@ def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
     else:
         segments = [(0.0, u.horizon, u.eval)]
 
+    rhs = sys.float_rhs
     x = [0.0] * sys.dim
     times = [0.0]
     states = [x]
@@ -121,7 +129,7 @@ def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
             t0 = left + i * h
             t = t0 + h
             try:
-                x = _rk4_step(sys, control_at, t0, h, x)
+                x = _rk4_step(rhs, pow, control_at, t0, h, x)
             except OverflowError:       # a float power past the float range
                 raise BlowUpError(t, math.inf) from None
             if not _within_guard(x):
@@ -136,56 +144,68 @@ def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
     """`integrate(sys, u, step).final_state` for each u, as the rows of one
     array, with every trial stepped in lockstep on (trials,) arrays.
 
-    The schedule sits in (trials, pieces) tables: each trial keeps
-    `integrate`'s steps, and past its last one it sits in a trailing idle
-    piece (h = 0) with its state held.  A trial that trips the blow-up guard
-    is frozen; after the loop the lowest-index one raises `BlowUpError` with
-    its own time and norm, as the sequential loop would.
+    The trials are ordered longest first (a stable sort on their step
+    counts), so the ones still running at step s are a prefix and each
+    step works on views of it.  Each trial keeps `integrate`'s schedule in
+    per-trial vectors (piece left end, step size, first step, coefficients)
+    that a list of piece starts updates as the steps reach them.  A trial
+    that trips the blow-up guard is frozen at 0; after the loop the one of
+    lowest input index raises `BlowUpError` with its own time and norm, as
+    the sequential loop would.
     """
-    trials = len(controls)
+    rhs, trials = sys.float_rhs, len(controls)
     schedules = [[(left, *_substeps(left, right, step), coeffs)
                   for left, right, coeffs in u.float_pieces()]
                  for u in controls]
-    width = max(map(len, schedules), default=0) + 1
+    steps = [sum(n for _, n, _, _ in schedule) for schedule in schedules]
+    order = sorted(range(trials), key=lambda r: -steps[r])
     terms = max((len(c) for s in schedules for *_, c in s), default=0)
-    left = np.zeros((trials, width))
-    h = np.zeros((trials, width))
-    n = np.ones((trials, width), dtype=np.intp)
-    coeffs = np.zeros((terms, trials, width))
-    for r, schedule in enumerate(schedules):
-        for p, (l, k, hp, cs) in enumerate(schedule):
-            left[r, p], n[r, p], h[r, p] = l, k, hp
-            coeffs[:len(cs), r, p] = cs
-    steps = np.array([sum(k for _, k, _, _ in s) for s in schedules],
-                     dtype=np.intp)
+    starts: dict[int, list] = {}        # step -> the pieces starting there
+    for row, r in enumerate(order):
+        at = 0
+        for left, n, h, coeffs in schedules[r]:
+            starts.setdefault(at, []).append(
+                (row, left, h, coeffs + (0.0,) * (terms - len(coeffs))))
+            at += n
 
-    rows = np.arange(trials)
-    piece = np.zeros(trials, dtype=np.intp)
-    sub = np.zeros(trials, dtype=np.intp)
-    blown = np.zeros(trials, dtype=bool)
+    left, h = np.zeros(trials), np.zeros(trials)
+    first = np.zeros(trials, dtype=np.intp)
+    coeffs = np.zeros((terms, trials))
+    blown = None
     blow_ups: dict[int, tuple[float, float]] = {}
     x = [np.zeros(trials) for _ in range(sys.dim)]
-    for s in range(int(steps.max(initial=0))):
-        running = (steps > s) & ~blown
-        lc, hc, cc = left[rows, piece], h[rows, piece], coeffs[:, rows, piece]
-        t0 = lc + sub * hc
-        new = _rk4_step(sys, lambda t: horner(cc, t - lc), t0, hc, x)
-        x = [np.where(running, a, b) for a, b in zip(new, x)]
-        tripped = running & ~_within_guard(new)
+    m = trials
+    for s in range(steps[order[0]] if trials else 0):
+        while steps[order[m - 1]] <= s:
+            m -= 1
+        if s in starts:
+            rows, ls, hs, cs = map(np.array, zip(*starts[s]))
+            left[rows], h[rows], first[rows] = ls, hs, s
+            coeffs[:, rows] = cs.T
+        lc, hc, cc = left[:m], h[:m], coeffs[:, :m]
+        t0 = lc + (s - first[:m]) * hc
+        new = _rk4_step(rhs, np.float_power, lambda t: horner(cc, t - lc),
+                        t0, hc, [v[:m] for v in x])
+        if blown is not None:           # frozen trials hold 0
+            new = [np.where(blown[:m], 0.0, v) for v in new]
+        tripped = ~_within_guard(new)
         if tripped.any():
             for r in np.flatnonzero(tripped):
-                blow_ups[r] = (float(t0[r] + hc[r]),
-                               float(np.linalg.norm([v[r] for v in new])))
-                for v in x:     # its masked steps must not overflow
+                blow_ups[order[r]] = (
+                    float(t0[r] + hc[r]),
+                    float(np.linalg.norm([v[r] for v in new])))
+                for v in new:           # its later steps must not overflow
                     v[r] = 0.0
-            blown |= tripped
-        sub += 1
-        ended = sub == n[rows, piece]
-        sub[ended] = 0
-        piece = np.minimum(piece + ended, width - 1)
+            if blown is None:
+                blown = np.zeros(trials, dtype=bool)
+            blown[:m] |= tripped
+        for v, w in zip(x, new):
+            v[:m] = w
     if blow_ups:
         raise BlowUpError(*blow_ups[min(blow_ups)])
-    return np.stack(x, axis=1)
+    out = np.empty((trials, sys.dim))
+    out[order] = np.stack(x, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +445,7 @@ class DriftScanReport:
 def worker_count() -> int:
     """Pool size of the benchmark's traced drift-scan replay (`bench/`).
 
-    Only the benchmark reads it; `drift_scan` runs its trials in order in
+    Only the benchmark reads it; `drift_scan` steps its trials in lockstep in
     the calling thread.
     """
     env = os.environ.get("LIETOOL_THREADS")
@@ -440,14 +460,15 @@ def random_control_family(seed: int, trials: int, rho: float, t_max: float,
     rng = random.Random(seed)
     out = []
     denominator = 64
+    horizon = Fraction(t_max).limit_denominator(1000)
+    amp = Fraction(rho).limit_denominator(1000)
     for i in range(trials):
         t = Fraction(rng.randint(max(1, denominator // 8), denominator),
-                     denominator) * Fraction(t_max).limit_denominator(1000)
+                     denominator) * horizon
         bang = i % 5 == 4
         pieces = rng.randint(1, 6) if not bang else rng.randint(2, 8)
         cuts = sorted(rng.sample(range(1, 24), pieces - 1)) if pieces > 1 else []
         breakpoints = [Fraction(0)] + [t * c / 24 for c in cuts] + [t]
-        amp = Fraction(rho).limit_denominator(1000)
         if bang:
             start = rng.choice((1, -1))
             values = [amp * start * (-1) ** j for j in range(pieces)]
@@ -473,6 +494,7 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
     """
     if trials < 1:
         raise ValueError(f"a drift scan needs trials >= 1, got {trials}")
+    _check_step(step)
     tree = trees.parse_tree(bracket) if isinstance(bracket, str) else bracket
     if isinstance(tree, HallElement):
         tree = tree.tree

@@ -237,6 +237,12 @@ class TestSimulate:
         assert lines[0] == "time,x1,x2,x3"
         assert len(lines) == 102
 
+    def test_zero_step_is_usage_error(self, run, control_file):
+        code, out, err = run("simulate", "--system", "zoo:easy",
+                             "--control", control_file, "--step", "0")
+        assert code == 2 and out == ""
+        assert "step must be finite and > 0" in err
+
 
 class TestDriftScan:
     def test_seeded_scan_is_byte_identical(self, run):
@@ -293,6 +299,15 @@ class TestDriftScan:
                              "--trials", trials, "--seed", "0")
         assert code == 2
         assert "--trials" in err and "pass" not in out
+
+    @pytest.mark.parametrize("step", ["-1", "0", "nan", "inf"])
+    def test_step_not_finite_and_positive_is_usage_error(self, run, step):
+        code, out, err = run("drift-scan", "--system", "zoo:easy",
+                             "--bracket", "W(1,0)", "--family", "s1",
+                             "--trials", "2", "--seed", "0", "--step", step)
+        assert code == 2 and out == ""
+        assert "step must be finite and > 0" in err
+        assert "Traceback" not in err
 
     def test_unknown_family(self, run):
         code, _, err = run("drift-scan", "--system", "zoo:easy",

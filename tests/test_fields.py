@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -398,3 +399,99 @@ class TestExponentValidation:
     def test_field_from_json_reads_integral_powers(self):
         sys = system_from_json_dict(self._system([2.0, "1"]))
         assert sys.f1.components[1].terms == {(2, 1): 1}
+
+
+def _reference_floats(field, x, power):
+    """field(x) term by term: per component 0.0 + c*p*p + ... in `terms`
+    order, every power through `power` as it is met."""
+    out = []
+    for comp in field.components:
+        total = 0.0
+        for e, c in comp.terms.items():
+            term = float(c)
+            for j, k in enumerate(e):
+                if k:
+                    term = term * power(x[j], k)
+            total = total + term
+        out.append(total)
+    return out
+
+
+def _float_bits(values):
+    return [v.tobytes() if isinstance(v, np.ndarray) else float(v).hex()
+            for v in values]
+
+
+@st.composite
+def _float_systems(draw):
+    """1-4 states, non-dyadic rational coefficients, powers 0-4, and some
+    components without terms in f0 and/or f1."""
+    dim = draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, st.integers(-40, 40).filter(bool),
+                      st.sampled_from((3, 5, 7, 9, 10, 11, 12)))
+    exponents = st.tuples(*[st.integers(0, 4)] * dim)
+
+    def field(drift):
+        comps = []
+        for _ in range(dim):
+            terms = draw(st.dictionaries(exponents, coeff, max_size=4))
+            if drift:
+                terms.pop((0,) * dim, None)     # f0(0) = 0
+            comps.append(SparsePoly(dim, terms))
+        return PolyVectorField(dim, comps)
+
+    return SystemDef(dim=dim, f0=field(True), f1=field(False))
+
+
+_COORDINATES = st.one_of(st.sampled_from((0.0, -0.0, -1.0, 1.0)),
+                         st.floats(-30.0, 30.0))
+
+
+class TestFloatFunction:
+    """The generated float right-hand side against a term-by-term
+    reference, bit for bit, at points and on arrays of points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sys=_float_systems(), data=st.data())
+    def test_scalar_points(self, sys, data):
+        x = data.draw(st.lists(_COORDINATES, min_size=sys.dim,
+                               max_size=sys.dim))
+        uv = data.draw(_COORDINATES)
+        expected = [a + uv * b for a, b in zip(
+            _reference_floats(sys.f0, x, pow),
+            _reference_floats(sys.f1, x, pow))]
+        assert _float_bits(sys.float_rhs(uv, x, pow)) == _float_bits(expected)
+        for f in (sys.f0, sys.f1):
+            assert _float_bits(f.eval_float(x)) \
+                == _float_bits(_reference_floats(f, x, pow))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sys=_float_systems(), data=st.data())
+    def test_array_points(self, sys, data):
+        n = data.draw(st.integers(1, 6))
+        points = st.lists(_COORDINATES, min_size=n, max_size=n).map(np.array)
+        x = [data.draw(points) for _ in range(sys.dim)]
+        uv = data.draw(st.one_of(points, _COORDINATES))
+        expected = [a + uv * b for a, b in zip(
+            _reference_floats(sys.f0, x, np.float_power),
+            _reference_floats(sys.f1, x, np.float_power))]
+        assert _float_bits(sys.float_rhs(uv, x, np.float_power)) \
+            == _float_bits(expected)
+        for f in (sys.f0, sys.f1):
+            assert _float_bits(f.eval_float(x)) \
+                == _float_bits(_reference_floats(f, x, np.float_power))
+
+    def test_each_power_is_computed_once_per_call(self):
+        calls = []
+
+        def counting_pow(x, k):
+            calls.append(k)
+            return pow(x, k)
+
+        # x1^2 appears in three terms, x1^1 needs no power
+        sys = SystemDef(dim=2, f0=_field(2, [
+            {(0, 2): Fraction(1, 3), (1, 2): Fraction(2, 7)},
+            {(1, 0): 1, (0, 2): Fraction(-5, 3)}]),
+            f1=_field(2, [{(0, 0): 1}, {}]))
+        sys.float_rhs(0.5, [0.25, -1.5], counting_pow)
+        assert calls == [2]

@@ -219,8 +219,9 @@ class TestIntegrate:
         assert info.value.norm == math.inf
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            integrate(EASY, PiecewisePolyControl.constant(1, 1), 0.0)
+        for step in (0.0, -0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step must be finite and > 0"):
+                integrate(EASY, PiecewisePolyControl.constant(1, 1), step)
 
 
 class TestZmState:
@@ -390,6 +391,47 @@ class TestDriftScan:
         assert seventh.value.time_reached < sequential.value.time_reached
         assert lockstep.value.time_reached == sequential.value.time_reached
         assert lockstep.value.norm == sequential.value.norm
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_validation(self, step):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            drift_scan(EASY, "W(1,0)", family_s1(), trials=2, step=step)
+
+    def test_longest_first_order_keeps_each_trial_bit_identical(self):
+        # step counts 15, 5, 25, 5, 10, 25, 20 at step 2e-3: distinct,
+        # out of order and tied, so the stable sort permutes the trials
+        pieces = (Fraction(1, 3), Fraction(-1, 2), Fraction(3, 4))
+        controls = [PiecewisePolyControl(
+            (0, Fraction(k, 1000), Fraction(k, 500), Fraction(k, 200)),
+            (Poly((a,)), Poly((a, -2)), Poly((Fraction(1, 7), 0, a))))
+            for k, a in zip((6, 2, 10, 2, 4, 10, 8), pieces * 3)]
+        steps = [len(integrate(EASY, u, 2e-3).times) - 1 for u in controls]
+        assert steps == [15, 5, 25, 5, 10, 25, 20]
+        for system in ("easy", "jakubczyk"):
+            states = _final_states(zoo(system), controls, 2e-3)
+            for u, x in zip(controls, states):
+                expected = integrate(zoo(system), u, 2e-3).final_state
+                assert x.tobytes() == expected.tobytes()
+
+    def test_blow_up_reported_for_the_lowest_input_index_after_sorting(self):
+        tame = PiecewisePolyControl.constant(0, 10)     # x stays 0
+        controls = [PiecewisePolyControl.constant(Fraction(1, 10),
+                                                  Fraction(1, 2)),
+                    tame,
+                    PiecewisePolyControl.constant(50, 5),     # reported
+                    PiecewisePolyControl.constant(500, 10),   # blows first
+                    tame]
+        # longest first the trials run as 1, 3, 4, 2, 0: the reported
+        # trial moves from position 2 to 3, behind the one that blows first
+        with pytest.raises(BlowUpError) as second:
+            integrate(RUNAWAY, controls[2], 1e-2)
+        with pytest.raises(BlowUpError) as third:
+            integrate(RUNAWAY, controls[3], 1e-2)
+        assert third.value.time_reached < second.value.time_reached
+        with pytest.raises(BlowUpError) as lockstep:
+            _final_states(RUNAWAY, controls, 1e-2)
+        assert lockstep.value.time_reached == second.value.time_reached
+        assert lockstep.value.norm == second.value.norm
 
     def test_zero_trials_counted(self):
         report = drift_scan(EASY, "W(1,0)", family_s1(), trials=200, seed=0)
