@@ -28,8 +28,9 @@ from .conditions import (Caps, ConditionReport, ag_screen, ag_weight,
 from .controls import (PiecewisePolyControl, Poly, SampledControl,
                        load_control, primitive)
 from .coord import chen_coefficient, check_inequalities, xi, xi_closed_form
-from .expansions import (cross_term_check, formal_state, interaction_log,
-                         magnus_log, ordered_product, verify_expansions)
+from .expansions import (cross_term_check, eta_by_product, formal_state,
+                         interaction_log, magnus_log, ordered_product,
+                         verify_expansions)
 from .fields import (PolyVectorField, SystemDef, eval_bracket, eval_lie,
                      load_system, vf_bracket)
 from .hall import (HallElement, LieElement, basis_of_bidegree, decompose,
@@ -51,7 +52,8 @@ __all__ = [
     "check_sextic", "check_sussmann_stefani", "check_wk_cubic_screen",
     "check_wk_loose", "chen_coefficient", "component_functional",
     "cross_term_check", "decompose", "drift_scan", "enumerate_basis",
-    "eval_bracket", "eval_lie", "expand_to_words", "family_layers",
+    "eta_by_product", "eval_bracket", "eval_lie", "expand_to_words",
+    "family_layers",
     "family_loose", "family_n2", "family_n3", "family_s1", "family_sextic", "formal_state", "hall_compare",
     "integrate", "interaction_log", "is_hall", "lie_bracket", "load_control",
     "load_system", "magnus_log", "neutral_span", "ordered_product",

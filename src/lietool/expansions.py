@@ -1,6 +1,7 @@
-"""Truncated state expansions for piecewise-constant controls.
+"""Truncated state expansions and the coordinates of the pseudo-first kind.
 
-Four exact views of the same word series, all computed at a degree cutoff:
+Four exact views of the same word series at a degree cutoff, for
+piecewise-constant controls only (they are word-space constructions):
 
 * :func:`formal_state` - the state as an ordered product of piece
   exponentials exp(dt (X0 + u X1)) (the exact flow of the right-invariant
@@ -20,12 +21,14 @@ series of :mod:`lietool.words`; exp(-t X0) is a piece exponential too, and a
 logarithm reaches the Hall basis through its integer numerators, one
 bidegree solve at a time (:func:`lietool.hall.decompose_words`).
 
-The eta-vs-xi cross terms come from the multivariate
-Campbell-Baker-Hausdorff-Dynkin expansion of the ordered product.
-:func:`cross_coefficient_element` extracts one universal coefficient element
-as the x^h entry of log(prod_i exp(x_i E(b_i))), computed as a series in the
-magnitudes x whose entries are rational word series and whose exponents are
-cut at h; :func:`cross_term_check` verifies the per-element identity.
+:func:`eta_by_product` reaches eta on every control without word series:
+exp(-t X0) cancels the leftmost factor of Sussmann's product, and the
+multivariate Campbell-Baker-Hausdorff-Dynkin expansion of the rest gives
+eta_b = xi_b + sum_h F_{b,h} xi^h.  :func:`cross_coefficient_element`
+extracts one universal coefficient element F as the x^h entry of
+log(prod_i exp(x_i E(b_i))), computed as a series in the magnitudes x whose
+entries are rational word series and whose exponents are cut at h;
+:func:`cross_term_check` compares the two routes to eta.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .controls import PiecewisePolyControl
-from .coord import chen_coefficient, xi
+from .controls import ControlSignal, PiecewisePolyControl
+from .coord import chen_coefficient, xi, xi_path
 from .hall import (HallElement, InternalConsistencyError,
                    basis_up_to_length, decompose_series, decompose_words)
 from .trees import X0, X1
@@ -94,7 +97,8 @@ def ordered_product(u: PiecewisePolyControl, cutoff: int) -> TensorSeries:
 
 @dataclass
 class EtaTable:
-    """Coordinates of the pseudo-first kind for |b| <= cutoff."""
+    """Coordinates of the pseudo-first kind for |b| <= cutoff: exact
+    rationals, or floats on a sampled control."""
 
     cutoff: int
     horizon: Fraction
@@ -102,14 +106,6 @@ class EtaTable:
 
     def __getitem__(self, element) -> Fraction:
         return self.values.get(HallElement.of(element), Fraction(0))
-
-    def items_sorted(self):
-        return sorted(self.values.items(), key=lambda kv: kv[0])
-
-
-def _log_after_factoring_x0(series: TensorSeries, t: Fraction,
-                            cutoff: int) -> TensorSeries:
-    return (TensorSeries.piece_exponential(cutoff, -t, 0) * series).log()
 
 
 def series_to_eta(log_series: TensorSeries, cutoff: int, horizon: Fraction) -> EtaTable:
@@ -131,9 +127,9 @@ def interaction_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     surviving (0, q) word triggers an internal-consistency failure inside the
     bidegree decomposition.
     """
-    _require_piecewise_constant(u)
-    state = formal_state(u, cutoff)
-    log_series = _log_after_factoring_x0(state.series, u.horizon, cutoff)
+    state = formal_state(u, cutoff).series
+    log_series = (TensorSeries.piece_exponential(cutoff, -u.horizon, 0)
+                  * state).log()
     if any(log_series[(0,) * n] for n in range(1, cutoff + 1)):
         raise InternalConsistencyError(
             "factoring exp(t X0) left a pure-X0 term")
@@ -142,7 +138,6 @@ def interaction_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
 
 def magnus_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     """Coordinates of the first kind: log of the full state on the basis."""
-    _require_piecewise_constant(u)
     state = formal_state(u, cutoff)
     return series_to_eta(state.series.log(), cutoff, u.horizon)
 
@@ -243,6 +238,34 @@ def _factor_patterns(target: HallElement, pool: Sequence[HallElement]):
     yield from recurse(0, n1_t, n0_t, [])
 
 
+def eta_by_product(u: ControlSignal, cutoff: int, max_n1: int) -> EtaTable:
+    """eta_b for the Hall elements b != X0 with |b| <= cutoff and
+    n1(b) <= max_n1, from Sussmann's product.
+
+    eta_b = xi_b + sum over the factor patterns (b_1 > ... > b_q, h) of
+    `cross_coefficient_element` at b times prod_i xi_{b_i}^{h_i}, on every
+    control: exact on a piecewise-polynomial one, the fine-grid float values
+    on a sampled one.  The factors of a pattern have n1 <= n1(b), so the
+    restriction to n1 <= max_n1 loses nothing below it.
+    """
+    elements = [e for e in basis_up_to_length(cutoff)
+                if e.tree is not X0 and e.n1 <= max_n1]
+    xis = {e: xi_path(e.tree, u).end_value() for e in elements}
+    table = EtaTable(cutoff=cutoff, horizon=u.horizon)
+    for target in elements:
+        total = xis[target]
+        for pattern in _factor_patterns(target, elements):
+            term = cross_coefficient_element(
+                [e for e, _ in pattern], [h for _, h in pattern]).get(
+                    target.tree.text)
+            if term:
+                for e, h in pattern:
+                    term *= xis[e] ** h
+                total += term
+        table.values[target] = total
+    return table
+
+
 @dataclass
 class CrossTermReport:
     element: HallElement
@@ -258,41 +281,24 @@ class CrossTermReport:
 
 
 def cross_term_check(u: PiecewisePolyControl, cutoff: int = 4) -> list[CrossTermReport]:
-    """Verify eta_b - xi_b against the explicit CBHD cross-term sum.
+    """Compare eta_b from `interaction_log` with `eta_by_product`.
 
-    Checked for every Hall element with length <= cutoff.  Cross terms run
-    over decreasing tuples b_1 > ... > b_q (X0 excluded) whose weighted
-    bidegrees sum to the target's.
+    Checked for every Hall element b != X0 with length <= cutoff; each
+    report's cross sum is the product route's eta_b - xi_b.
     """
-    _require_piecewise_constant(u)
     eta = interaction_log(u, cutoff)
-    pool = [e for e in basis_up_to_length(cutoff - 1) if e.tree is not X0]
     reports = []
-    for target in basis_up_to_length(cutoff):
-        if target.tree is X0:
-            continue
-        total = Fraction(0)
-        for pattern in _factor_patterns(target, pool):
-            elements = [e for e, _ in pattern]
-            powers = [h for _, h in pattern]
-            coeff = cross_coefficient_element(elements, powers).get(
-                target.tree.text)
-            if not coeff:
-                continue
-            prod = coeff
-            for e, h in pattern:
-                prod *= xi(e, u).exact ** h
-            total += prod
-        eta_val = eta[target]
-        xi_val = xi(target, u).exact
+    for target, by_product in eta_by_product(u, cutoff, cutoff).values.items():
+        eta_val, xi_val = eta[target], xi(target, u).exact
         reports.append(CrossTermReport(
-            element=target, eta=eta_val, xi=xi_val, cross_sum=total,
-            matched=(eta_val - xi_val == total)))
+            element=target, eta=eta_val, xi=xi_val,
+            cross_sum=by_product - xi_val, matched=eta_val == by_product))
     return reports
 
 
 def verify_expansions(degree: int, trials: int, seed: int = 0) -> list[tuple[str, bool]]:
-    """Randomized identity checks between the four state views.
+    """Randomized identity checks between the four state views and the
+    two routes to eta.
 
     Returns (identity name, passed) pairs; all exact comparisons.  Needs
     degree >= 1 and trials >= 1: anything less would check nothing.
@@ -308,6 +314,7 @@ def verify_expansions(degree: int, trials: int, seed: int = 0) -> list[tuple[str
         "interaction_log: eta_X0 = 0, eta_X1 = u1(t)": True,
         "magnus_log: zeta_X0 = t, zeta_X1 = u1(t)": True,
         "interaction_log is a Lie series (zero residual)": True,
+        "eta by product == interaction_log": True,
     }
     for _ in range(trials):
         pieces = rng.randint(1, 3)
@@ -329,6 +336,9 @@ def verify_expansions(degree: int, trials: int, seed: int = 0) -> list[tuple[str
         except InternalConsistencyError:
             outcomes["interaction_log is a Lie series (zero residual)"] = False
             continue
+        if any(eta[b] != value for b, value in
+               eta_by_product(u, degree, degree).values.items()):
+            outcomes["eta by product == interaction_log"] = False
         u1t = u.antiderivative().end_value()
         if eta[X0] != 0 or eta[X1] != u1t:
             outcomes["interaction_log: eta_X0 = 0, eta_X1 = u1(t)"] = False

@@ -7,7 +7,9 @@
   (:attr:`~lietool.fields.SystemDef.float_rhs`);
 * :func:`zm_state` - the truncated bracket expansion of the state
   sum_b eta_b(t,u) f_b(0), an approximate representation whose residual
-  shrinks like the (M+1)-th power of the control size;
+  shrinks like the (M+1)-th power of the control size; eta comes from
+  Sussmann's product, exact on piecewise-polynomial controls and with a
+  half-grid error estimate on sampled ones;
 * :func:`pure_counterexample_check` - reproduces, on the catalog system
   ``no_zm_pure``, the exact quartic discrepancy that appears when the
   expansion uses the plain second-kind coordinates instead of eta;
@@ -37,7 +39,7 @@ from .conditions import Caps, FamilySpec, component_functional
 from .controls import (ControlSignal, PiecewisePolyControl, Poly, horner,
                        primitive)
 from .coord import xi
-from .expansions import interaction_log
+from .expansions import eta_by_product
 from .fields import SystemDef, eval_bracket
 from .hall import HallElement, basis_up_to_length
 from .zoo import zoo
@@ -225,36 +227,13 @@ def _float_bracket_values(sys: SystemDef, max_length: int,
     return values
 
 
-def _to_piecewise_constant(u: ControlSignal, pieces: int) -> PiecewisePolyControl:
-    """Midpoint piecewise-constant surrogate on a uniform grid.
-
-    Values are quantized dyadically (denominator 2^24) so the exact series
-    arithmetic downstream works with rationals of bounded size; the
-    quantization error is far below the refinement error being controlled.
-    """
-    if isinstance(u, PiecewisePolyControl) and u.is_piecewise_constant():
-        return u
-    t = Fraction(u.horizon) if isinstance(u, PiecewisePolyControl) \
-        else Fraction(u.horizon).limit_denominator(10 ** 6)
-    breakpoints = [t * i / pieces for i in range(pieces + 1)]
-    values = []
-    for i in range(pieces):
-        mid = float(breakpoints[i] + breakpoints[i + 1]) / 2
-        values.append(Fraction(round(float(u.eval(mid)) * 2 ** 24), 2 ** 24))
-    return PiecewisePolyControl.piecewise_constant(breakpoints, values)
-
-
 @dataclass
 class ZmResult:
     value: np.ndarray
     order: int
     length_cutoff: int
     tail_estimate: float
-    refinement_pieces: int
-    converged: bool
-
-    def vector(self) -> np.ndarray:
-        return self.value
+    error_estimate: float
 
 
 def zm_state(sys: SystemDef, u: ControlSignal, M: int,
@@ -262,18 +241,19 @@ def zm_state(sys: SystemDef, u: ControlSignal, M: int,
     """sum over basis elements b with n1(b) <= M, |b| <= length_cutoff of
     eta_b(t,u) f_b(0).
 
-    Controls that are not piecewise-constant are refined by midpoint sampling
-    with doubling until the output moves by less than 1e-9; `converged` is
-    False when the doubling stopped at its cap (1024 pieces) instead.  The
-    tail estimate reports the contribution of the outermost length layer
-    (the summands decay factorially in the length).
+    eta comes from Sussmann's product (`eta_by_product`), exact on a
+    piecewise-polynomial control, where `error_estimate` is 0.0.  On a
+    sampled control the value is the fine grid's and `error_estimate` is
+    its distance to the half grid's, as for `xi`.  The tail estimate
+    reports the contribution of the outermost length layer (the summands
+    decay factorially in the length).
     """
     if M < 1 or length_cutoff < M:
         raise ValueError("need 1 <= M <= length_cutoff")
     values = _float_bracket_values(sys, length_cutoff, M)
 
-    def run(pc: PiecewisePolyControl) -> tuple[np.ndarray, float]:
-        eta = interaction_log(pc, length_cutoff)
+    def run(v: ControlSignal) -> tuple[np.ndarray, float]:
+        eta = eta_by_product(v, length_cutoff, M)
         total = np.zeros(sys.dim)
         tail = 0.0
         for element, vec in values.items():
@@ -283,23 +263,12 @@ def zm_state(sys: SystemDef, u: ControlSignal, M: int,
                 tail += float(np.linalg.norm(term))
         return total, tail
 
-    exact_input = isinstance(u, PiecewisePolyControl) and u.is_piecewise_constant()
-    pieces = 8
-    pc = _to_piecewise_constant(u, pieces)
-    value, tail = run(pc)
-    converged = exact_input
-    if not exact_input:
-        while pieces <= 512:
-            pieces *= 2
-            new_value, tail = run(_to_piecewise_constant(u, pieces))
-            moved = float(np.linalg.norm(new_value - value))
-            value = new_value
-            if moved < 1e-9:
-                converged = True
-                break
+    value, tail = run(u)
+    error = 0.0
+    if not isinstance(u, PiecewisePolyControl):
+        error = float(np.linalg.norm(value - run(u.coarsened())[0]))
     return ZmResult(value=value, order=M, length_cutoff=length_cutoff,
-                    tail_estimate=tail, refinement_pieces=pieces,
-                    converged=converged)
+                    tail_estimate=tail, error_estimate=error)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +495,24 @@ def residual_scaling_slope(sys: SystemDef, u: PiecewisePolyControl, M: int,
                            lambdas: Sequence[float] = (1.0, 0.5, 0.25, 0.125),
                            length_cutoff: int = 6,
                            step: float = 5e-4) -> float:
-    """Log-log slope of |x - Z_M(0)| under control scaling u -> lambda u."""
+    """Log-log slope of |x - Z_M(0)| under control scaling u -> lambda u.
+
+    Needs at least two scales and a nonzero residual at each (a zero
+    control, say, has none), else there is no slope to fit.
+    """
+    if len(lambdas) < 2:
+        raise ValueError(f"a residual slope needs at least two scales, "
+                         f"got {len(lambdas)}")
     residuals = []
     for lam in lambdas:
         scaled = u.scale(Fraction(lam).limit_denominator(10 ** 6))
         x = integrate(sys, scaled, step).final_state
         z = zm_state(sys, scaled, M, length_cutoff).value
-        residuals.append(float(np.linalg.norm(x - z)))
+        residual = float(np.linalg.norm(x - z))
+        if residual == 0:
+            raise ValueError(f"zero residual |x - Z_M(0)| at scale {lam}: "
+                             f"no slope to fit")
+        residuals.append(residual)
     slopes = []
     for i in range(len(lambdas) - 1):
         num = math.log(residuals[i] / residuals[i + 1])

@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pc_control
 from lietool import expansions, trees
-from lietool.controls import PiecewisePolyControl, primitive
+from lietool.controls import (PiecewisePolyControl, Poly, SampledControl,
+                              primitive)
 from lietool.coord import chen_coefficient, xi
 from lietool.expansions import (cross_coefficient_element, cross_term_check,
-                                formal_state, interaction_log, magnus_log,
-                                ordered_product, verify_expansions)
-from lietool.hall import HallElement, decompose
+                                eta_by_product, formal_state, interaction_log,
+                                magnus_log, ordered_product, verify_expansions)
+from lietool.hall import HallElement, basis_up_to_length, decompose
 from lietool.trees import M, W, X0, X1, node
-from lietool.words import all_words
+from lietool.words import TensorSeries, all_words, expand_to_words
 
 ZERO = PiecewisePolyControl.constant(0, 1)
 UNIT = PiecewisePolyControl.constant(1, 1)
@@ -174,6 +177,60 @@ class TestCrossTermCheck:
         # eta - xi = -(1/2) xi_{M1} xi_{X1} (single CBH pair M1 > X1)
         expected = -Fraction(1, 2) * xi(M(1), u).exact * xi(X1, u).exact
         assert reports[w1].eta - reports[w1].xi == expected
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def poly_controls(draw):
+    """Piecewise polynomials of degree <= 2 on rational breakpoints."""
+    horizon = draw(st.fractions(min_value=Fraction(1, 4), max_value=1,
+                                max_denominator=6))
+    cuts = draw(st.lists(st.fractions(min_value=0, max_value=1,
+                                      max_denominator=7),
+                         max_size=2, unique=True))
+    inner = sorted({c * horizon for c in cuts} - {0, horizon})
+    polys = [Poly(draw(st.lists(_SMALL, max_size=3)))
+             for _ in range(len(inner) + 1)]
+    return PiecewisePolyControl([0, *inner, horizon], polys)
+
+
+class TestEtaByProduct:
+    @settings(max_examples=25, deadline=None)
+    @given(poly_controls())
+    def test_reproduces_every_chen_coefficient(self, u):
+        # exp(t X0) exp(sum eta_b E(b)) is the state on any exact control
+        cutoff = 5
+        log = TensorSeries.zero(cutoff)
+        for b, value in eta_by_product(u, cutoff, cutoff).values.items():
+            log = log + expand_to_words(b.tree, cutoff).scale(value)
+        state = TensorSeries.piece_exponential(cutoff, u.horizon, 0) * log.exp()
+        for word in all_words(cutoff):
+            assert state[word] == chen_coefficient(word, u).exact
+
+    def test_matches_the_interaction_log_at_cutoff_seven(self, rng):
+        u = random_pc_control(rng)
+        eta = interaction_log(u, 7)
+        by_product = eta_by_product(u, 7, 7)
+        assert len(by_product.values) == len(basis_up_to_length(7)) - 1
+        assert all(eta[b] == v for b, v in by_product.values.items())
+
+    def test_targets_stop_at_max_n1(self, rng):
+        u = random_pc_control(rng)
+        full = eta_by_product(u, 6, 6).values
+        low = eta_by_product(u, 6, 2).values
+        assert low == {b: v for b, v in full.items() if b.n1 <= 2}
+
+    def test_sampled_control_gives_the_fine_grid_floats(self):
+        grid = np.linspace(0.0, 1.0, 33)
+        u = SampledControl(1.0, np.cos(3 * grid))
+        eta = eta_by_product(u, 4, 2)
+        w1 = HallElement.of(W(1, 0))
+        # eta_W(1,0) = xi_W(1,0) - (1/2) xi_M(1) xi_X1
+        want = (xi(w1, u).approx
+                - Fraction(1, 2) * xi(M(1), u).approx * xi(X1, u).approx)
+        assert eta[w1] == want
 
 
 def test_verify_expansions_all_pass():

@@ -13,16 +13,23 @@ import lietool
 from lietool.conditions import MembershipHoldsError, family_n2, family_s1
 from lietool.controls import PiecewisePolyControl, Poly, SampledControl, primitive
 from lietool.coord import xi
+from lietool.expansions import eta_by_product, interaction_log
 from lietool.fields import PolyVectorField, SystemDef
 from lietool.polynomials import SparsePoly
-from lietool.simulate import (BlowUpError, _final_states, drift_scan,
-                              integrate, pure_counterexample_check,
+from lietool.simulate import (BlowUpError, _final_states,
+                              _float_bracket_values, drift_scan, integrate,
+                              pure_counterexample_check,
                               random_control_family, residual_scaling_slope,
                               zm_state)
 from lietool.trees import parse_tree
 from lietool.zoo import zoo
 
 EASY = zoo("easy")
+
+# acceptance criterion 8's control
+SCALING_BASE = PiecewisePolyControl.piecewise_constant(
+    (0, Fraction(1, 60), Fraction(1, 30), Fraction(1, 15), Fraction(1, 10)),
+    (Fraction(1, 5), Fraction(-1, 5), Fraction(-1, 20), Fraction(1, 20)))
 
 
 def sym_pc(amplitude, t) -> PiecewisePolyControl:
@@ -236,32 +243,45 @@ class TestZmState:
         u = PiecewisePolyControl.constant(0, Fraction(1, 10))
         assert np.all(zm_state(EASY, u, 2, 5).value == 0)
 
-    def test_sampled_control_refinement(self):
-        grid = np.linspace(0, 0.1, 65)
-        u = SampledControl(0.1, 0.5 * np.sin(40 * grid))
-        z = zm_state(EASY, u, 1, 4)
-        assert z.refinement_pieces > 8
-        assert np.isfinite(z.value).all()
-
     def test_converged_on_exact_piecewise_constant_input(self):
         u = skew_pc(Fraction(1, 5), Fraction(1, 10))
-        z = zm_state(EASY, u, 2, 5)
-        assert z.converged and z.refinement_pieces == 8
+        assert zm_state(EASY, u, 2, 5).error_estimate == 0.0
 
-    def test_converged_when_refinement_settles(self):
-        # dyadic midpoints: no quantization, the moves shrink like 1/pieces^2
-        u = PiecewisePolyControl((0, Fraction(1, 8)),
-                                 (Poly((0, Fraction(1, 16))),))
-        z = zm_state(EASY, u, 1, 4)
-        assert z.converged and z.refinement_pieces == 256
+    @pytest.mark.parametrize("M, cutoff", [(1, 5), (2, 6)])
+    def test_criterion_8_controls_match_the_interaction_log(self, M, cutoff):
+        # the word-space route, summed in zm_state's order, bit for bit
+        values = _float_bracket_values(EASY, cutoff, M)
+        for lam in (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
+            u = SCALING_BASE.scale(lam)
+            eta = interaction_log(u, cutoff)
+            want = np.zeros(EASY.dim)
+            for element, vec in values.items():
+                want = want + float(eta[element]) * vec
+            assert zm_state(EASY, u, M, cutoff).value.tobytes() \
+                == want.tobytes()
 
-    def test_not_converged_at_the_piece_cap(self):
-        # a jump at 1/30 never falls on the uniform grid, so the midpoint
-        # surrogate stays first-order accurate and misses 1e-9 at the cap
+    def test_exact_on_a_smooth_control(self):
+        # two quadratic pieces: eta is exact, so is the sum
         u = PiecewisePolyControl(
-            (0, Fraction(1, 30), Fraction(1, 10)), (Poly((1, 10)), Poly((-1,))))
-        z = zm_state(EASY, u, 1, 4)
-        assert not z.converged and z.refinement_pieces == 1024
+            (0, Fraction(1, 2), 1),
+            (Poly((Fraction(1, 2), -3, 3)),
+             Poly((Fraction(-1, 4), 1, Fraction(-2, 3)))))
+        z = zm_state(EASY, u, 3, 6)
+        eta = eta_by_product(u, 6, 3)
+        assert all(isinstance(v, Fraction) for v in eta.values.values())
+        assert z.error_estimate == 0.0
+        assert z.value[0] == float(primitive(u, 1).end_value())
+        assert z.value[1] == float(primitive(u, 2).end_value())
+
+    @pytest.mark.parametrize("points", [65, 257])
+    def test_sampled_error_estimate_bounds_the_error(self, points):
+        smooth = PiecewisePolyControl((0, 1), (Poly((Fraction(1, 2), -3, 3)),))
+        grid = np.linspace(0.0, 1.0, points)
+        sampled = SampledControl(1.0, 0.5 - 3 * grid + 3 * grid ** 2)
+        exact = zm_state(EASY, smooth, 3, 6).value
+        z = zm_state(EASY, sampled, 3, 6)
+        assert 0 < z.error_estimate < math.inf
+        assert np.linalg.norm(z.value - exact) <= z.error_estimate
 
     def test_parameter_validation(self):
         u = PiecewisePolyControl.constant(1, 1)
@@ -276,6 +296,15 @@ class TestResidualScaling:
         base = skew_pc(Fraction(1, 5), Fraction(1, 10))
         assert residual_scaling_slope(EASY, base, 1, length_cutoff=5) >= 1.8
         assert residual_scaling_slope(EASY, base, 2, length_cutoff=6) >= 2.8
+
+    def test_zero_control_is_refused(self):
+        u = PiecewisePolyControl.constant(0, Fraction(1, 10))
+        with pytest.raises(ValueError, match="zero residual"):
+            residual_scaling_slope(EASY, u, 1, length_cutoff=4)
+
+    def test_one_scale_is_refused(self):
+        with pytest.raises(ValueError, match="at least two scales"):
+            residual_scaling_slope(EASY, SCALING_BASE, 1, lambdas=(1.0,))
 
 
 class TestPureCounterexample:
