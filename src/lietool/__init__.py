@@ -9,8 +9,10 @@ The package is organized around one pipeline:
 * :mod:`lietool.controls`, :mod:`lietool.coord` - exact piecewise-polynomial
   and sampled controls and their iterated-integral coordinates (one
   recursion for both);
-* :mod:`lietool.expansions` - state expansions for piecewise-constant inputs
-  (ordered exponential products, interaction-picture logarithm, cross terms);
+* :mod:`lietool.expansions` - state expansions (piece-exponential products
+  and the interaction-picture logarithm for piecewise-constant inputs,
+  ordered Hall-exponential products and Sussmann's product for eta on every
+  control, cross terms);
 * :mod:`lietool.fields`, :mod:`lietool.zoo` - polynomial vector fields,
   bracket evaluation at the origin, benchmark systems;
 * :mod:`lietool.conditions` - span-membership checkers for the published

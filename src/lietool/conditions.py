@@ -29,15 +29,16 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 from . import trees
-from .exact_linalg import ExactSpan, null_space
+from .exact_linalg import ExactSpan
 from .fields import SystemDef, Vector, eval_bracket
 from .hall import InternalConsistencyError, basis_of_bidegree
 from .trees import BracketTree, X0, X1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Caps:
-    """Truncation parameters for infinite neutralizing families."""
+    """Truncation parameters for infinite neutralizing families; frozen, so
+    the checks below hold for the life of the object."""
 
     max_index: int = 12         # free family indices (j, k, l, m, mu)
     max_n0: int = 12            # interior zeros of enumerated germs
@@ -45,8 +46,18 @@ class Caps:
     max_screen_length: int = 9  # enumeration bound for the weight screen
     stability_window: Optional[int] = None  # default: state dimension
 
+    def __post_init__(self):
+        for name, least in (("max_index", 1), ("max_n0", 0),
+                            ("max_layer_length", 1), ("max_screen_length", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"caps: {name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
+        if self.stability_window is not None and self.stability_window < 1:
+            raise ValueError("caps: stability_window must be None or >= 1, "
+                             f"got {self.stability_window}")
+
     def window(self, dim: int) -> int:
-        return self.stability_window if self.stability_window else dim
+        return self.stability_window or dim
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +151,26 @@ def family_pk(k: int) -> FamilySpec:
 
 @dataclass
 class SpanResult:
-    basis_vectors: list[Vector]
+    """The family span in one `ExactSpan`, with the element behind each of
+    its generators."""
+
+    exact: ExactSpan
     generating_elements: list[BracketTree]
     stabilized: bool
     caps: Caps
-    rank: int = 0
 
-    def __post_init__(self):
-        self.rank = len(self.basis_vectors)
+    @property
+    def basis_vectors(self) -> list[Vector]:
+        return self.exact.generators
+
+    @property
+    def rank(self) -> int:
+        return self.exact.rank
 
 
 def _chain_vectors(sys: SystemDef, germ: BracketTree,
-                   collector: "_SpanCollector") -> None:
-    """Add the full trailing-zero chain of one germ (exact truncation)."""
+                   offer: Callable[[BracketTree, Vector], None]) -> None:
+    """Offer the full trailing-zero chain of one germ (exact truncation)."""
     value = eval_bracket(sys, germ)
     chain_span = ExactSpan(sys.dim)
     tree = germ
@@ -161,50 +179,37 @@ def _chain_vectors(sys: SystemDef, germ: BracketTree,
             break
         if not chain_span.add(value):
             break   # Krylov stall is permanent
-        collector.add(tree, value)
+        offer(tree, value)
         value = sys.h0_apply(value)
         tree = trees.node(tree, X0)
-
-
-class _SpanCollector:
-    def __init__(self, sys: SystemDef, exclude: frozenset[str]):
-        self.sys = sys
-        self.exclude = exclude
-        self.span = ExactSpan(sys.dim)
-        self.vectors: list[Vector] = []
-        self.elements: list[BracketTree] = []
-
-    def add(self, tree: BracketTree, value: Vector) -> None:
-        if tree.text in self.exclude:
-            return
-        if any(value) and self.span.add(value):
-            self.vectors.append(value)
-            self.elements.append(tree)
 
 
 def neutral_span(sys: SystemDef, fam: FamilySpec,
                  caps: Caps | None = None) -> SpanResult:
     """Exact basis of span{f_b(0) : b in fam} under the truncation caps."""
     caps = caps or Caps()
-    if caps.max_index < 1 or caps.max_n0 < 0:
-        raise ValueError("caps must be positive")
     window = caps.window(sys.dim)
-    collector = _SpanCollector(sys, fam.exclude)
+    span = ExactSpan(sys.dim)
+    elements: list[BracketTree] = []
     stabilized = True
+
+    def offer(tree: BracketTree, value: Vector) -> None:
+        if tree.text not in fam.exclude and span.add(value):
+            elements.append(tree)
 
     for gen in fam.generators:
         if isinstance(gen, Fixed):
             if gen.tree.text not in fam.exclude:
-                collector.add(gen.tree, eval_bracket(sys, gen.tree))
+                offer(gen.tree, eval_bracket(sys, gen.tree))
         elif isinstance(gen, GermChain):
-            _chain_vectors(sys, gen.germ, collector)
+            _chain_vectors(sys, gen.germ, offer)
         elif isinstance(gen, IndexedChains):
             last_growth = gen.start - 1
             index = gen.start
             while index <= gen.start + caps.max_index - 1:
-                before = collector.span.rank
-                _chain_vectors(sys, gen.germ_of_index(index), collector)
-                if collector.span.rank > before:
+                before = span.rank
+                _chain_vectors(sys, gen.germ_of_index(index), offer)
+                if span.rank > before:
                     last_growth = index
                 if index - last_growth >= window:
                     break
@@ -217,7 +222,7 @@ def neutral_span(sys: SystemDef, fam: FamilySpec,
                 continue
             last_growth = -1
             for budget in range(0, caps.max_n0 + 1):
-                before = collector.span.rank
+                before = span.rank
                 for n1 in sorted(gen.n1_set):
                     if n1 + budget > caps.max_layer_length:
                         continue
@@ -226,17 +231,15 @@ def neutral_span(sys: SystemDef, fam: FamilySpec,
                             continue    # chains handle trailing zeros
                         if element.tree.text in fam.exclude:
                             continue
-                        _chain_vectors(sys, element.tree, collector)
-                if collector.span.rank > before:
+                        _chain_vectors(sys, element.tree, offer)
+                if span.rank > before:
                     last_growth = budget
             if last_growth > caps.max_n0 - window:
                 stabilized = False
         else:  # pragma: no cover
             raise TypeError(gen)
-    return SpanResult(
-        basis_vectors=collector.vectors,
-        generating_elements=collector.elements,
-        stabilized=stabilized, caps=caps)
+    return SpanResult(exact=span, generating_elements=elements,
+                      stabilized=stabilized, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +301,9 @@ def component_functional(sys: SystemDef, b, fam: FamilySpec,
 
 
 def _component_from_span(target: Vector, span: SpanResult) -> Vector:
-    d = len(target)
-    matrix = [list(v) for v in span.basis_vectors]
     candidates = []
-    for n in null_space(matrix, d):
-        pairing = sum((n[i] * target[i] for i in range(d)), Fraction(0))
+    for n in span.exact.null_space():
+        pairing = sum((x * t for x, t in zip(n, target)), Fraction(0))
         if pairing:
             nnz = sum(1 for x in n if x)
             candidates.append((nnz, n, pairing))
@@ -319,11 +320,8 @@ def _run_check(sys: SystemDef, condition: str, target: BracketTree,
     caps = caps or Caps()
     target_value = eval_bracket(sys, target)
     span = neutral_span(sys, fam, caps)
-    probe = ExactSpan(sys.dim)
-    for v in span.basis_vectors:
-        probe.add(v)
-    if probe.contains(target_value):
-        combination = probe.coordinates(target_value, span.basis_vectors)
+    if span.exact.contains(target_value):
+        combination = span.exact.coordinates(target_value)
         if combination is None:
             raise InternalConsistencyError(
                 "membership held but no exact combination was found")
@@ -537,6 +535,10 @@ def ag_screen(sys: SystemDef,
                     continue
                 if w <= r:
                     weighted.append((element.tree, k, w))
+    # one span grown in weight order holds every bracket lighter than w
+    weighted.sort(key=lambda item: item[2])
+    span = ExactSpan(sys.dim)
+    grown = 0
     entries = []
     for tree, k, w in weighted:
         if tree.n1 % 2 or tree.n0 % 2 == 0 or k % 2 == 0:
@@ -545,10 +547,9 @@ def ag_screen(sys: SystemDef,
         if not any(value):
             entries.append(AgScreenEntry(tree, k, w, value, None))
             continue
-        span = ExactSpan(sys.dim)
-        for other, _, w2 in weighted:
-            if w2 < w:
-                span.add(eval_bracket(sys, other))
+        while grown < len(weighted) and weighted[grown][2] < w:
+            span.add(eval_bracket(sys, weighted[grown][0]))
+            grown += 1
         entries.append(AgScreenEntry(
             tree, k, w, value, span.contains(value)))
     entries.sort(key=lambda e: (e.weight, e.tree.length, e.tree.text))

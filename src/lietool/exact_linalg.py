@@ -1,13 +1,16 @@
-"""Exact linear algebra: spans, solving, null spaces, and an integer kernel.
+"""Exact linear algebra: one Fraction eliminator and an integer kernel.
 
-`ExactSpan`, `rref`, `null_space` and `solve_least_exact` work densely in
-`Fraction`; they build spans and re-check every certificate.  The Hall
-solver, `independent_rows` and `invert_square` run on one integer kernel:
-rows are chosen modulo a 31-bit prime with numpy int64 (a minor that is
-nonzero mod p is nonzero over Q, and an unlucky prime falls back to the exact
-greedy choice), and the chosen square is inverted fraction-free (Bareiss) in
-Python ints, as an adjugate and a determinant.  Sizes are those this package
-meets: state dimensions <= 10, word spaces up to a few thousand words.
+`ExactSpan` is the one eliminator in `Fraction`: a subspace grown a vector at
+a time and kept in reduced row-echelon form.  Its rank, membership test,
+canonical annihilator basis (`null_space`) and exact coordinates over the
+vectors that grew it (`coordinates`) build the obstruction spans and their
+certificates.  The Hall solver, `independent_rows` and `invert_square` run on
+one integer kernel: rows are chosen modulo a 31-bit prime with numpy int64 (a
+minor that is nonzero mod p is nonzero over Q, and an unlucky prime falls
+back to the exact greedy choice in an `ExactSpan`), and the chosen square is
+inverted fraction-free (Bareiss) in Python ints, as an adjugate and a
+determinant.  Sizes are those this package meets: state dimensions <= 10,
+word spaces up to a few thousand words.
 """
 
 from __future__ import annotations
@@ -21,30 +24,32 @@ import numpy as np
 Vector = tuple[Fraction, ...]
 
 
-def as_vector(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
 class ExactSpan:
-    """Incrementally built subspace of Q^n in row-echelon form."""
+    """Subspace of Q^n grown one vector at a time, in reduced row-echelon form.
+
+    `generators` are the vectors that grew the rank, in insertion order;
+    `rows[k]` is 1 at column `pivots[k]` and 0 at every other pivot column.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[Vector] = []      # echelon rows
-        self.pivots: list[int] = []       # pivot column per row
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
+        self.generators: list[Vector] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, vector: Sequence) -> list[Fraction]:
-        """Residual of `vector` against the current span."""
+        """Residual of `vector` against the span: zero on every pivot column."""
         v = [Fraction(x) for x in vector]
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                c = v[p]
-                for i in range(self.n):
-                    v[i] -= c * row[i]
+            c = v[p]
+            if c:
+                for i, x in enumerate(row):
+                    if x:
+                        v[i] -= c * x
         return v
 
     def contains(self, vector: Sequence) -> bool:
@@ -53,48 +58,59 @@ class ExactSpan:
     def add(self, vector: Sequence) -> bool:
         """Insert a vector; returns True if the rank grew."""
         v = self.reduce(vector)
-        for p in range(self.n):
-            if v[p]:
-                c = v[p]
-                row = tuple(x / c for x in v)
-                self.rows.append(row)
-                self.pivots.append(p)
-                return True
-        return False
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        c = v[p]
+        new = [x / c for x in v]
+        for row in self.rows:
+            f = row[p]
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, new)]
+        self.rows.append(new)
+        self.pivots.append(p)
+        self.generators.append(tuple(Fraction(x) for x in vector))
+        return True
 
-    def coordinates(self, vector: Sequence,
-                    generators: Sequence[Sequence]) -> Optional[list[Fraction]]:
-        """Exact coefficients writing `vector` over `generators`, or None.
+    def null_space(self) -> list[Vector]:
+        """Basis of {x : r . x = 0 for every r in the span}.
 
-        Used to produce re-checkable membership certificates.
+        One vector per free column f, 1 at f and 0 at the other free
+        columns: canonical, since a subspace has one reduced echelon form.
         """
-        cols = [as_vector(g) for g in generators]
-        m = len(cols)
-        aug = [[cols[j][i] for j in range(m)] + [Fraction(vector[i])]
-               for i in range(self.n)]
-        coeffs = solve_least_exact(aug, m)
-        if coeffs is None:
-            return None
+        basis = []
+        for f in range(self.n):
+            if f in self.pivots:
+                continue
+            x = [Fraction(0)] * self.n
+            x[f] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                x[p] = -row[f]
+            basis.append(tuple(x))
+        return basis
+
+    def coordinates(self, vector: Sequence) -> Optional[list[Fraction]]:
+        """Exact c with sum_j c_j generators[j] == vector, or None.
+
+        G has the generators as columns, which are independent, so
+        [G | -vector] has a null space exactly when vector lies in the span,
+        spanned by (c, 1); the combination is re-checked before it is
+        returned.
+        """
+        v = [Fraction(x) for x in vector]
+        m = len(self.generators)
+        system = ExactSpan(m + 1)
         for i in range(self.n):
-            s = sum((cols[j][i] * coeffs[j] for j in range(m)), Fraction(0))
-            if s != Fraction(vector[i]):
+            system.add([g[i] for g in self.generators] + [-v[i]])
+        kernel = system.null_space()
+        if not kernel:
+            return None
+        c = list(kernel[0][:m])
+        for i in range(self.n):
+            if sum((cj * g[i] for cj, g in zip(c, self.generators)),
+                   Fraction(0)) != v[i]:
                 return None
-        return coeffs
-
-
-def solve_least_exact(aug: list[list[Fraction]], m: int) -> Optional[list[Fraction]]:
-    """Solve A x = b given as an augmented matrix with m unknowns.
-
-    Returns one exact solution (free variables set to 0) or None if
-    inconsistent.
-    """
-    rows, pivots = rref(aug)
-    if pivots and pivots[-1] == m:
-        return None
-    x = [Fraction(0)] * m
-    for row, c in zip(rows, pivots):
-        x[c] = row[m]
-    return x
+        return c
 
 
 # Row choice runs modulo this prime (2**31 - 1), so every product of two
@@ -243,44 +259,3 @@ def invert_square(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     adj, det = bareiss_inverse([row for row, _ in cleared])
     scales = [d for _, d in cleared]
     return [[Fraction(x * d, det) for x, d in zip(row, scales)] for row in adj]
-
-
-def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form and pivot columns."""
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots
-
-
-def null_space(matrix: list[list[Fraction]], m: int) -> list[Vector]:
-    """Basis of {x in Q^m : A x = 0}, in the canonical RREF parametrization."""
-    if not matrix:
-        return [tuple(Fraction(int(i == j)) for i in range(m)) for j in range(m)]
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(tuple(v))
-    return basis

@@ -1,20 +1,22 @@
 """Truncated state expansions and the coordinates of the pseudo-first kind.
 
-Four exact views of the same word series at a degree cutoff, for
-piecewise-constant controls only (they are word-space constructions):
+Four exact views of the same word series at a degree cutoff (they are
+word-space constructions):
 
 * :func:`formal_state` - the state as an ordered product of piece
   exponentials exp(dt (X0 + u X1)) (the exact flow of the right-invariant
   formal ODE for piecewise-constant inputs), each built in closed form by
-  :meth:`TensorSeries.piece_exponential`;
+  :meth:`TensorSeries.piece_exponential`; piecewise-constant controls only;
 * the letter-by-letter iterated-integral coefficients from
   :mod:`lietool.coord` (cross-checked in tests rather than recomputed here);
 * :func:`ordered_product` - the infinite ordered product of Hall-element
   exponentials exp(xi_b E(b)), made finite by keeping |b| <= cutoff, factors
-  decreasing from left to right (X0 leftmost, X1 rightmost);
+  decreasing from left to right (X0 leftmost, X1 rightmost); on every exact
+  piecewise-polynomial control;
 * :func:`interaction_log` - the logarithm after factoring exp(t X0) out on
   the left, whose coefficients on the Hall basis are the coordinates of the
-  pseudo-first kind eta_b.
+  pseudo-first kind eta_b; built on :func:`formal_state`, so
+  piecewise-constant controls only.
 
 The products, exponentials and logarithms run on the dense degree-graded
 series of :mod:`lietool.words`; exp(-t X0) is a piece exponential too, and a
@@ -81,9 +83,10 @@ def ordered_product(u: PiecewisePolyControl, cutoff: int) -> TensorSeries:
 
     Factors are ordered decreasing left to right (X0 leftmost, X1 rightmost);
     omitted factors only touch degrees beyond the cutoff, so the result is
-    exactly the truncated state.
+    exactly the truncated state, on every exact piecewise-polynomial control.
     """
-    _require_piecewise_constant(u)
+    if not isinstance(u, PiecewisePolyControl):
+        raise TypeError("ordered_product needs an exact control")
     elements = basis_up_to_length(cutoff)
     out = TensorSeries.unit(cutoff)
     for element in sorted(elements, reverse=True):

@@ -363,6 +363,15 @@ class TestErrors:
         assert CONDITION_GRAMMAR in err
         assert "unpack" not in err
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--cap-index", "0", "max_index"), ("--cap-n0", "-1", "max_n0")])
+    def test_degenerate_cap_names_the_field(self, run, flag, value, named):
+        code, out, err = run("check", "--system", "zoo:easy",
+                             "--condition", "sussmann:1", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: caps:") and named in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("spec, named", [
         ("zoo:sextic:p=x", ["'p'", "'x'"]),
         ("zoo:sextic:q=3", ["'q'", "accepted: p"]),

@@ -47,6 +47,32 @@ class TestNeutralSpan:
             neutral_span(zoo("easy"), family_s1(), Caps(max_index=0))
 
 
+class TestCaps:
+    @pytest.mark.parametrize("field, value", [
+        ("max_index", 0), ("max_n0", -1), ("max_layer_length", 0),
+        ("max_screen_length", 0), ("stability_window", 0),
+        ("stability_window", -1)])
+    def test_degenerate_cap_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Caps(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_index", 1), ("max_n0", 0), ("max_layer_length", 1),
+        ("max_screen_length", 1), ("stability_window", 1),
+        ("stability_window", None)])
+    def test_least_cap_is_accepted(self, field, value):
+        assert getattr(Caps(**{field: value}), field) == value
+
+    def test_caps_cannot_be_changed_past_the_checks(self):
+        caps = Caps()
+        with pytest.raises(AttributeError):
+            caps.stability_window = -1
+
+    def test_window_defaults_to_the_state_dimension(self):
+        assert Caps().window(4) == 4
+        assert Caps(stability_window=2).window(4) == 2
+
+
 class TestSussmannStefani:
     def test_easy_violated(self):
         report = check_sussmann_stefani(zoo("easy"), 1)

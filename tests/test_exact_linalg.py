@@ -1,17 +1,28 @@
-import random
 from fractions import Fraction
 
 import pytest
+import sympy        # a declared test dependency: fail, do not skip
 from hypothesis import given, settings, strategies as st
 
 from lietool.exact_linalg import (PRIME, ExactSpan, _rows_mod_p,
                                   bareiss_inverse, independent_rows,
-                                  invert_square, null_space, rref,
-                                  solve_least_exact)
+                                  invert_square)
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def span_of(vectors, n):
+    span = ExactSpan(n)
+    for v in vectors:
+        span.add(v)
+    return span
+
+
+def echelon(span):
+    """The span's (pivot, row) pairs by pivot column."""
+    return sorted(zip(span.pivots, span.rows))
 
 
 class TestExactSpan:
@@ -21,17 +32,14 @@ class TestExactSpan:
         assert not span.add((2, 0, 0))
         assert span.add((1, 1, 0))
         assert span.rank == 2
+        assert span.generators == [(F(1), F(0), F(0)), (F(1), F(1), F(0))]
         assert span.contains((5, -3, 0))
         assert not span.contains((0, 0, 1))
 
     def test_coordinates_certificate(self):
-        span = ExactSpan(3)
-        gens = [(1, 1, 0), (0, 1, 1)]
-        for g in gens:
-            span.add(g)
-        coeffs = span.coordinates((2, 5, 3), gens)
-        assert coeffs == [F(2), F(3)]
-        assert span.coordinates((0, 0, 1), gens) is None
+        span = span_of([(1, 1, 0), (0, 1, 1)], 3)
+        assert span.coordinates((2, 5, 3)) == [F(2), F(3)]
+        assert span.coordinates((0, 0, 1)) is None
 
     def test_reduce_is_exact(self, rng):
         for _ in range(20):
@@ -47,18 +55,24 @@ class TestExactSpan:
 
 
 class TestSolvers:
+    """Exact solves through `ExactSpan.coordinates`: the unknowns are the
+    coefficients of the span's generators, the columns of the system."""
+
     def test_solve_exact_system(self):
         # x + y = 3, x - y = 1
-        aug = [[F(1), F(1), F(3)], [F(1), F(-1), F(1)]]
-        assert solve_least_exact(aug, 2) == [F(2), F(1)]
+        span = span_of([(1, 1), (1, -1)], 2)
+        assert span.coordinates((3, 1)) == [F(2), F(1)]
 
     def test_solve_detects_inconsistency(self):
-        aug = [[F(1), F(1)], [F(1), F(2)]]     # x = 1 and x = 2
-        assert solve_least_exact(aug, 1) is None
+        span = span_of([(1, 1)], 2)         # x = 1 and x = 2
+        assert span.coordinates((1, 2)) is None
 
     def test_solve_underdetermined_sets_free_to_zero(self):
-        aug = [[F(1), F(1), F(2)]]
-        assert solve_least_exact(aug, 2) == [F(2), F(0)]
+        # x + y = 2: the column of y does not grow the span, so it is no
+        # generator and y is 0
+        span = span_of([(1,), (1,)], 1)
+        assert span.generators == [(F(1),)]
+        assert span.coordinates((2,)) == [F(2)]
 
     def test_invert_square(self):
         m = [[F(2), F(1)], [F(1), F(1)]]
@@ -77,27 +91,26 @@ class TestSolvers:
             independent_rows([[F(1), F(2)], [F(2), F(4)]])
 
     def test_rref_pivots(self):
-        reduced, pivots = rref([[F(0), F(2), F(4)], [F(1), F(1), F(1)]])
-        assert pivots == [0, 1]
-        assert reduced[0][0] == 1 and reduced[1][1] == 1
+        span = span_of([(0, 2, 4), (1, 1, 1)], 3)
+        assert span.pivots == [1, 0]
+        assert echelon(span) == [(0, [F(1), F(0), F(-1)]),
+                                 (1, [F(0), F(1), F(2)])]
 
 
 class TestNullSpace:
     def test_basis_and_orthogonality(self):
         matrix = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-        basis = null_space(matrix, 3)
+        basis = span_of(matrix, 3).null_space()
         assert len(basis) == 1
         v = basis[0]
         for row in matrix:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
     def test_empty_matrix_gives_identity(self):
-        basis = null_space([], 2)
-        assert basis == [(F(1), F(0)), (F(0), F(1))]
+        assert ExactSpan(2).null_space() == [(F(1), F(0)), (F(0), F(1))]
 
     def test_full_rank_gives_trivial(self):
-        matrix = [[F(1), F(0)], [F(0), F(1)]]
-        assert null_space(matrix, 2) == []
+        assert span_of([(1, 0), (0, 1)], 2).null_space() == []
 
 
 def random_matrix(rng, rows, cols, rank):
@@ -110,40 +123,36 @@ def random_matrix(rng, rows, cols, rank):
              for j in range(cols)] for i in range(rows)]
 
 
+def to_sympy(matrix, cols):
+    return sympy.Matrix(len(matrix), cols, [
+        sympy.Rational(x.numerator, x.denominator)
+        for row in matrix for x in row])
+
+
+def to_fractions(values):
+    return [F(int(x.p), int(x.q)) for x in values]
+
+
 class TestAgainstSympy:
     """The one eliminator against sympy on seeded random rational matrices."""
-
-    @pytest.fixture
-    def sympy(self):
-        import sympy        # a declared test dependency: fail, do not skip
-        return sympy
-
-    def to_sympy(self, sympy, matrix, cols):
-        return sympy.Matrix(len(matrix), cols, [
-            sympy.Rational(x.numerator, x.denominator)
-            for row in matrix for x in row])
-
-    def to_fractions(self, values):
-        return [F(int(x.p), int(x.q)) for x in values]
 
     def shapes(self, rng, count):
         for _ in range(count):
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             yield rows, cols, rng.randint(0, min(rows, cols))
 
-    def test_rref_and_null_space(self, rng, sympy):
+    def test_rref_and_null_space(self, rng):
         for rows, cols, rank in self.shapes(rng, 40):
             a = random_matrix(rng, rows, cols, rank)
-            expected, expected_pivots = self.to_sympy(sympy, a, cols).rref()
-            reduced, pivots = rref(a)
-            assert pivots == list(expected_pivots)
-            assert reduced == [self.to_fractions(expected.row(i))
-                               for i in range(rows)]
-            assert null_space(a, cols) == [
-                tuple(self.to_fractions(v))
-                for v in self.to_sympy(sympy, a, cols).nullspace()]
+            expected, expected_pivots = to_sympy(a, cols).rref()
+            span = span_of(a, cols)
+            assert sorted(span.pivots) == list(expected_pivots)
+            assert [row for _, row in echelon(span)] == [
+                to_fractions(expected.row(i)) for i in range(span.rank)]
+            assert span.null_space() == [
+                tuple(to_fractions(v)) for v in to_sympy(a, cols).nullspace()]
 
-    def test_solve_least_exact(self, rng, sympy):
+    def test_coordinates(self, rng):
         inconsistent = 0
         for rows, cols, rank in self.shapes(rng, 40):
             a = random_matrix(rng, rows, cols, rank)
@@ -152,47 +161,52 @@ class TestAgainstSympy:
                 b = [sum((r * x for r, x in zip(row, x0)), F(0)) for row in a]
             else:
                 b = [F(rng.randint(-3, 3)) for _ in range(rows)]
-            solution = solve_least_exact(
-                [row + [v] for row, v in zip(a, b)], cols)
+            span = span_of(zip(*a), rows)          # the columns of a
+            coeffs = span.coordinates(b)
+            rhs = to_sympy([[v] for v in b], 1)
             try:
-                sol, params = self.to_sympy(sympy, a, cols).gauss_jordan_solve(
-                    self.to_sympy(sympy, [[v] for v in b], 1))
+                to_sympy(a, cols).gauss_jordan_solve(rhs)
             except ValueError:      # sympy: the system has no solution
                 inconsistent += 1
-                assert solution is None
+                assert coeffs is None
                 continue
-            free_at_zero = sol.subs({p: 0 for p in params})
-            assert solution == self.to_fractions(free_at_zero)
+            if not span.generators:
+                assert coeffs == []
+                continue
+            g = [list(col) for col in zip(*span.generators)]
+            solution, params = to_sympy(g, span.rank).gauss_jordan_solve(rhs)
+            assert params.shape[0] == 0     # the generators are independent
+            assert coeffs == to_fractions(solution)
         assert inconsistent > 0
 
-    def test_invert_square(self, rng, sympy):
+    def test_invert_square(self, rng):
         singular = 0
         for _ in range(30):
             n = rng.randint(1, 5)
             a = random_matrix(rng, n, n, rng.randint(n - 1, n))
-            expected = self.to_sympy(sympy, a, n)
+            expected = to_sympy(a, n)
             if expected.det() == 0:
                 singular += 1
                 with pytest.raises(ValueError):
                     invert_square(a)
                 continue
             inverse = expected.inv()
-            assert invert_square(a) == [self.to_fractions(inverse.row(i))
+            assert invert_square(a) == [to_fractions(inverse.row(i))
                                         for i in range(n)]
         assert singular > 0
 
 
 def rref_inverse(matrix):
-    """The inverse by Gauss-Jordan on [A | I] in Fraction, or None."""
-    n = len(matrix)
-    reduced, pivots = rref([list(row) + [F(int(i == j)) for j in range(n)]
-                            for i, row in enumerate(matrix)])
-    return [row[n:] for row in reduced] if pivots == list(range(n)) else None
+    """The inverse by sympy's Gauss-Jordan (`Matrix.inv`), or None."""
+    a = to_sympy(matrix, len(matrix))
+    if a.rank() < len(matrix):
+        return None
+    inverse = a.inv()
+    return [to_fractions(inverse.row(i)) for i in range(len(matrix))]
 
 
 def full_column_rank(columns):
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return len(rref(rows)[1]) == len(columns)
+    return to_sympy(columns, len(columns[0])).rank() == len(columns)
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -207,7 +221,7 @@ def matrices(draw, square=False):
 
 
 class TestIntegerKernel:
-    """Row choice mod p and the fraction-free inverse against rref."""
+    """Row choice mod p and the fraction-free inverse against sympy."""
 
     @settings(max_examples=150, deadline=None)
     @given(matrices())
@@ -283,3 +297,28 @@ class TestIntegerKernel:
             invert_square(matrix)
         with pytest.raises(ValueError):
             bareiss_inverse([[int(x * 6) for x in row] for row in matrix])
+
+
+class TestInsertionOrder:
+    """The annihilator and the certificates depend on the span, not on the
+    order its vectors arrived in."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=6)),
+        st.randoms(use_true_random=False))
+    def test_null_space_and_coordinates(self, vectors, rnd):
+        n = len(vectors[0])
+        span = span_of(vectors, n)
+        shuffled = list(vectors)
+        rnd.shuffle(shuffled)
+        assert span_of(shuffled, n).null_space() == span.null_space()
+        generators = list(span.generators)
+        order = list(range(len(generators)))
+        rnd.shuffle(order)
+        permuted = span_of([generators[j] for j in order], n)
+        coeffs = [F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in generators]
+        target = [sum((c * g[i] for c, g in zip(coeffs, generators)), F(0))
+                  for i in range(n)]
+        assert span.coordinates(target) == coeffs
+        assert permuted.coordinates(target) == [coeffs[j] for j in order]

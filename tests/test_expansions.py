@@ -21,6 +21,23 @@ ZERO = PiecewisePolyControl.constant(0, 1)
 UNIT = PiecewisePolyControl.constant(1, 1)
 
 
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def poly_controls(draw):
+    """Piecewise polynomials of degree <= 2 on rational breakpoints."""
+    horizon = draw(st.fractions(min_value=Fraction(1, 4), max_value=1,
+                                max_denominator=6))
+    cuts = draw(st.lists(st.fractions(min_value=0, max_value=1,
+                                      max_denominator=7),
+                         max_size=2, unique=True))
+    inner = sorted({c * horizon for c in cuts} - {0, horizon})
+    polys = [Poly(draw(st.lists(_SMALL, max_size=3)))
+             for _ in range(len(inner) + 1)]
+    return PiecewisePolyControl([0, *inner, horizon], polys)
+
+
 class TestFormalState:
     def test_zero_control_is_exp_tx0(self):
         state = formal_state(PiecewisePolyControl.constant(0, Fraction(1, 2)), 4)
@@ -72,6 +89,27 @@ class TestOrderedProduct:
         series = ordered_product(u, 3)
         assert series[(0,)] == u.horizon
         assert series[(1,)] == primitive(u, 1).end_value()
+
+    @settings(max_examples=25, deadline=None)
+    @given(poly_controls())
+    def test_reproduces_every_chen_coefficient(self, u):
+        # the Hall product is the truncated state on any exact control
+        series = ordered_product(u, 5)
+        for word in all_words(5):
+            assert series[word] == chen_coefficient(word, u).exact
+
+    def test_two_quadratic_pieces_at_cutoff_six(self):
+        u = PiecewisePolyControl(
+            (0, Fraction(1, 3), 1),
+            (Poly([1, -2, Fraction(1, 2)]), Poly([Fraction(-1, 2), 3])))
+        series = ordered_product(u, 6)
+        for word in all_words(6):
+            assert series[word] == chen_coefficient(word, u).exact
+
+    def test_sampled_control_is_refused(self):
+        u = SampledControl(1.0, np.ones(9))
+        with pytest.raises(TypeError):
+            ordered_product(u, 3)
 
 
 class TestInteractionLog:
@@ -177,23 +215,6 @@ class TestCrossTermCheck:
         # eta - xi = -(1/2) xi_{M1} xi_{X1} (single CBH pair M1 > X1)
         expected = -Fraction(1, 2) * xi(M(1), u).exact * xi(X1, u).exact
         assert reports[w1].eta - reports[w1].xi == expected
-
-
-_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-
-
-@st.composite
-def poly_controls(draw):
-    """Piecewise polynomials of degree <= 2 on rational breakpoints."""
-    horizon = draw(st.fractions(min_value=Fraction(1, 4), max_value=1,
-                                max_denominator=6))
-    cuts = draw(st.lists(st.fractions(min_value=0, max_value=1,
-                                      max_denominator=7),
-                         max_size=2, unique=True))
-    inner = sorted({c * horizon for c in cuts} - {0, horizon})
-    polys = [Poly(draw(st.lists(_SMALL, max_size=3)))
-             for _ in range(len(inner) + 1)]
-    return PiecewisePolyControl([0, *inner, horizon], polys)
 
 
 class TestEtaByProduct:

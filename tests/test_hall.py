@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_carrier_tree, random_tree
-from lietool import trees
+from lietool import hall, trees
 from lietool.hall import (HallElement, InternalConsistencyError,
                           NotInCarrierError, basis_of_bidegree,
                           basis_up_to_length, coefficient_of, decompose,
@@ -16,7 +16,7 @@ from lietool.hall import (HallElement, InternalConsistencyError,
                           is_hall, lie_bracket)
 from lietool.trees import (D, M, P, Q, Q_flat, Q_sharp, R, R_sharp, W, X0, X1,
                            node, parse_tree, strip_trailing_zeros, zeros)
-from lietool.words import TensorSeries, expand_to_words
+from lietool.words import TensorSeries, expand_to_words, words_of_bidegree
 
 DATA = Path(__file__).parent / "data"
 
@@ -268,7 +268,23 @@ def test_low_layers_match_named_families():
     assert got == want
 
 
+def is_lyndon(word) -> bool:
+    """Strictly smaller than each of its proper rotations (0 < 1)."""
+    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("length", range(1, 12))
+    def test_solver_rows_are_the_lyndon_words(self, length):
+        # the rows picked mod p are the Lyndon words of the bidegree, in
+        # word order, and their square is unimodular
+        for n1 in range(length + 1):
+            words = words_of_bidegree(n1, length - n1)
+            *_, rows, _, det = hall._bidegree_solver(n1, length - n1)
+            assert [words[i] for i in rows] == [w for w in words
+                                               if is_lyndon(w)]
+            assert abs(det) == 1
+
     def test_bracket_of_m_family(self):
         assert decompose(node(M(0), M(1))).coeffs == {
             HallElement.of(W(1, 0)): Fraction(1)}
