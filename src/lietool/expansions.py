@@ -21,7 +21,7 @@ word-space constructions):
 The products, exponentials and logarithms run on the dense degree-graded
 series of :mod:`lietool.words`; exp(-t X0) is a piece exponential too, and a
 logarithm reaches the Hall basis through its integer numerators, one
-bidegree solve at a time (:func:`lietool.hall.decompose_words`).
+bidegree solve at a time (:func:`lietool.hall.decompose_vector`).
 
 :func:`eta_by_product` reaches eta on every control without word series:
 exp(-t X0) cancels the leftmost factor of Sussmann's product, and the
@@ -41,12 +41,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .controls import ControlSignal, PiecewisePolyControl
 from .coord import chen_coefficient, xi, xi_path
 from .hall import (HallElement, InternalConsistencyError,
-                   basis_up_to_length, decompose_series, decompose_words)
+                   basis_up_to_length, decompose_series, decompose_vector)
 from .trees import X0, X1
-from .words import TensorSeries, all_words, expand_to_words, word_bidegree
+from .words import (TensorSeries, _ones, all_words, bidegree_indices,
+                    expand_to_words)
 
 
 @dataclass
@@ -114,12 +117,15 @@ class EtaTable:
 def series_to_eta(log_series: TensorSeries, cutoff: int, horizon: Fraction) -> EtaTable:
     """Decompose a Lie word-series onto the Hall basis, bidegree by bidegree."""
     table = EtaTable(cutoff=cutoff, horizon=horizon)
-    numerators, den = log_series.numerators()
-    buckets: dict[tuple[int, int], dict] = {}
-    for w, c in numerators.items():
-        buckets.setdefault(word_bidegree(w), {})[w] = c
-    for (p, q), part in sorted(buckets.items()):
-        table.values.update(decompose_words(part, p, q, den).coeffs)
+    parts = {}
+    for n, block in enumerate(log_series.blocks):
+        if block is not None:
+            counts = np.bincount(_ones(n)[block != 0], minlength=n + 1)
+            for n1 in np.flatnonzero(counts).tolist():
+                parts[(n1, n - n1)] = block[bidegree_indices(n1, n - n1)]
+    for (p, q), part in sorted(parts.items()):
+        table.values.update(
+            decompose_vector(part, p, q, log_series.den).coeffs)
     return table
 
 
@@ -212,12 +218,14 @@ def cross_coefficient_element(elements: Sequence[HallElement],
 
 
 def _factor_patterns(target: HallElement, pool: Sequence[HallElement]):
-    """All (b_1 > ... > b_q, h) with q >= 2 matching the target bidegree."""
+    """All (b_1 > ... > b_q, h) with q >= 2 matching the target bidegree.
+
+    `pool` holds the candidate factors, Hall elements other than X0, sorted
+    descending; the factors that fit the target keep that order.
+    """
     n1_t, n0_t = target.bidegree
     usable = [e for e in pool
-              if e.tree is not X0
-              and e.n1 <= n1_t and e.n0 <= n0_t and e.length < target.length]
-    usable.sort(reverse=True)
+              if e.n1 <= n1_t and e.n0 <= n0_t and e.length < target.length]
 
     def recurse(start: int, n1_left: int, n0_left: int, chosen):
         if n1_left == 0 and n0_left == 0:
@@ -254,10 +262,11 @@ def eta_by_product(u: ControlSignal, cutoff: int, max_n1: int) -> EtaTable:
     elements = [e for e in basis_up_to_length(cutoff)
                 if e.tree is not X0 and e.n1 <= max_n1]
     xis = {e: xi_path(e.tree, u).end_value() for e in elements}
+    pool = sorted(elements, reverse=True)
     table = EtaTable(cutoff=cutoff, horizon=u.horizon)
     for target in elements:
         total = xis[target]
-        for pattern in _factor_patterns(target, elements):
+        for pattern in _factor_patterns(target, pool):
             term = cross_coefficient_element(
                 [e for e, _ in pattern], [h for _, h in pattern]).get(
                     target.tree.text)

@@ -20,13 +20,17 @@ Rs); the enumeration below reproduces them.
 `decompose` expands arbitrary bracket trees on the basis by exact linear
 algebra in the word space of the matching bidegree, which is unconditionally
 correct because the evaluated Hall set is a basis of the free Lie algebra.
-The solver of a bidegree works in integers: the Hall elements' word
-expansions are integer columns, a square of them picked mod a prime is
-inverted fraction-free, and every decomposition is checked exactly against
-all words of the bidegree before its coefficients become fractions.  Its
-input is integer too: a tree's cached word expansion, a Lie element's
-expansions over the lcm of its coefficients' denominators, or a series'
-numerators over its common denominator (:func:`decompose_words`).
+Words are bit indices (first letter in the high bit, length implied by the
+bidegree), as in :class:`lietool.words.TensorSeries`.  The solver of a
+bidegree works in integers: the Hall elements' word expansions are int64
+columns, their rows at the Lyndon words form a unimodular square, fixed in
+advance, whose inverse is lifted from one modulo a prime and checked exactly
+(:func:`lietool.exact_linalg.unimodular_inverse`), and every decomposition
+is checked exactly against all words of the bidegree before its
+coefficients become fractions.  Its input is integer too: a tree's cached
+word expansion, a Lie element's expansions over the lcm of its
+coefficients' denominators, or a series' numerators over its common
+denominator (:func:`decompose_vector`).
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ import math
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from . import trees
-from .exact_linalg import (bareiss_inverse, clear_denominators,
-                           independent_rows_int)
+from .exact_linalg import (ExactIntMatrix, apply_digits, clear_denominators,
+                           unimodular_inverse)
 from .trees import BracketTree, X0, X1, node, strip_trailing_zeros
-from .words import (CutoffError, TensorSeries, Word, word_expansion,
-                    words_of_bidegree)
+from .words import (CutoffError, TensorSeries, _ones, bidegree_indices,
+                    expansion_series, lyndon_indices, word_expansion)
 
 MAX_DECOMPOSE_LENGTH = 16
 
@@ -260,7 +266,8 @@ class LieElement:
         self.coeffs = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v:
                     self.coeffs[k] = v
 
@@ -297,14 +304,13 @@ class LieElement:
         return set(self.coeffs)
 
     def expand_to_words(self, cutoff: int) -> TensorSeries:
-        out: dict[Word, Fraction] = {}
-        for element, coeff in self.coeffs.items():
+        for element in self.coeffs:
             if element.length > cutoff:
                 raise CutoffError(f"{element!r} does not fit under the "
                                   f"cutoff {cutoff}")
-            for w, c in word_expansion(element.tree).items():
-                out[w] = out.get(w, 0) + coeff * c
-        return TensorSeries(cutoff, out)
+        numerators, den = clear_denominators(self.coeffs.values())
+        return expansion_series(
+            zip((e.tree for e in self.coeffs), numerators), cutoff, den)
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
@@ -315,11 +321,14 @@ class LieElement:
         return " + ".join(f"({v})*{k!r}" for k, v in self.items_sorted())
 
 
-# Cached per-bidegree integer solvers.  Each Hall element's word expansion is
-# a sparse integer column; the rows picked by `independent_rows_int` give an
-# invertible square whose adjugate and determinant come from
-# `bareiss_inverse`, so each decomposition is an integer product plus an exact
-# residual check over every word of the bidegree.
+# Cached per-bidegree integer solvers.  Each Hall element's bit-index word
+# expansion is an int64 column of E over the words of the bidegree.  Its rows
+# at the Lyndon words form a unimodular square M: Hall sets and the Lyndon
+# basis are both Z-bases of the free Lie ring (M. Hall, Proc. AMS 1, 1950;
+# Reutenauer, Free Lie Algebras, ch. 5).  `unimodular_inverse` gives its exact
+# inverse X as int64 p-adic digits, so a decomposition is c = X t on the
+# Lyndon rows of the target t (`apply_digits`), and E c = t is then checked
+# exactly over every word of the bidegree.
 _SOLVER_CACHE: dict[tuple[int, int], tuple] = {}
 
 
@@ -329,64 +338,74 @@ def _bidegree_solver(n1: int, n0: int):
     if cached is not None:
         return cached
     elements = basis_of_bidegree(n1, n0)
-    words = words_of_bidegree(n1, n0)
-    word_index = {w: i for i, w in enumerate(words)}
-    columns: list[dict[int, int]] = []
-    for element in elements:
-        col = {}
-        for w, c in word_expansion(element.tree).items():
-            if type(c) is not int:
-                raise InternalConsistencyError(
-                    f"non-integer word coefficient {c!r} in {element!r}")
-            col[word_index[w]] = c
-        columns.append(col)
-    rows = independent_rows_int(columns, len(words))
-    adj, det = bareiss_inverse([[col.get(i, 0) for col in columns]
-                                for i in rows])
-    cached = (elements, word_index, columns, rows, adj, det)
+    words = bidegree_indices(n1, n0)
+    expansion = np.zeros((len(words), len(elements)), dtype=np.int64)
+    for j, element in enumerate(elements):
+        column = word_expansion(element.tree)
+        index = np.fromiter(column, dtype=np.intp, count=len(column))
+        expansion[np.searchsorted(words, index), j] = list(column.values())
+    rows = np.searchsorted(words, lyndon_indices(n1, n0))
+    try:
+        inverse = unimodular_inverse(expansion[rows])
+    except ValueError as err:
+        raise InternalConsistencyError(
+            f"the Lyndon-row square of bidegree ({n1},{n0}) is not "
+            f"unimodular: {err}") from err
+    cached = (elements, ExactIntMatrix(expansion), rows,
+              [ExactIntMatrix(digit) for digit in inverse])
     return _SOLVER_CACHE.setdefault(key, cached)
 
 
-def decompose_words(target: dict[Word, int], n1: int, n0: int,
-                    den: int = 1) -> LieElement:
-    """Write sum_w target[w] w / den, integer numerators of bidegree
-    (n1, n0), over the Hall basis.
+def decompose_vector(target: np.ndarray, n1: int, n0: int,
+                     den: int = 1) -> LieElement:
+    """Write sum_w target[w] w / den over the Hall basis, `target` holding
+    the integer numerators of the words of bidegree (n1, n0) in ascending
+    bit index.
 
-    With the solver's det, det * den * coeffs = adj @ (picked target rows),
-    and the residual det * target - sum_j (det * den * coeff_j) col_j must
-    vanish on every word, otherwise the input was not a Lie element of that
-    bidegree (or the library is inconsistent).
+    The coefficients' numerators are c = X t on the Lyndon rows, and
+    E c = t must hold on every word, otherwise the input was not a Lie
+    element of that bidegree (or the library is inconsistent).
     """
-    elements, word_index, columns, rows, adj, det = _bidegree_solver(n1, n0)
-    cleared: dict[int, int] = {}
-    for w, c in target.items():
-        if not c:
-            continue
-        i = word_index.get(w)
-        if i is None:
-            raise ValueError(
-                f"word {w} is not of bidegree (n1={n1}, n0={n0})")
-        cleared[i] = c
-    picked = [(k, cleared[i]) for k, i in enumerate(rows) if i in cleared]
-    scaled = [sum(row[k] * t for k, t in picked) for row in adj]
-    residual = {i: det * t for i, t in cleared.items()}
-    for c, col in zip(scaled, columns):
-        if c:
-            for i, x in col.items():
-                residual[i] = residual.get(i, 0) - c * x
-    if any(residual.values()):
+    elements, expansion, rows, inverse = _bidegree_solver(n1, n0)
+    target = np.asarray(target, dtype=object)
+    coeffs = apply_digits(inverse, target[rows])
+    if not (expansion @ coeffs == target).all():
         raise InternalConsistencyError(
             "nonzero residual: the input is not a Lie element of bidegree "
             f"({n1},{n0})")
-    scale = det * den
-    return LieElement({e: Fraction(c, scale)
-                       for e, c in zip(elements, scaled) if c})
+    return LieElement({e: Fraction(c, den)
+                       for e, c in zip(elements, coeffs) if c})
+
+
+def decompose_words(target: dict[int, int], n1: int, n0: int,
+                    den: int = 1) -> LieElement:
+    """Write sum_w target[w] w / den, integer numerators by the bit index
+    of words of bidegree (n1, n0), over the Hall basis."""
+    words = bidegree_indices(n1, n0)
+    index = np.fromiter(target, dtype=np.int64, count=len(target))
+    position = np.searchsorted(words, index)
+    misplaced = (position == len(words)) | (
+        words[np.minimum(position, len(words) - 1)] != index)
+    if misplaced.any():
+        raise ValueError(f"word index {index[misplaced][0]} is not of "
+                         f"bidegree (n1={n1}, n0={n0})")
+    vector = np.zeros(len(words), dtype=object)
+    vector[position] = list(target.values())
+    return decompose_vector(vector, n1, n0, den)
 
 
 def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
     """Write a bidegree-homogeneous word polynomial over the Hall basis."""
-    numerators, den = series.numerators()
-    return decompose_words(numerators, n1, n0, den)
+    n = n1 + n0
+    for k, block in enumerate(series.blocks):
+        if block is not None and (block if k != n
+                                  else block[_ones(k) != n1]).any():
+            raise ValueError(
+                f"the series has words outside bidegree (n1={n1}, n0={n0})")
+    words = bidegree_indices(n1, n0)
+    if n > series.cutoff or series.blocks[n] is None:
+        return decompose_vector(np.zeros(len(words), dtype=object), n1, n0)
+    return decompose_vector(series.blocks[n][words], n1, n0, series.den)
 
 
 def decompose(b: Union[BracketTree, str, LieElement]) -> LieElement:
@@ -397,7 +416,7 @@ def decompose(b: Union[BracketTree, str, LieElement]) -> LieElement:
         # clear the coefficients' denominators once, then add the integer
         # word expansions bidegree by bidegree
         numerators, den = clear_denominators(b.coeffs.values())
-        by_bidegree: dict[tuple[int, int], dict[Word, int]] = {}
+        by_bidegree: dict[tuple[int, int], dict[int, int]] = {}
         for element, coeff in zip(b.coeffs, numerators):
             target = by_bidegree.setdefault(element.bidegree, {})
             for w, c in word_expansion(element.tree).items():

@@ -13,7 +13,9 @@ blocks i and j is `np.multiply.outer(a_i, b_j).ravel()`, a block of degree
 i + j.  All numerators share one common denominator, reduced by a single gcd
 after every operation, so equal series have equal blocks.  Coefficients are
 rational (`numbers.Rational`); anything else is refused with a TypeError.  An
-all-zero block may be left out (``None``).
+all-zero block may be left out (``None``).  The integer word expansions of
+bracket trees (:func:`word_expansion`) use the same bit indices, so they fill
+a block directly, and the Hall solver reads its targets by them.
 """
 
 from __future__ import annotations
@@ -83,6 +85,41 @@ def _ones(n: int) -> np.ndarray:
     for _ in range(n):
         counts = np.concatenate([counts, counts + 1])
     return counts
+
+
+@functools.cache
+def bidegree_indices(n1: int, n0: int) -> np.ndarray:
+    """Bit indices of the words with n1 ones and n0 zeros, ascending: the
+    order of `words_of_bidegree` (read-only)."""
+    out = np.flatnonzero(_ones(n1 + n0) == n1)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _lyndon_by_ones(n: int) -> dict[int, tuple[int, ...]]:
+    """Bit indices of the Lyndon words (0 < 1) of length n by number of
+    ones, ascending.  Duval's generation (Fredricksen-Kessler-Maiorana) lists
+    the Lyndon words of length <= n in lexicographic order: increment the
+    last letter, repeat the word periodically up to length n, drop trailing
+    ones."""
+    out: dict[int, list[int]] = {}
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == n:
+            out.setdefault(sum(w), []).append(_index(w))
+        period = len(w)
+        while len(w) < n:
+            w.append(w[-period])
+        while w and w[-1] == 1:
+            w.pop()
+    return {ones: tuple(indices) for ones, indices in out.items()}
+
+
+def lyndon_indices(n1: int, n0: int) -> tuple[int, ...]:
+    """Bit indices of the Lyndon words with n1 ones and n0 zeros, ascending."""
+    return _lyndon_by_ones(n1 + n0).get(n1, ())
 
 
 def _index(word: Word) -> int:
@@ -215,11 +252,6 @@ class TensorSeries:
                               f"{self.cutoff}")
         new = self + TensorSeries(self.cutoff, {word: value - self[word]})
         self._set(new.cutoff, new.blocks, new.den)
-
-    def numerators(self) -> tuple[dict[Word, int], int]:
-        """The nonzero integer numerators by word and their common
-        denominator."""
-        return dict(self._entries()), self.den
 
     def __bool__(self) -> bool:
         return any(b is not None and b.any() for b in self.blocks)
@@ -368,29 +400,58 @@ class WordCoefficients(MutableMapping):
         return repr(self._dict())
 
 
-_EXPANSION_CACHE: dict[BracketTree, dict[Word, int]] = {}
+_EXPANSION_CACHE: dict[BracketTree, dict[int, int]] = {}
 
 
-def word_expansion(tree: BracketTree) -> dict[Word, int]:
-    """Integer word coefficients of the bracket evaluation of `tree` (cached)."""
+def word_expansion(tree: BracketTree) -> dict[int, int]:
+    """Integer word coefficients of the bracket evaluation of `tree`, by bit
+    index among the words of length `tree.length` (cached).
+
+    Concatenating words of lengths l1 and l2 is (i1 << l2) | i2, so
+    [a, b] = ab - ba is two outer products of index arrays; each product
+    hits distinct words, and a coefficient is at most 2^(length - 1) in
+    absolute value, so a dense int64 block of the length adds them up.
+    """
     cached = _EXPANSION_CACHE.get(tree)
     if cached is not None:
         return cached
     if tree.is_leaf:
-        out = {(tree.generator,): 1}
+        out = {tree.generator: 1}
     else:
-        a = word_expansion(tree.left)
-        b = word_expansion(tree.right)
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                c = c1 * c2
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c
-                w = w2 + w1
-                out[w] = out.get(w, 0) - c
-        out = {w: c for w, c in out.items() if c}
+        la, lb = tree.left.length, tree.right.length
+        ia, ca = _expansion_arrays(word_expansion(tree.left))
+        ib, cb = _expansion_arrays(word_expansion(tree.right))
+        c = np.multiply.outer(ca, cb)
+        block = np.zeros(1 << (la + lb), dtype=np.int64)
+        block[(ia[:, None] << lb) | ib] += c
+        block[(ib << la) | ia[:, None]] -= c
+        index = np.flatnonzero(block)
+        out = dict(zip(index.tolist(), block[index].tolist()))
     return _EXPANSION_CACHE.setdefault(tree, out)
+
+
+def _expansion_arrays(expansion: dict[int, int]) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    n = len(expansion)
+    return (np.fromiter(expansion, dtype=np.int64, count=n),
+            np.fromiter(expansion.values(), dtype=np.int64, count=n))
+
+
+def expansion_series(terms: Iterable[tuple[BracketTree, int]], cutoff: int,
+                     den: int = 1) -> TensorSeries:
+    """sum_k c_k E(tree_k) / den for integer c_k, filled into the degree
+    blocks straight from the cached bit-index expansions; every tree must
+    fit under the cutoff."""
+    blocks: list[np.ndarray | None] = [None] * (cutoff + 1)
+    for tree, c in terms:
+        expansion = word_expansion(tree)
+        n = tree.length
+        if blocks[n] is None:
+            blocks[n] = np.zeros(1 << n, dtype=object)
+        index = np.fromiter(expansion, dtype=np.intp, count=len(expansion))
+        blocks[n][index] += np.array(list(expansion.values()),
+                                     dtype=object) * c
+    return TensorSeries._make(cutoff, blocks, den)
 
 
 def expand_to_words(tree: BracketTree, cutoff: int) -> TensorSeries:
@@ -403,4 +464,4 @@ def expand_to_words(tree: BracketTree, cutoff: int) -> TensorSeries:
         raise CutoffError(
             f"tree of length {tree.length} needs cutoff >= {tree.length}, "
             f"got {cutoff}")
-    return TensorSeries(cutoff, word_expansion(tree))
+    return expansion_series([(tree, 1)], cutoff)

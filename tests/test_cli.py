@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,13 @@ from lietool.cli import (CONDITION_GRAMMAR, CONTROL_FORMAT_HINT,
                          FAMILY_GRAMMAR, ZOO_SPEC_FORM, _parse_family, main)
 from lietool.conditions import family_loose, family_sextic
 from lietool.coord import xi
+from lietool.hall import LieElement
 from lietool.trees import parse_tree
+from lietool.words import expand_to_words
 
 DATA = Path(__file__).parent / "data"
+DECOMPOSE_7_7 = ("((X1,X0),((X0,(X0,X1)),(X0,((((X0,(X0,X1)),X1),X1),"
+                 "((X1,X0),X1)))))")
 
 
 @pytest.fixture
@@ -61,6 +66,19 @@ class TestDecompose:
         code, out, _ = run("decompose", "--tree", "(M(1),W(1,0))")
         assert code == 0
         assert out.strip() == "1\tP(1,2,0)"
+
+    def test_bidegree_7_7_is_pinned(self, run):
+        # the first bidegree whose Lyndon-row inverse needs two p-adic
+        # digits; the pinned lines re-expand to the tree's words
+        tree = parse_tree(DECOMPOSE_7_7)
+        code, out, _ = run("decompose", "--tree", DECOMPOSE_7_7)
+        assert code == 0
+        assert out == (DATA / "decompose_7_7.txt").read_text()
+        element = LieElement()
+        for line in out.splitlines():
+            coeff, text = line.split("\t")
+            element = element + LieElement.single(text, Fraction(coeff))
+        assert element.expand_to_words(14) == expand_to_words(tree, 14)
 
     def test_syntax_error_is_usage_error(self, run):
         code, _, err = run("decompose", "--tree", "(X1,")

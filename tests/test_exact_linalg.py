@@ -1,12 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy        # a declared test dependency: fail, do not skip
 from hypothesis import given, settings, strategies as st
 
-from lietool.exact_linalg import (PRIME, ExactSpan, _rows_mod_p,
-                                  bareiss_inverse, independent_rows,
-                                  invert_square)
+from lietool.exact_linalg import (PRIME, ExactIntMatrix, ExactSpan,
+                                  _rows_mod_p, apply_digits, bareiss_inverse,
+                                  independent_rows, invert_square,
+                                  unimodular_inverse)
 
 
 def F(a, b=1):
@@ -269,7 +271,7 @@ class TestIntegerKernel:
     def test_minor_zero_mod_p_falls_back_to_exact_choice(self):
         # rows (1, 0) and (1, p): the square has det p, which is 0 mod p
         columns = [[F(1), F(1)], [F(0), F(PRIME)]]
-        assert _rows_mod_p([{0: 1, 1: 1}, {1: PRIME}], 2) == [0]
+        assert _rows_mod_p([[1, 1], [0, PRIME]], 2) == [0]
         assert independent_rows(columns) == [0, 1]
         square = [[F(1), F(0)], [F(1), F(PRIME)]]
         assert invert_square(square) == rref_inverse(square)
@@ -322,3 +324,97 @@ class TestInsertionOrder:
                   for i in range(n)]
         assert span.coordinates(target) == coeffs
         assert permuted.coordinates(target) == [coeffs[j] for j in order]
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary integer matrices (row additions, swaps and
+    sign flips): determinant +-1, entries kept small."""
+    n = draw(st.integers(1, 6))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and i != j:
+            k = draw(st.integers(-3, 3))
+            a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        elif kind == "swap":
+            a[i], a[j] = a[j], a[i]
+        elif kind == "negate":
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+def assembled(digits):
+    """The integer matrix sum_k PRIME**k digits[k] as lists of ints."""
+    return sum((d.astype(object) * PRIME**k for k, d in enumerate(digits)),
+               np.zeros(digits[0].shape, dtype=object)).tolist()
+
+
+def sympy_inverse(matrix):
+    inverse = sympy.Matrix(matrix).inv()
+    return [[int(inverse[i, j]) for j in range(len(matrix))]
+            for i in range(len(matrix))]
+
+
+class TestUnimodularInverse:
+    """The verified modular inverse against sympy, and its refusals."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(unimodular_matrices())
+    def test_equals_the_sympy_inverse(self, matrix):
+        assert assembled(unimodular_inverse(matrix)) == sympy_inverse(matrix)
+
+    def test_entries_beyond_one_prime_force_the_lift(self):
+        # I - 10 N for the shift N has the inverse sum_k 10^k N^k, whose
+        # corner 10^11 exceeds 2^31; rows reversed so the elimination must
+        # swap rows, and one sign flipped so the determinant is -1
+        n = 12
+        a = [[int(i == j) - 10 * int(j == i + 1) for j in range(n)]
+             for i in range(n)][::-1]
+        a[0] = [-x for x in a[0]]
+        digits = unimodular_inverse(a)
+        assert len(digits) == 2
+        inverse = assembled(digits)
+        assert max(abs(x) for row in inverse for x in row) == 10**11 > PRIME
+        assert inverse == sympy_inverse(a)
+
+    @pytest.mark.parametrize("matrix", [
+        [[0]],
+        [[1, 2], [2, 4]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+    def test_singular_is_refused(self, matrix):
+        with pytest.raises(ValueError, match="singular"):
+            unimodular_inverse(matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        [[2, 0], [0, 1]],
+        [[1, 1], [1, -1]],
+        [[3, 1, 0], [1, 1, 0], [0, 0, 1]]])
+    def test_determinant_two_is_refused(self, matrix):
+        assert abs(sympy.Matrix(matrix).det()) == 2
+        with pytest.raises(ValueError, match="not \\+-1"):
+            unimodular_inverse(matrix)
+
+    def test_determinant_p_is_refused(self):
+        # invertible over Q, singular mod the prime
+        with pytest.raises(ValueError):
+            unimodular_inverse([[1, 0], [0, PRIME]])
+
+    def test_exact_product_on_big_integers(self):
+        a = np.array([[1, -2, 0], [3, 4, -5]], dtype=np.int64)
+        b = np.array([[2**200 + 5, 7], [-(2**150) - 7, 2**62],
+                      [-3, -(2**80)]], dtype=object)
+        expected = [[sum(int(x) * y for x, y in zip(row, column))
+                     for column in zip(*b.tolist())] for row in a]
+        assert (ExactIntMatrix(a) @ b).tolist() == expected
+        assert (ExactIntMatrix(a) @ b[:, 1]).tolist() == [
+            r[1] for r in expected]
+
+    def test_digits_apply_to_big_integers(self):
+        a = [[1, -10, 0], [0, 1, -10], [0, 0, 1]]
+        digits = [ExactIntMatrix(d) for d in unimodular_inverse(a)]
+        b = [2**100 + 1, -(2**70), 12345]
+        x = sympy.Matrix(a).inv()
+        assert apply_digits(digits, b).tolist() == [
+            int(v) for v in x * sympy.Matrix(b)]

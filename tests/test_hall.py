@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_carrier_tree, random_tree
 from lietool import hall, trees
+from lietool.exact_linalg import PRIME
 from lietool.hall import (HallElement, InternalConsistencyError,
                           NotInCarrierError, basis_of_bidegree,
                           basis_up_to_length, coefficient_of, decompose,
@@ -276,14 +277,24 @@ def is_lyndon(word) -> bool:
 class TestDecompose:
     @pytest.mark.parametrize("length", range(1, 12))
     def test_solver_rows_are_the_lyndon_words(self, length):
-        # the rows picked mod p are the Lyndon words of the bidegree, in
-        # word order, and their square is unimodular
+        # the solver's rows are the Lyndon words of the bidegree, in word
+        # order; its square holds the Hall elements' coefficients on them,
+        # and its inverse is exact: M X = I over the integers
         for n1 in range(length + 1):
             words = words_of_bidegree(n1, length - n1)
-            *_, rows, _, det = hall._bidegree_solver(n1, length - n1)
-            assert [words[i] for i in rows] == [w for w in words
-                                               if is_lyndon(w)]
-            assert abs(det) == 1
+            elements, _, rows, digits = hall._bidegree_solver(
+                n1, length - n1)
+            lyndon = [words[i] for i in rows]
+            assert lyndon == [w for w in words if is_lyndon(w)]
+            square = [[expand_to_words(e.tree, length)[w] for e in elements]
+                      for w in lyndon]
+            inverse = [[sum(int(d.a[i, j]) * PRIME**k
+                            for k, d in enumerate(digits))
+                        for j in range(len(rows))] for i in range(len(rows))]
+            product = [[sum(a * x for a, x in zip(row, column))
+                        for column in zip(*inverse)] for row in square]
+            assert product == [[int(i == j) for j in range(len(rows))]
+                               for i in range(len(rows))]
 
     def test_bracket_of_m_family(self):
         assert decompose(node(M(0), M(1))).coeffs == {

@@ -318,7 +318,7 @@ def test_empty_series():
     assert empty.pretty() == "0"
     assert empty.exp() == TensorSeries.unit(3)
     assert not empty * TensorSeries.unit(3)
-    assert empty.numerators() == ({}, 1)
+    assert empty.den == 1 and all(b is None for b in empty.blocks)
     with pytest.raises(ValueError):
         empty.log()
 
@@ -377,7 +377,8 @@ def ref_cross_coefficient_element(elements, powers):
 
 
 def test_cross_coefficients_match_the_reference():
-    pool = [e for e in basis_up_to_length(5) if e.tree is not X0]
+    pool = sorted((e for e in basis_up_to_length(5) if e.tree is not X0),
+                  reverse=True)
     patterns = {pattern for target in basis_up_to_length(6)
                 if target.tree is not X0
                 for pattern in _factor_patterns(target, pool)}
