@@ -294,6 +294,7 @@ def component_functional(sys: SystemDef, b, fam: FamilySpec,
 
     Deterministic: canonical null-space basis of the span, first vector with
     the fewest nonzero entries among those not annihilating the target.
+    Both properties are re-checked exactly before P is returned.
     """
     target = eval_bracket(sys, b)
     span = neutral_span(sys, fam, caps)
@@ -312,7 +313,14 @@ def _component_from_span(target: Vector, span: SpanResult) -> Vector:
             "the target lies in the family span; no component exists")
     candidates.sort(key=lambda c: c[0])
     _, n, pairing = candidates[0]
-    return tuple(x / pairing for x in n)
+    component = tuple(x / pairing for x in n)
+    # the certificate is re-checked exactly: P f_b(0) = 1, P v = 0 on the span
+    if (sum(p * t for p, t in zip(component, target)) != 1
+            or any(sum(p * x for p, x in zip(component, v))
+                   for v in span.basis_vectors)):
+        raise InternalConsistencyError("separating functional failed "
+                                       "re-verification")
+    return component
 
 
 def _run_check(sys: SystemDef, condition: str, target: BracketTree,
@@ -330,13 +338,6 @@ def _run_check(sys: SystemDef, condition: str, target: BracketTree,
             target=target, target_value=target_value, span=span,
             combination=combination, detail=detail)
     component = _component_from_span(target_value, span)
-    pairing = sum(p * t for p, t in zip(component, target_value))
-    annihilates = all(
-        sum(p * x for p, x in zip(component, v)) == 0
-        for v in span.basis_vectors)
-    if pairing != 1 or not annihilates:
-        raise InternalConsistencyError("separating functional failed "
-                                       "re-verification")
     verdict = "violated" if span.stabilized else "inconclusive"
     return ConditionReport(
         condition=condition, system=sys.name, verdict=verdict,

@@ -19,7 +19,9 @@ Closed forms exist for every element whose germ lies in the eight named
 families (M, W, P, Q, Qs, Qf, R, Rs), as recognized by the structural matcher
 `trees.match_named_family`; `xi_closed_form` evaluates them with the
 combinatorial prefactors alpha/beta/gamma and is an independent path
-cross-checked against the recursion in the tests.
+cross-checked against the recursion in the tests.  The closed forms of one
+control share one chain of primitives u_1, u_2, ... and of the iterated
+primitives of each u_j^2, kept apart from the recursion's paths.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import trees
-from .controls import (ControlSignal, PiecewisePolyControl, primitive,
-                       primitives)
+from .controls import ControlSignal, PiecewisePolyControl, primitives
 from .hall import HallElement, hall_factor
 from .trees import BracketTree, X0, X1
 from .words import Word
@@ -140,6 +141,13 @@ def gamma_coeff(j: int, k: int, l: int, m: int) -> Fraction:
     return Fraction(1, 12)  # j < k == l == m or j == k < l == m
 
 
+# the primitives each exact control's closed forms share, apart from
+# _XI_CACHE so the closed forms stay an independent check; weak keys, and no
+# value holds the control itself, so an entry dies with it
+_CLOSED_FORM_CHAINS: "weakref.WeakKeyDictionary[PiecewisePolyControl, dict]" = (
+    weakref.WeakKeyDictionary())
+
+
 def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     """Closed-form xi for elements of the eight named families, exact."""
     if not isinstance(u, PiecewisePolyControl):
@@ -148,7 +156,21 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     if pattern is None:
         raise ValueError(f"{_as_tree(b).text} is outside the named families")
     fam, idx, nu = pattern.family, pattern.indices, pattern.nu
-    prim = primitives(u)
+    # [u_1, u_2, ...] under 0, [u_j^2, its primitives, ...] under j >= 1
+    chains = _CLOSED_FORM_CHAINS.setdefault(u, {})
+
+    def chained(key: int, base, n: int):
+        chain = chains.get(key) or chains.setdefault(key, [base()])
+        while len(chain) <= n:
+            chain.append(chain[-1].antiderivative())
+        return chain[n]
+
+    def prim(j: int):
+        return chained(0, u.antiderivative, j - 1)
+
+    def primitive_of_square(j: int, mu: int):
+        """The (mu + 1)-th primitive of u_j^2."""
+        return chained(j, lambda: prim(j).power(2), mu + 1)
 
     if fam == "M":
         integrand = u
@@ -164,11 +186,11 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
             beta_coeff(j, k, l))
     elif fam == "Qf":
         j, mu = idx
-        inner = primitive(prim(j).power(2), mu + 1)
+        inner = primitive_of_square(j, mu)
         integrand = inner.power(2).scale(Fraction(1, 8))
     elif fam == "Qs":
         j, mu, k = idx
-        inner = primitive(prim(j).power(2), mu + 1)
+        inner = primitive_of_square(j, mu)
         integrand = (inner * prim(k).power(2)).scale(Fraction(1, 4))
     elif fam == "R":
         j, k, l, m = idx
@@ -176,7 +198,7 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
             gamma_coeff(j, k, l, m))
     elif fam == "Rs":
         j, k, l, mu = idx
-        inner = primitive(prim(l).power(2), mu + 1)
+        inner = primitive_of_square(l, mu)
         integrand = (inner * prim(k) * prim(j).power(2)).scale(
             alpha_coeff(j, k) / 2)
     else:

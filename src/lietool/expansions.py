@@ -45,7 +45,7 @@ import numpy as np
 
 from .controls import ControlSignal, PiecewisePolyControl
 from .coord import chen_coefficient, xi, xi_path
-from .hall import (HallElement, InternalConsistencyError,
+from .hall import (HallElement, InternalConsistencyError, LieElement,
                    basis_up_to_length, decompose_series, decompose_vector)
 from .trees import X0, X1
 from .words import (TensorSeries, _ones, all_words, bidegree_indices,
@@ -154,7 +154,7 @@ def magnus_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
 # ---------------------------------------------------------------------------
 # cross-term coefficient elements
 
-_CROSS_CACHE: dict[tuple, dict[str, Fraction]] = {}
+_CROSS_CACHE: dict[tuple, LieElement] = {}
 
 
 def _truncated_product(a: dict, b: dict, top: tuple) -> dict:
@@ -171,13 +171,13 @@ def _truncated_product(a: dict, b: dict, top: tuple) -> dict:
 
 
 def cross_coefficient_element(elements: Sequence[HallElement],
-                              powers: Sequence[int]) -> dict[str, Fraction]:
+                              powers: Sequence[int]) -> LieElement:
     """Hall coefficients of the CBHD cross term for a factor pattern.
 
     For Hall elements b_1 > ... > b_q (that order) and multiplicities h,
     returns the Hall-basis expansion of the coefficient of
     x_1^{h_1} ... x_q^{h_q} in log(prod_i exp(x_i E(b_i))) with the product
-    ordered decreasing left to right.  Keys are canonical tree texts.
+    ordered decreasing left to right.
 
     The product and its logarithm are series in the magnitudes x with
     rational word series as coefficients, cut at the exponents <= h, so no
@@ -208,12 +208,10 @@ def cross_coefficient_element(elements: Sequence[HallElement],
             coefficient = coefficient + power[target].scale(
                 Fraction((-1) ** (k + 1), k))
         power = _truncated_product(power, x, target)
-    result: dict[str, Fraction] = {}
+    result = LieElement()
     if coefficient:
         n1 = sum(e.n1 * h for e, h in zip(elements, powers))
-        element = decompose_series(coefficient, n1, degree - n1)
-        for elem, val in element.coeffs.items():
-            result[elem.tree.text] = val
+        result = decompose_series(coefficient, n1, degree - n1)
     return _CROSS_CACHE.setdefault(key, result)
 
 
@@ -268,8 +266,8 @@ def eta_by_product(u: ControlSignal, cutoff: int, max_n1: int) -> EtaTable:
         total = xis[target]
         for pattern in _factor_patterns(target, pool):
             term = cross_coefficient_element(
-                [e for e, _ in pattern], [h for _, h in pattern]).get(
-                    target.tree.text)
+                [e for e, _ in pattern],
+                [h for _, h in pattern]).coeffs.get(target)
             if term:
                 for e, h in pattern:
                     term *= xis[e] ** h

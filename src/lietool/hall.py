@@ -6,16 +6,21 @@ peeling trailing right X0 factors), the order compares, lexicographically,
 
     (n1(germ), left factor of germ, right factor of germ, nu),
 
-with X0 the maximal element and X1 the minimal one.  Each tree caches one
-sort key (:func:`hall_key`) that spells this out as nested tuples: X0 has
+with X0 the maximal element and X1 the minimal one.  Each tree of G caches
+one sort key (:func:`hall_key`) that spells this out as nested tuples: X0 has
 (inf,), X1 0^nu has (1, (), (), nu), and any other tree
-(n1(germ), key(germ.left), key(germ.right), nu).  Python's tuple comparison
-is then the order, so enumeration sorts with `key=` and no pair of trees is
-ever compared through a memoized comparator.  The associated Hall set
-(written `basis` throughout) has the crucial closure property that b in the
-basis implies b 0^nu in the basis, and its layers with a fixed number of X1
-factors are spanned by a handful of named families (M, W, P, Q, Qs, Qf, R,
-Rs); the enumeration below reproduces them.
+(n1(germ), key(germ.left), key(germ.right), nu).  The key is the carrier
+test too: a tree outside G has none, and `hall_key` raises
+:class:`NotInCarrierError`.  Python's tuple comparison is then the order, so
+enumeration sorts with `key=` and no pair of trees is ever compared through
+a memoized comparator.  The associated Hall set (written `basis`
+throughout) has the crucial closure property that b in the basis implies
+b 0^nu in the basis, and its layers with a fixed number of X1 factors are
+spanned by a handful of named families (M, W, P, Q, Qs, Qf, R, Rs); the
+enumeration below reproduces them.  One table holds the one
+:class:`HallElement` of each tree known to be Hall: the enumerator enters
+the trees it builds unchecked (they are Hall by construction), `is_hall`
+enters those it validates, and :meth:`HallElement.of` validates.
 
 `decompose` expands arbitrary bracket trees on the basis by exact linear
 algebra in the word space of the matching bidegree, which is unconditionally
@@ -39,7 +44,7 @@ import bisect
 import functools
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -61,46 +66,26 @@ class InternalConsistencyError(RuntimeError):
     """An exact identity that must hold failed; signals a library bug."""
 
 
-_IN_G_CACHE: dict[BracketTree, bool] = {}
-
-
-def in_carrier(b: BracketTree) -> bool:
-    """True iff X0 is never the left factor of any sub-bracket of b."""
-    cached = _IN_G_CACHE.get(b)
-    if cached is not None:
-        return cached
-    if b.is_leaf:
-        result = True
-    else:
-        result = (b.left is not X0 and in_carrier(b.left)
-                  and in_carrier(b.right))
-    return _IN_G_CACHE.setdefault(b, result)
-
-
-def germ_split(b: BracketTree) -> tuple[BracketTree, int]:
-    """Unique factorization b = germ 0^nu for b in G, X0 excluded."""
-    if b is X0:
-        raise NotInCarrierError("X0 has no germ")
-    if not in_carrier(b):
-        raise NotInCarrierError(f"{b.text} is not in the carrier set G")
-    return strip_trailing_zeros(b)
-
-
 _KEY_CACHE: dict[BracketTree, tuple] = {}
 
 
 def hall_key(b: BracketTree) -> tuple:
     """The sort key of b in G: (inf,) for X0, (1, (), (), nu) for X1 0^nu,
-    and (n1(germ), key(germ.left), key(germ.right), nu) otherwise."""
+    and (n1(germ), key(germ.left), key(germ.right), nu) otherwise.
+
+    Raises NotInCarrierError when X0 is a left factor somewhere in b.
+    """
     cached = _KEY_CACHE.get(b)
     if cached is not None:
         return cached
     if b is X0:
         key: tuple = (math.inf,)
     else:
-        germ, nu = germ_split(b)
+        germ, nu = strip_trailing_zeros(b)
         if germ is X1:
             key = (1, (), (), nu)
+        elif germ is X0 or germ.left is X0:
+            raise NotInCarrierError(f"{b.text} is not in the carrier set G")
         else:
             # n1(germ) >= 2: a germ with one X1 factor is X1 itself
             key = (germ.n1, hall_key(germ.left), hall_key(germ.right), nu)
@@ -118,45 +103,35 @@ def hall_compare(a: BracketTree, b: BracketTree) -> int:
     return -1 if ka < kb else 1
 
 
-_IS_HALL_CACHE: dict[BracketTree, bool] = {}
-
-
 def is_hall(b: BracketTree) -> bool:
     """Membership in the Hall set (leaves included)."""
-    cached = _IS_HALL_CACHE.get(b)
-    if cached is not None:
-        return cached
-    if b.is_leaf:
-        result = True
-    elif not in_carrier(b):
-        result = False
-    else:
-        b1, b2 = b.left, b.right
-        result = (is_hall(b1) and is_hall(b2)
-                  and hall_key(b1) < hall_key(b2)
-                  and (b2.is_leaf or hall_key(b2.left) <= hall_key(b1)))
-    return _IS_HALL_CACHE.setdefault(b, result)
+    if b in HallElement._cache:
+        return True         # both leaves among them
+    # Hall trees lie in G, so no key below is refused
+    b1, b2 = b.left, b.right
+    if not (is_hall(b1) and is_hall(b2)
+            and hall_key(b1) < hall_key(b2)
+            and (b2.is_leaf or hall_key(b2.left) <= hall_key(b1))):
+        return False
+    _element(b)
+    return True
 
 
 @functools.total_ordering
 class HallElement:
-    """A validated Hall-set member with its germ/trailing-zeros split."""
+    """A Hall-set member: one per tree, so equality is identity.
 
-    __slots__ = ("tree", "germ", "trailing_zeros")
+    :meth:`of` validates a tree and returns its one element; the
+    constructor trusts its caller and enters nothing in the table.
+    """
 
+    __slots__ = ("tree",)
+
+    # every tree known to be Hall, with its one element
     _cache: dict[BracketTree, "HallElement"] = {}
 
     def __init__(self, tree: BracketTree):
-        if not is_hall(tree):
-            raise ValueError(f"{tree.text} is not a Hall-set element")
         object.__setattr__(self, "tree", tree)
-        if tree is X0:
-            object.__setattr__(self, "germ", tree)
-            object.__setattr__(self, "trailing_zeros", 0)
-        else:
-            germ, nu = germ_split(tree)
-            object.__setattr__(self, "germ", germ)
-            object.__setattr__(self, "trailing_zeros", nu)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("HallElement is immutable")
@@ -167,10 +142,16 @@ class HallElement:
             return tree
         if isinstance(tree, str):
             tree = trees.parse_tree(tree)
-        cached = cls._cache.get(tree)
-        if cached is None:
-            cached = cls._cache.setdefault(tree, cls(tree))
-        return cached
+        element = cls._cache.get(tree)
+        if element is None:
+            if not is_hall(tree):
+                raise ValueError(f"{tree.text} is not a Hall-set element")
+            element = cls._cache[tree]
+        return element
+
+    @property
+    def trailing_zeros(self) -> int:
+        return strip_trailing_zeros(self.tree)[1]
 
     @property
     def n0(self) -> int:
@@ -188,18 +169,23 @@ class HallElement:
     def bidegree(self) -> tuple[int, int]:
         return self.tree.bidegree
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HallElement) and self.tree is other.tree
-
     def __lt__(self, other: "HallElement") -> bool:
         return hall_key(self.tree) < hall_key(other.tree)
-
-    def __hash__(self) -> int:
-        return hash(self.tree)
 
     def __repr__(self) -> str:
         return trees.display_form(self.tree)
 
+
+def _element(tree: BracketTree) -> HallElement:
+    """The element of a tree known to be Hall, entering it if new."""
+    element = HallElement._cache.get(tree)
+    if element is None:
+        element = HallElement._cache.setdefault(tree, HallElement(tree))
+    return element
+
+
+_element(X0)
+_element(X1)
 
 _BIDEGREE_CACHE: dict[tuple[int, int], tuple[HallElement, ...]] = {}
 
@@ -221,40 +207,37 @@ def basis_of_bidegree(n1: int, n0: int) -> tuple[HallElement, ...]:
             for q1 in range(n0 + 1):
                 if (p1, q1) in ((0, 0), (n1, n0)):
                     continue
-                left = basis_of_bidegree(p1, q1)
                 right = [b.tree for b in basis_of_bidegree(n1 - p1, n0 - q1)]
                 right_keys = [hall_key(b) for b in right]
-                for a in left:
-                    if a.tree is X0:
-                        continue
+                for a in basis_of_bidegree(p1, q1):
                     # right ascends: the b with a < b are a suffix of it
+                    # (none for a = X0, the maximum)
                     ka = hall_key(a.tree)
                     for b in right[bisect.bisect_right(right_keys, ka):]:
                         if b.is_leaf or hall_key(b.left) <= ka:
                             found.append(node(a.tree, b))
-    result = tuple(HallElement.of(t) for t in sorted(found, key=hall_key))
+    result = tuple(_element(t) for t in sorted(found, key=hall_key))
     return _BIDEGREE_CACHE.setdefault(key, result)
+
+
+def _sorted_basis(bidegrees: Iterable[tuple[int, int]]) -> list[HallElement]:
+    out = [e for n1, n0 in bidegrees for e in basis_of_bidegree(n1, n0)]
+    out.sort()
+    return out
 
 
 def enumerate_basis(n1_max: int, n0_max: int) -> list[HallElement]:
     """All Hall elements with n1 <= n1_max and n0 <= n0_max, sorted."""
     if n1_max < 0 or n0_max < 0:
         raise ValueError("bounds must be >= 0")
-    out: list[HallElement] = []
-    for p in range(n1_max + 1):
-        for q in range(n0_max + 1):
-            out.extend(basis_of_bidegree(p, q))
-    out.sort()
-    return out
+    return _sorted_basis((p, q) for p in range(n1_max + 1)
+                         for q in range(n0_max + 1))
 
 
 def basis_up_to_length(max_length: int) -> list[HallElement]:
-    out: list[HallElement] = []
-    for p in range(max_length + 1):
-        for q in range(max_length + 1 - p):
-            out.extend(basis_of_bidegree(p, q))
-    out.sort()
-    return out
+    """All Hall elements of length <= max_length, sorted."""
+    return _sorted_basis((p, q) for p in range(max_length + 1)
+                         for q in range(max_length + 1 - p))
 
 
 class LieElement:
@@ -440,14 +423,8 @@ def decompose(b: Union[BracketTree, str, LieElement]) -> LieElement:
 def lie_bracket(a: Union[BracketTree, LieElement, str],
                 b: Union[BracketTree, LieElement, str]) -> LieElement:
     """Bracket re-expanded on the Hall basis (bilinear in both slots)."""
-    if isinstance(a, str):
-        a = trees.parse_tree(a)
-    if isinstance(b, str):
-        b = trees.parse_tree(b)
-    if isinstance(a, BracketTree):
-        a = LieElement.single(HallElement.of(a)) if is_hall(a) else decompose(a)
-    if isinstance(b, BracketTree):
-        b = LieElement.single(HallElement.of(b)) if is_hall(b) else decompose(b)
+    a = a if isinstance(a, LieElement) else decompose(a)
+    b = b if isinstance(b, LieElement) else decompose(b)
     out = LieElement()
     for ea, ca in a.coeffs.items():
         for eb, cb in b.coeffs.items():

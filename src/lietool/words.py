@@ -53,23 +53,7 @@ def all_words(max_degree: int) -> Iterable[Word]:
 
 def words_of_bidegree(n1: int, n0: int) -> list[Word]:
     """All words with exactly n1 ones and n0 zeros, lexicographic."""
-    out: list[Word] = []
-
-    def build(prefix: list[int], ones: int, zeros: int) -> None:
-        if ones == 0 and zeros == 0:
-            out.append(tuple(prefix))
-            return
-        if zeros:
-            prefix.append(0)
-            build(prefix, ones, zeros - 1)
-            prefix.pop()
-        if ones:
-            prefix.append(1)
-            build(prefix, ones - 1, zeros)
-            prefix.pop()
-
-    build([], n1, n0)
-    return out
+    return [_words(n1 + n0)[i] for i in bidegree_indices(n1, n0)]
 
 
 @functools.cache
@@ -89,8 +73,8 @@ def _ones(n: int) -> np.ndarray:
 
 @functools.cache
 def bidegree_indices(n1: int, n0: int) -> np.ndarray:
-    """Bit indices of the words with n1 ones and n0 zeros, ascending: the
-    order of `words_of_bidegree` (read-only)."""
+    """Bit indices of the words with n1 ones and n0 zeros, ascending, which
+    is lexicographic order (read-only)."""
     out = np.flatnonzero(_ones(n1 + n0) == n1)
     out.flags.writeable = False
     return out

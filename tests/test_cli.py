@@ -60,6 +60,12 @@ class TestBasis:
         names = [line.split("\t")[-1] for line in out.strip().splitlines()]
         assert names == ["X1", "M(1)", "M(2)", "X0"]
 
+    def test_cumulative_5_5_is_pinned(self, run):
+        code, out, _ = run("basis", "--n1", "5", "--n0", "5", "--cumulative")
+        assert code == 0
+        assert out == (DATA / "basis_5_5.txt").read_text()
+        assert len(out.splitlines()) == 114
+
 
 class TestDecompose:
     def test_output_format(self, run):

@@ -12,7 +12,9 @@ from lietool.conditions import (Caps, LayerUndeterminedError,
                                 default_pi1_member, family_layers, family_n2,
                                 family_n3, family_s1, neutral_span,
                                 pi_threshold)
-from lietool.fields import PolyVectorField, SystemDef
+from lietool.exact_linalg import ExactSpan
+from lietool.fields import PolyVectorField, SystemDef, eval_bracket
+from lietool.hall import InternalConsistencyError
 from lietool.polynomials import SparsePoly
 from lietool.zoo import zoo
 
@@ -25,6 +27,10 @@ def linear_system(dim: int = 3) -> SystemDef:
         for i in range(dim)])
     f1 = PolyVectorField.constant(dim, [1] + [0] * (dim - 1))
     return SystemDef(dim=dim, f0=f0, f1=f1, name="linear-chain")
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 class TestNeutralSpan:
@@ -246,6 +252,21 @@ class TestComponentFunctional:
     def test_membership_refusal(self):
         with pytest.raises(MembershipHoldsError):
             component_functional(zoo("jakubczyk"), "W(2,0)", family_n2())
+
+    def test_a_bad_null_space_fails_the_recheck(self, monkeypatch):
+        sys = zoo("w2_vs_q111")
+        target = eval_bracket(sys, trees.W(2, 0))
+        spanned = neutral_span(sys, family_n2()).basis_vectors[0]
+        # pairs to nonzero with the target but not to zero with the span
+        bad = next(v for v in (tuple(s + c * t for s, t in
+                                     zip(spanned, target))
+                               for c in (0, 1, 2, 3))
+                   if dot(v, target) and dot(v, spanned))
+        monkeypatch.setattr(ExactSpan, "null_space", lambda self: [bad])
+        with pytest.raises(InternalConsistencyError):
+            component_functional(sys, "W(2,0)", family_n2())
+        with pytest.raises(InternalConsistencyError):
+            check_n2(sys)
 
 
 class TestAgWeights:

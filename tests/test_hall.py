@@ -183,6 +183,53 @@ class TestMembership:
         assert not is_hall(node(M(1), M(0)))
 
 
+def all_trees(max_length: int) -> list:
+    """Every tree over {X0, X1} of length <= max_length."""
+    by_length = {1: [X0, X1]}
+    for n in range(2, max_length + 1):
+        by_length[n] = [node(a, b) for k in range(1, n)
+                        for a in by_length[k] for b in by_length[n - k]]
+    return [t for n in sorted(by_length) for t in by_length[n]]
+
+
+class TestMembershipAgainstEnumeration:
+    TREES = all_trees(7)
+
+    def test_is_hall_iff_enumerated(self):
+        assert len(self.TREES) == sum(math.comb(2 * n - 2, n - 1) // n * 2 ** n
+                                      for n in range(1, 8))
+        for t in self.TREES:
+            enumerated = [e.tree for e in basis_of_bidegree(*t.bidegree)]
+            assert is_hall(t) == (t in enumerated), t.text
+
+    def test_of_refuses_every_non_hall_tree(self):
+        refused = 0
+        for t in self.TREES:
+            if not is_hall(t):
+                with pytest.raises(ValueError):
+                    HallElement.of(t)
+                refused += 1
+        assert refused == len(self.TREES) - len(basis_up_to_length(7))
+
+    def test_key_refuses_exactly_the_trees_outside_the_carrier(self):
+        def in_carrier(t):
+            return t.is_leaf or (t.left is not X0 and in_carrier(t.left)
+                                 and in_carrier(t.right))
+
+        for t in self.TREES:
+            if in_carrier(t):
+                hall.hall_key(t)
+            else:
+                with pytest.raises(NotInCarrierError):
+                    hall.hall_key(t)
+
+    def test_of_is_the_enumerated_element(self):
+        for e in basis_up_to_length(7):
+            assert HallElement.of(e.tree) is e
+            assert HallElement.of(e.tree.text) is e
+            assert HallElement.of(e) is e
+
+
 class TestEnumeration:
     def test_exact_bidegree_22(self):
         assert [e.tree for e in basis_of_bidegree(2, 2)] == [W(1, 1)]

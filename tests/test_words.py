@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
 from lietool.expansions import _factor_patterns, cross_coefficient_element
-from lietool.hall import basis_up_to_length, decompose_series
+from lietool.hall import LieElement, basis_up_to_length, decompose_series
 from lietool.polynomials import SparsePoly
 from lietool.trees import X0, X1, node, parse_tree
 from lietool.words import (CutoffError, TensorSeries, expand_to_words,
@@ -369,10 +369,9 @@ def ref_cross_coefficient_element(elements, powers):
         c = poly.coefficient(tuple(powers))
         if c:
             buckets.setdefault(word_bidegree(w), {})[w] = c
-    result = {}
+    result = LieElement()
     for (p, qq), part in buckets.items():
-        element = decompose_series(TensorSeries(degree, part), p, qq)
-        result.update((e.tree.text, v) for e, v in element.coeffs.items())
+        result = result + decompose_series(TensorSeries(degree, part), p, qq)
     return result
 
 
