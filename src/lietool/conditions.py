@@ -172,13 +172,13 @@ def _chain_vectors(sys: SystemDef, germ: BracketTree,
                    offer: Callable[[BracketTree, Vector], None]) -> None:
     """Offer the full trailing-zero chain of one germ (exact truncation)."""
     value = eval_bracket(sys, germ)
+    if not any(value):
+        return
     chain_span = ExactSpan(sys.dim)
     tree = germ
     for nu in range(sys.dim):
-        if not any(value):
-            break
         if not chain_span.add(value):
-            break   # Krylov stall is permanent
+            break   # a zero or a Krylov stall is permanent
         offer(tree, value)
         value = sys.h0_apply(value)
         tree = trees.node(tree, X0)
@@ -227,7 +227,7 @@ def neutral_span(sys: SystemDef, fam: FamilySpec,
                     if n1 + budget > caps.max_layer_length:
                         continue
                     for element in basis_of_bidegree(n1, budget):
-                        if element.trailing_zeros:
+                        if element.tree.right is X0:
                             continue    # chains handle trailing zeros
                         if element.tree.text in fam.exclude:
                             continue

@@ -13,6 +13,14 @@ computed so far, which serves every lower order; trailing X0 brackets at the
 origin reduce to multiplication by the Jacobian of f0 at 0 (valid because
 f0(0) = 0), which the span machinery exploits.
 
+Most brackets of a polynomial system vanish, so a vanishing jet costs an
+identity test: each system holds one zero jet and one zero value, and every
+jet found to vanish is that jet.  A node whose left factor vanishes never
+evaluates its right one, and f_b(0) of a vanishing jet is the shared zero
+value, with no division and no Jacobian power.  Zero to order k says nothing
+about order k + 1, so a zero jet is cached at its own order like any other;
+only the zero past the degree bound holds at every order.
+
 The jets run on integers.  A system clears the denominators of its fields
 once, f0 = F0 / D0 and f1 = F1 / D1 with integer fields F0, F1, and its jet
 cache holds the integer numerators F_b built from them by the same bracket
@@ -287,6 +295,9 @@ class SystemDef:
         self._field_cache: dict[BracketTree, PolyVectorField] = {}
         self._jet_order: dict[BracketTree, int] = {}
         self._value_cache: dict[BracketTree, Vector] = {}
+        # every vanishing jet and value is one of these, tested by `is`
+        self._zero_jet = PolyVectorField.zero(self.dim)
+        self._zero_value: Vector = (Fraction(0),) * self.dim
         self._leaf_degrees = (self.f0.degree(), self.f1.degree())
 
     @functools.cached_property
@@ -329,21 +340,32 @@ class SystemDef:
         terms of degree <= k + 1.  A higher order is recomputed from the
         children's jets one order up.  The bracket is bilinear, so
         F_b = [F_left, F_right] on integers.
+
+        A jet that vanishes is the system's one `_zero_jet`: past the degree
+        bound, for a leaf with no terms up to `order`, when the left child's
+        jet vanishes (the right child is then never evaluated) or the right
+        one does, and when the bracket has no terms.  Like any jet it is
+        cached at its own order only, since F_b may vanish to order k and
+        not to order k + 1; only the degree-bound zero holds at every order.
         """
         order = min(order, self._degree_bound(b))
         if order < 0:
-            return PolyVectorField.zero(self.dim)
+            return self._zero_jet
         if self._jet_order.get(b, -1) >= order:
             return self._field_cache[b]
+        out = self._zero_jet
         if b.is_leaf:
-            out = self._leaf_numerators[b is not trees.X0].truncated(order)
+            leaf = self._leaf_numerators[b is not trees.X0].truncated(order)
+            if leaf:
+                out = leaf
         else:
             left = self._numerator_jet(b.left, order + 1)
-            right = self._numerator_jet(b.right, order + 1)
-            if not left or not right:
-                out = PolyVectorField.zero(self.dim)
-            else:
-                out = jet_bracket(left, right, order)
+            if left is not self._zero_jet:
+                right = self._numerator_jet(b.right, order + 1)
+                if right is not self._zero_jet:
+                    bracket = jet_bracket(left, right, order)
+                    if bracket:
+                        out = bracket
         self._field_cache[b] = out
         self._jet_order[b] = order
         return out
@@ -366,11 +388,15 @@ class SystemDef:
         if cached is not None:
             return cached
         core, nu = trees.strip_trailing_zeros(b)
-        den = self._denominator(core)
-        value = tuple(Fraction(c.constant_term(), den)
-                      for c in self._numerator_jet(core, 0).components)
-        for _ in range(nu):
-            value = self.h0_apply(value)
+        jet = self._numerator_jet(core, 0)
+        if jet is self._zero_jet:
+            value = self._zero_value
+        else:
+            den = self._denominator(core)
+            value = tuple(Fraction(c.constant_term(), den)
+                          for c in jet.components)
+            for _ in range(nu):
+                value = self.h0_apply(value)
         return self._value_cache.setdefault(b, value)
 
 

@@ -52,8 +52,11 @@ def all_words(max_degree: int) -> Iterable[Word]:
 
 
 def words_of_bidegree(n1: int, n0: int) -> list[Word]:
-    """All words with exactly n1 ones and n0 zeros, lexicographic."""
-    return [_words(n1 + n0)[i] for i in bidegree_indices(n1, n0)]
+    """All words with exactly n1 ones and n0 zeros, lexicographic, decoded
+    from their bit indices (first letter in the high bit)."""
+    shifts = np.arange(n1 + n0 - 1, -1, -1)
+    letters = (bidegree_indices(n1, n0)[:, None] >> shifts) & 1
+    return [tuple(row) for row in letters.tolist()]
 
 
 @functools.cache

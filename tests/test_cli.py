@@ -231,6 +231,13 @@ class TestCheck:
                            "--condition", condition, "--json")
             assert from_file == from_zoo
 
+    def test_rational_system_n2_report_is_pinned(self, run):
+        code, out, _ = run("check", "--system",
+                           str(DATA / "rational_system.json"),
+                           "--condition", "n2", "--json")
+        assert code == 0
+        assert out == (DATA / "rational_system_n2.json").read_text()
+
 
 class TestVerifyExpansions:
     def test_all_identities_pass(self, run):

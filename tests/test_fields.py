@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
-from lietool import trees
+from lietool import fields, trees
 from lietool.fields import (PolyVectorField, SystemDef, eval_bracket,
                             eval_lie, jet_bracket, system_from_json_dict,
                             system_to_json_dict, vf_bracket)
 from lietool.hall import basis_up_to_length, decompose
 from lietool.polynomials import SparsePoly
 from lietool.trees import M, P, W, X0, X1, ad, node
-from lietool.zoo import zoo
+from lietool.zoo import default_instances, zoo
+
+DATA = Path(__file__).parent / "data"
 
 
 def _field(dim, comps):
@@ -228,6 +231,117 @@ class TestJets:
             assert up.bracket_field(tree) == whole, tree
             assert _random_system(11, 3).bracket_field(tree) == whole, tree
             assert up.bracket_jet(tree, 1) == whole.truncated(1), tree
+
+
+def _dense_system(seed, dim):
+    """Cubic f0 with f0(0) = 0 and quadratic f1, each component holding
+    about half of the monomials it may have.  Only f1's first component has
+    a constant term, and f0's linear part only involves the first dim - 1
+    coordinates, so some brackets vanish at the origin and some do not."""
+    rng = random.Random(seed)
+
+    def component(low, high, linear_vars):
+        return SparsePoly(dim, {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+            for e in product(range(high + 1), repeat=dim)
+            if low <= sum(e) <= high and (sum(e) != 1 or e[linear_vars] == 0)
+            and rng.random() < 0.5})
+
+    f0 = [component(1, 3, dim - 1) for _ in range(dim)]
+    f1 = [component(1, 2, dim - 1) for _ in range(dim)]
+    f1[0] = f1[0] + SparsePoly.constant(dim, 1)
+    return SystemDef(dim=dim, name=f"dense{dim}",
+                     f0=PolyVectorField(dim, f0), f1=PolyVectorField(dim, f1))
+
+
+class TestVanishingJets:
+    """A vanishing jet is the system's one shared zero, and costs nothing."""
+
+    @pytest.mark.parametrize("make", [lambda: zoo("sextic", p=8),
+                                      lambda: _dense_system(5, 4),
+                                      lambda: zoo("easy")],
+                             ids=["sextic", "dense4", "easy"])
+    def test_no_zero_field_and_no_vanishing_factor(self, make, monkeypatch):
+        # easy has brackets past their degree bound, such as ad(X1)^4 X0
+        sys = make()
+        zero_calls, factors = [], []
+        original_zero = PolyVectorField.zero.__func__
+        original_bracket = fields.jet_bracket
+
+        def counted_zero(cls, dim):
+            zero_calls.append(dim)
+            return original_zero(cls, dim)
+
+        def checked_bracket(f, g, order):
+            factors.append((bool(f), bool(g)))
+            return original_bracket(f, g, order)
+
+        monkeypatch.setattr(PolyVectorField, "zero",
+                            classmethod(counted_zero))
+        monkeypatch.setattr(fields, "jet_bracket", checked_bracket)
+        values = [sys.bracket_value(e.tree) for e in basis_up_to_length(9)]
+        assert zero_calls == []
+        assert factors and all(f and g for f, g in factors)
+        assert any(any(v) for v in values)
+        assert any(not any(v) for v in values)
+        # f0 has no constant term: asked first, X0's order-0 jet is the
+        # shared zero, and so is its value
+        fresh = make()
+        assert fresh.bracket_value(X0) is fresh._zero_value
+
+    @pytest.mark.parametrize("make", [lambda: zoo("sextic", p=8),
+                                      lambda: _random_system(11, 3)],
+                             ids=["sextic", "random3"])
+    def test_a_zero_jet_holds_at_its_own_order_only(self, make):
+        oracle, memo = make(), {}
+        found = 0
+        for element in basis_up_to_length(5):
+            tree = element.tree
+            for k in range(4):
+                sys = make()
+                if (k >= sys._degree_bound(tree)
+                        or sys._numerator_jet(tree, k) is not sys._zero_jet):
+                    continue
+                whole = _full_field(oracle, tree, memo)
+                assert not whole.truncated(k), (tree, k)
+                if whole.truncated(k + 1):
+                    assert sys.bracket_jet(tree, k + 1) == whole.truncated(
+                        k + 1), (tree, k)
+                    # a bracket k + 1 levels up needs the tree to order k + 1
+                    fresh = make()
+                    fresh._numerator_jet(tree, k)
+                    wrapped = ad(X1, k + 1, tree)
+                    assert fresh.bracket_value(wrapped) == _full_field(
+                        oracle, wrapped, memo).value_at_zero(), (tree, k)
+                    found += 1
+        assert found >= 5
+
+
+class TestPinnedValues:
+    """f_b(0) for every Hall b of length <= 10 on every default catalog
+    instance, against `tests/data/bracket_values.json`, which lists the
+    nonzero values."""
+
+    def test_values_match_the_pinned_table(self):
+        with open(DATA / "bracket_values.json") as fh:
+            pinned = json.load(fh)
+        elements = basis_up_to_length(pinned["max_length"])
+        systems = default_instances()
+        assert sorted(s.name for s in systems) == sorted(pinned["values"])
+        nonzero = 0
+        for sys in systems:
+            table = pinned["values"][sys.name]
+            for element in elements:
+                value = eval_bracket(sys, element)
+                expected = table.get(element.tree.text)
+                if expected is None:
+                    assert not any(value), (sys.name, element)
+                else:
+                    assert value == tuple(map(Fraction, expected)), \
+                        (sys.name, element)
+                    nonzero += 1
+        assert len(elements) * len(systems) == 4068
+        assert nonzero == sum(map(len, pinned["values"].values())) == 153
 
 
 # ---------------------------------------------------------------------------
