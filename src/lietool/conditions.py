@@ -172,7 +172,7 @@ def _chain_vectors(sys: SystemDef, germ: BracketTree,
                    offer: Callable[[BracketTree, Vector], None]) -> None:
     """Offer the full trailing-zero chain of one germ (exact truncation)."""
     value = eval_bracket(sys, germ)
-    if not any(value):
+    if value is sys._zero_value:
         return
     chain_span = ExactSpan(sys.dim)
     tree = germ

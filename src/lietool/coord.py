@@ -156,21 +156,20 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     if pattern is None:
         raise ValueError(f"{_as_tree(b).text} is outside the named families")
     fam, idx, nu = pattern.family, pattern.indices, pattern.nu
-    # [u_1, u_2, ...] under 0, [u_j^2, its primitives, ...] under j >= 1
+    # primitives(u_1) under 0 (not primitives(u), whose chain holds u),
+    # primitives(u_j^2) under j >= 1
     chains = _CLOSED_FORM_CHAINS.setdefault(u, {})
 
-    def chained(key: int, base, n: int):
-        chain = chains.get(key) or chains.setdefault(key, [base()])
-        while len(chain) <= n:
-            chain.append(chain[-1].antiderivative())
-        return chain[n]
-
     def prim(j: int):
-        return chained(0, u.antiderivative, j - 1)
+        if 0 not in chains:
+            chains[0] = primitives(u.antiderivative())
+        return chains[0](j - 1)
 
     def primitive_of_square(j: int, mu: int):
         """The (mu + 1)-th primitive of u_j^2."""
-        return chained(j, lambda: prim(j).power(2), mu + 1)
+        if j not in chains:
+            chains[j] = primitives(prim(j).power(2))
+        return chains[j](mu + 1)
 
     if fam == "M":
         integrand = u

@@ -21,7 +21,7 @@ word-space constructions):
 The products, exponentials and logarithms run on the dense degree-graded
 series of :mod:`lietool.words`; exp(-t X0) is a piece exponential too, and a
 logarithm reaches the Hall basis through its integer numerators, one
-bidegree solve at a time (:func:`lietool.hall.decompose_vector`).
+bidegree solve at a time (:func:`lietool.hall.decompose_lie_series`).
 
 :func:`eta_by_product` reaches eta on every control without word series:
 exp(-t X0) cancels the leftmost factor of Sussmann's product, and the
@@ -41,15 +41,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .controls import ControlSignal, PiecewisePolyControl
 from .coord import chen_coefficient, xi, xi_path
 from .hall import (HallElement, InternalConsistencyError, LieElement,
-                   basis_up_to_length, decompose_series, decompose_vector)
+                   basis_up_to_length, decompose_lie_series, decompose_series)
 from .trees import X0, X1
-from .words import (TensorSeries, _ones, all_words, bidegree_indices,
-                    expand_to_words)
+from .words import TensorSeries, all_words, expand_to_words
 
 
 @dataclass
@@ -114,21 +111,6 @@ class EtaTable:
         return self.values.get(HallElement.of(element), Fraction(0))
 
 
-def series_to_eta(log_series: TensorSeries, cutoff: int, horizon: Fraction) -> EtaTable:
-    """Decompose a Lie word-series onto the Hall basis, bidegree by bidegree."""
-    table = EtaTable(cutoff=cutoff, horizon=horizon)
-    parts = {}
-    for n, block in enumerate(log_series.blocks):
-        if block is not None:
-            counts = np.bincount(_ones(n)[block != 0], minlength=n + 1)
-            for n1 in np.flatnonzero(counts).tolist():
-                parts[(n1, n - n1)] = block[bidegree_indices(n1, n - n1)]
-    for (p, q), part in sorted(parts.items()):
-        table.values.update(
-            decompose_vector(part, p, q, log_series.den).coeffs)
-    return table
-
-
 def interaction_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     """eta_b table from log(exp(-t X0) * state); exact, residual-checked.
 
@@ -142,13 +124,13 @@ def interaction_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     if any(log_series[(0,) * n] for n in range(1, cutoff + 1)):
         raise InternalConsistencyError(
             "factoring exp(t X0) left a pure-X0 term")
-    return series_to_eta(log_series, cutoff, u.horizon)
+    return EtaTable(cutoff, u.horizon, decompose_lie_series(log_series).coeffs)
 
 
 def magnus_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     """Coordinates of the first kind: log of the full state on the basis."""
-    state = formal_state(u, cutoff)
-    return series_to_eta(state.series.log(), cutoff, u.horizon)
+    log_series = formal_state(u, cutoff).series.log()
+    return EtaTable(cutoff, u.horizon, decompose_lie_series(log_series).coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ f0(0) = 0), which the span machinery exploits.
 Most brackets of a polynomial system vanish, so a vanishing jet costs an
 identity test: each system holds one zero jet and one zero value, and every
 jet found to vanish is that jet.  A node whose left factor vanishes never
-evaluates its right one, and f_b(0) of a vanishing jet is the shared zero
-value, with no division and no Jacobian power.  Zero to order k says nothing
-about order k + 1, so a zero jet is cached at its own order like any other;
-only the zero past the degree bound holds at every order.
+evaluates its right one, and f_b(0) of a vanishing jet costs no division
+and no Jacobian power.  Every f_b(0) that vanishes is the shared zero value,
+also when its jet does not.  Zero to order k says nothing about order k + 1,
+so a zero jet is cached at its own order like any other; only the zero past
+the degree bound holds at every order.
 
 The jets run on integers.  A system clears the denominators of its fields
 once, f0 = F0 / D0 and f1 = F1 / D1 with integer fields F0, F1, and its jet
@@ -389,14 +390,15 @@ class SystemDef:
             return cached
         core, nu = trees.strip_trailing_zeros(b)
         jet = self._numerator_jet(core, 0)
-        if jet is self._zero_jet:
-            value = self._zero_value
-        else:
+        value = self._zero_value
+        if jet is not self._zero_jet:
             den = self._denominator(core)
             value = tuple(Fraction(c.constant_term(), den)
                           for c in jet.components)
             for _ in range(nu):
                 value = self.h0_apply(value)
+            if not any(value):
+                value = self._zero_value
         return self._value_cache.setdefault(b, value)
 
 

@@ -32,10 +32,13 @@ columns, their rows at the Lyndon words form a unimodular square, fixed in
 advance, whose inverse is lifted from one modulo a prime and checked exactly
 (:func:`lietool.exact_linalg.unimodular_inverse`), and every decomposition
 is checked exactly against all words of the bidegree before its
-coefficients become fractions.  Its input is integer too: a tree's cached
-word expansion, a Lie element's expansions over the lcm of its
-coefficients' denominators, or a series' numerators over its common
-denominator (:func:`decompose_vector`).
+coefficients become fractions.  Its input is integer too, and reaches it by
+one road (:func:`decompose_vector`): a tree's cached expansion arrays
+(:func:`lietool.words.word_expansion`) fill the vector of its bidegree, and
+a word series is split by bidegree into its numerators over its common
+denominator (:func:`decompose_lie_series`), a Lie element through its
+`expand_to_words`.  Trees and Lie elements longer than
+`MAX_DECOMPOSE_LENGTH` are refused; a series is solved at any length.
 """
 
 from __future__ import annotations
@@ -324,9 +327,8 @@ def _bidegree_solver(n1: int, n0: int):
     words = bidegree_indices(n1, n0)
     expansion = np.zeros((len(words), len(elements)), dtype=np.int64)
     for j, element in enumerate(elements):
-        column = word_expansion(element.tree)
-        index = np.fromiter(column, dtype=np.intp, count=len(column))
-        expansion[np.searchsorted(words, index), j] = list(column.values())
+        index, coeffs = word_expansion(element.tree)
+        expansion[np.searchsorted(words, index), j] = coeffs
     rows = np.searchsorted(words, lyndon_indices(n1, n0))
     try:
         inverse = unimodular_inverse(expansion[rows])
@@ -360,21 +362,22 @@ def decompose_vector(target: np.ndarray, n1: int, n0: int,
                        for e, c in zip(elements, coeffs) if c})
 
 
-def decompose_words(target: dict[int, int], n1: int, n0: int,
-                    den: int = 1) -> LieElement:
-    """Write sum_w target[w] w / den, integer numerators by the bit index
-    of words of bidegree (n1, n0), over the Hall basis."""
-    words = bidegree_indices(n1, n0)
-    index = np.fromiter(target, dtype=np.int64, count=len(target))
-    position = np.searchsorted(words, index)
-    misplaced = (position == len(words)) | (
-        words[np.minimum(position, len(words) - 1)] != index)
-    if misplaced.any():
-        raise ValueError(f"word index {index[misplaced][0]} is not of "
-                         f"bidegree (n1={n1}, n0={n0})")
-    vector = np.zeros(len(words), dtype=object)
-    vector[position] = list(target.values())
-    return decompose_vector(vector, n1, n0, den)
+def decompose_lie_series(series: TensorSeries) -> LieElement:
+    """Write a Lie polynomial, given by its words, over the Hall basis: its
+    numerators are split by bidegree and each part is solved over the
+    series' common denominator (:func:`decompose_vector`), in ascending
+    bidegree."""
+    bidegrees = []
+    for n, block in enumerate(series.blocks):
+        if block is not None:
+            counts = np.bincount(_ones(n)[block != 0], minlength=n + 1)
+            bidegrees += [(n1, n - n1)
+                          for n1 in np.flatnonzero(counts).tolist()]
+    out: dict[HallElement, Fraction] = {}
+    for n1, n0 in sorted(bidegrees):
+        part = series.blocks[n1 + n0][bidegree_indices(n1, n0)]
+        out.update(decompose_vector(part, n1, n0, series.den).coeffs)
+    return LieElement(out)
 
 
 def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
@@ -385,39 +388,30 @@ def decompose_series(series: TensorSeries, n1: int, n0: int) -> LieElement:
                                   else block[_ones(k) != n1]).any():
             raise ValueError(
                 f"the series has words outside bidegree (n1={n1}, n0={n0})")
-    words = bidegree_indices(n1, n0)
-    if n > series.cutoff or series.blocks[n] is None:
-        return decompose_vector(np.zeros(len(words), dtype=object), n1, n0)
-    return decompose_vector(series.blocks[n][words], n1, n0, series.den)
+    return decompose_lie_series(series)
 
 
 def decompose(b: Union[BracketTree, str, LieElement]) -> LieElement:
     """Coordinates of a bracket tree (or Lie element) on the Hall basis."""
     if isinstance(b, str):
         b = trees.parse_tree(b)
-    if isinstance(b, LieElement):
-        # clear the coefficients' denominators once, then add the integer
-        # word expansions bidegree by bidegree
-        numerators, den = clear_denominators(b.coeffs.values())
-        by_bidegree: dict[tuple[int, int], dict[int, int]] = {}
-        for element, coeff in zip(b.coeffs, numerators):
-            target = by_bidegree.setdefault(element.bidegree, {})
-            for w, c in word_expansion(element.tree).items():
-                target[w] = target.get(w, 0) + coeff * c
-        out = LieElement()
-        for (p, q), target in by_bidegree.items():
-            out = out + decompose_words(target, p, q, den)
-        return out
-    if b.length > MAX_DECOMPOSE_LENGTH:
+    length = (max((e.length for e in b.coeffs), default=0)
+              if isinstance(b, LieElement) else b.length)
+    if length > MAX_DECOMPOSE_LENGTH:
         raise ValueError(
-            f"tree length {b.length} exceeds the decomposition cutoff "
+            f"length {length} exceeds the decomposition cutoff "
             f"{MAX_DECOMPOSE_LENGTH}")
+    if isinstance(b, LieElement):
+        return decompose_lie_series(b.expand_to_words(length))
     if is_hall(b):
         return LieElement.single(b)
-    target = word_expansion(b)
-    if not target:
+    index, coeffs = word_expansion(b)
+    if not len(index):
         return LieElement()
-    return decompose_words(target, b.n1, b.n0)
+    words = bidegree_indices(b.n1, b.n0)
+    target = np.zeros(len(words), dtype=object)
+    target[np.searchsorted(words, index)] = coeffs.tolist()
+    return decompose_vector(target, b.n1, b.n0)
 
 
 def lie_bracket(a: Union[BracketTree, LieElement, str],
@@ -428,10 +422,6 @@ def lie_bracket(a: Union[BracketTree, LieElement, str],
     out = LieElement()
     for ea, ca in a.coeffs.items():
         for eb, cb in b.coeffs.items():
-            if ea.length + eb.length > MAX_DECOMPOSE_LENGTH:
-                raise ValueError(
-                    "bracket bidegree exceeds the decomposition cutoff "
-                    f"{MAX_DECOMPOSE_LENGTH}")
             pair = node(ea.tree, eb.tree)
             out = out + decompose(pair).scale(ca * cb)
     return out

@@ -22,7 +22,7 @@ with X0 (`M`), their squares (`W`), and the higher layers (`P`, `Q`, `Qs`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class TreeSyntaxError(ValueError):
@@ -77,13 +77,6 @@ class BracketTree:
 
     def __repr__(self) -> str:
         return self.text
-
-    def leaves(self) -> Iterator[int]:
-        if self.is_leaf:
-            yield self.generator
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
 
 
 X0 = BracketTree._interned.setdefault(0, BracketTree(0, None, None, "X0"))

@@ -13,15 +13,16 @@ blocks i and j is `np.multiply.outer(a_i, b_j).ravel()`, a block of degree
 i + j.  All numerators share one common denominator, reduced by a single gcd
 after every operation, so equal series have equal blocks.  Coefficients are
 rational (`numbers.Rational`); anything else is refused with a TypeError.  An
-all-zero block may be left out (``None``).  The integer word expansions of
-bracket trees (:func:`word_expansion`) use the same bit indices, so they fill
-a block directly, and the Hall solver reads its targets by them.
+all-zero block may be left out (``None``).  The word expansion of a bracket
+tree (:func:`word_expansion`) is an int64 array of the same bit indices and
+one of its coefficients, so it fills a block directly, and the Hall solver
+reads its columns and targets by them.  Words are decoded from their bit
+indices only where a caller asks for tuples.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from collections.abc import MutableMapping
@@ -48,21 +49,20 @@ def word_text(word: Word) -> str:
 def all_words(max_degree: int) -> Iterable[Word]:
     """All words of total degree <= max_degree, by increasing degree."""
     for n in range(max_degree + 1):
-        yield from _words(n)
+        yield from _decode(np.arange(1 << n), n)
 
 
 def words_of_bidegree(n1: int, n0: int) -> list[Word]:
-    """All words with exactly n1 ones and n0 zeros, lexicographic, decoded
-    from their bit indices (first letter in the high bit)."""
-    shifts = np.arange(n1 + n0 - 1, -1, -1)
-    letters = (bidegree_indices(n1, n0)[:, None] >> shifts) & 1
+    """All words with exactly n1 ones and n0 zeros, lexicographic."""
+    return _decode(bidegree_indices(n1, n0), n1 + n0)
+
+
+def _decode(index, n: int) -> list[Word]:
+    """The words of length n at the given bit indices (first letter in the
+    high bit)."""
+    shifts = np.arange(n - 1, -1, -1)
+    letters = (np.asarray(index, dtype=np.int64)[:, None] >> shifts) & 1
     return [tuple(row) for row in letters.tolist()]
-
-
-@functools.cache
-def _words(n: int) -> tuple[Word, ...]:
-    """The words of degree n, in bit-index order."""
-    return tuple(itertools.product((0, 1), repeat=n))
 
 
 @functools.cache
@@ -219,18 +219,22 @@ class TensorSeries:
         series."""
         return WordCoefficients(self)
 
-    def _entries(self):
-        """(word, numerator) for every nonzero entry, by degree and index."""
-        for n, b in enumerate(self.blocks):
-            if b is not None:
-                words = _words(n)
-                for i in np.flatnonzero(b):
-                    yield words[i], b[i]
+    def _nonzero(self, n: int) -> tuple[list[int], list[int]]:
+        """Bit indices and numerators of the nonzero degree-n entries."""
+        b = self.blocks[n] if n <= self.cutoff else None
+        if b is None:
+            return [], []
+        index = np.flatnonzero(b)
+        return index.tolist(), b[index].tolist()
 
     def _coeff_dict(self) -> dict[Word, Fraction]:
         if self._coeffs is None:
             den = self.den
-            self._coeffs = {w: Fraction(c, den) for w, c in self._entries()}
+            self._coeffs = {}
+            for n in range(self.cutoff + 1):
+                index, values = self._nonzero(n)
+                self._coeffs.update(zip(
+                    _decode(index, n), (Fraction(c, den) for c in values)))
         return self._coeffs
 
     def _assign(self, word: Word, value) -> None:
@@ -247,8 +251,9 @@ class TensorSeries:
         if not isinstance(other, TensorSeries):
             return NotImplemented
         # both reduced: equal series have equal numerators and den
-        return (self.den == other.den
-                and dict(self._entries()) == dict(other._entries()))
+        return self.den == other.den and all(
+            self._nonzero(n) == other._nonzero(n)
+            for n in range(max(self.cutoff, other.cutoff) + 1))
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("TensorSeries is unhashable")
@@ -300,9 +305,6 @@ class TensorSeries:
                 else:
                     out[i + j] += term
         return TensorSeries._make(cutoff, out, self.den * other.den)
-
-    def bracket(self, other: "TensorSeries") -> "TensorSeries":
-        return self * other - other * self
 
     def truncated(self, cutoff: int) -> "TensorSeries":
         blocks = self.blocks[:cutoff + 1]
@@ -387,41 +389,37 @@ class WordCoefficients(MutableMapping):
         return repr(self._dict())
 
 
-_EXPANSION_CACHE: dict[BracketTree, dict[int, int]] = {}
+_EXPANSION_CACHE: dict[BracketTree, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def word_expansion(tree: BracketTree) -> dict[int, int]:
-    """Integer word coefficients of the bracket evaluation of `tree`, by bit
-    index among the words of length `tree.length` (cached).
+def word_expansion(tree: BracketTree) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket evaluation of `tree` in the words of length
+    `tree.length`: two read-only int64 arrays, the ascending bit indices of
+    its nonzero words and their integer coefficients (cached).
 
     Concatenating words of lengths l1 and l2 is (i1 << l2) | i2, so
-    [a, b] = ab - ba is two outer products of index arrays; each product
-    hits distinct words, and a coefficient is at most 2^(length - 1) in
-    absolute value, so a dense int64 block of the length adds them up.
+    [a, b] = ab - ba is two outer products of the children's arrays; each
+    product hits distinct words, and a coefficient is at most 2^(length - 1)
+    in absolute value, so a dense int64 block of the length adds them up.
     """
     cached = _EXPANSION_CACHE.get(tree)
     if cached is not None:
         return cached
     if tree.is_leaf:
-        out = {tree.generator: 1}
+        index = np.array([tree.generator], dtype=np.int64)
+        coeffs = np.ones(1, dtype=np.int64)
     else:
         la, lb = tree.left.length, tree.right.length
-        ia, ca = _expansion_arrays(word_expansion(tree.left))
-        ib, cb = _expansion_arrays(word_expansion(tree.right))
+        ia, ca = word_expansion(tree.left)
+        ib, cb = word_expansion(tree.right)
         c = np.multiply.outer(ca, cb)
         block = np.zeros(1 << (la + lb), dtype=np.int64)
         block[(ia[:, None] << lb) | ib] += c
         block[(ib << la) | ia[:, None]] -= c
-        index = np.flatnonzero(block)
-        out = dict(zip(index.tolist(), block[index].tolist()))
-    return _EXPANSION_CACHE.setdefault(tree, out)
-
-
-def _expansion_arrays(expansion: dict[int, int]) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-    n = len(expansion)
-    return (np.fromiter(expansion, dtype=np.int64, count=n),
-            np.fromiter(expansion.values(), dtype=np.int64, count=n))
+        index = np.flatnonzero(block).astype(np.int64, copy=False)
+        coeffs = block[index]
+    index.flags.writeable = coeffs.flags.writeable = False
+    return _EXPANSION_CACHE.setdefault(tree, (index, coeffs))
 
 
 def expansion_series(terms: Iterable[tuple[BracketTree, int]], cutoff: int,
@@ -431,13 +429,11 @@ def expansion_series(terms: Iterable[tuple[BracketTree, int]], cutoff: int,
     fit under the cutoff."""
     blocks: list[np.ndarray | None] = [None] * (cutoff + 1)
     for tree, c in terms:
-        expansion = word_expansion(tree)
+        index, coeffs = word_expansion(tree)
         n = tree.length
         if blocks[n] is None:
             blocks[n] = np.zeros(1 << n, dtype=object)
-        index = np.fromiter(expansion, dtype=np.intp, count=len(expansion))
-        blocks[n][index] += np.array(list(expansion.values()),
-                                     dtype=object) * c
+        blocks[n][index] += coeffs.astype(object) * c
     return TensorSeries._make(cutoff, blocks, den)
 
 

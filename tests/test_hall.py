@@ -5,12 +5,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_carrier_tree, random_tree
 from lietool import hall, trees
 from lietool.exact_linalg import PRIME
-from lietool.hall import (HallElement, InternalConsistencyError,
+from lietool.hall import (HallElement, InternalConsistencyError, LieElement,
                           NotInCarrierError, basis_of_bidegree,
                           basis_up_to_length, coefficient_of, decompose,
                           decompose_series, enumerate_basis, hall_compare,
@@ -393,6 +393,14 @@ class TestDecompose:
         with pytest.raises(InternalConsistencyError):
             decompose_series(TensorSeries(2, {(1, 0): Fraction(1)}), 1, 1)
 
+    @pytest.mark.parametrize("stray", [(0, 0, 1), (1, 1, 0, 0)],
+                             ids=["same-length", "other-length"])
+    def test_series_refuses_a_word_outside_its_bidegree(self, stray):
+        tree = node(X1, W(1, 0))
+        series = expand_to_words(tree, 4) + TensorSeries.from_word(stray, 4)
+        with pytest.raises(ValueError, match="outside bidegree"):
+            decompose_series(series, *tree.bidegree)
+
     def test_rational_target_keeps_exact_coefficients(self):
         tree = node(X1, W(1, 1))
         series = expand_to_words(tree, tree.length).scale(Fraction(-2, 7))
@@ -409,10 +417,17 @@ class TestDecompose:
                    for e in element.coeffs)
         assert element.expand_to_words(13) == expand_to_words(tree, 13)
 
-    def test_oversized_tree_rejected(self):
+    def test_oversized_tree_rejected(self, monkeypatch):
+        def unreachable(n1, n0):
+            raise AssertionError(f"solver of ({n1},{n0}) reached")
+
+        monkeypatch.setattr(hall, "_bidegree_solver", unreachable)
         big = zeros(X1, 17)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="decomposition cutoff"):
             decompose(big)
+        element = LieElement.single(basis_of_bidegree(3, 14)[0])
+        with pytest.raises(ValueError, match="decomposition cutoff"):
+            decompose(element)
 
 
 class TestLieBracket:
@@ -495,6 +510,19 @@ def test_decompose_jacobi(a, b, c):
     total = (decompose(node(a, node(b, c))) + decompose(node(b, node(c, a)))
              + decompose(node(c, node(a, b))))
     assert not total
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(basis_up_to_length(8)),
+                          st.fractions(-5, 5, max_denominator=7)),
+                max_size=6))
+@example([(HallElement.of(W(1, 0)), Fraction(1, 2)),
+          (HallElement.of(W(1, 0)), Fraction(-1, 2))])
+def test_lie_element_decomposes_to_itself(terms):
+    element = LieElement()
+    for e, c in terms:
+        element = element + LieElement.single(e, c)
+    assert decompose(element) == element
 
 
 @settings(max_examples=50, deadline=None)
