@@ -29,13 +29,14 @@ recursion; since the bracket is bilinear, f_b = F_b / (D0^n0 D1^n1).  Only
 the public values divide: `bracket_jet` and `bracket_field` return the
 rational field, and f_b(0) and every `Vector` are tuples of `Fraction`.
 
-For simulation :func:`float_function` generates one straight-line Python
-function per field, or per system the right-hand side f0(x) + uv f1(x)
-(`SystemDef.float_rhs`), built on first use.  It computes each power x_j^k
-once per call through the power function it is given (C `pow`, on floats or
-elementwise on arrays), so it evaluates at one point or, on numpy arrays,
-at many points at once, with the same operations in the same order either
-way; `PolyVectorField.eval_float` calls the same generated code.
+For simulation each system generates one straight-line Python function per
+classical RK4 step, :func:`rk4_step_function` (`SystemDef.rk4_step`), built
+on first use; :func:`float_function` generates one for a single field
+(`PolyVectorField.eval_float`).  Both print their terms with one printer,
+`_float_sum`, and compute each power x_j^k once per stage or call through
+the power function they are given (C `pow`, on floats or elementwise on
+arrays), so they evaluate at one point or, on numpy arrays, at many points
+at once, with the same operations in the same order either way.
 """
 
 from __future__ import annotations
@@ -138,46 +139,99 @@ class PolyVectorField:
                                [c.truncated(order) for c in self.components])
 
 
-def float_function(f0: PolyVectorField, f1: PolyVectorField | None = None):
-    """f0 in floats as one generated straight-line function `f(x, P)`, or,
-    given f1, the right-hand side `rhs(uv, x, P)` with components
-    f0_i(x) + uv * f1_i(x).
+def _float_sum(p: SparsePoly, power) -> str:
+    """The term printer: p in floats as 0.0 + c*p*p + ... over its terms in
+    the order `terms` holds them, each product running from the coefficient
+    through the powers in variable order, where power(j, k) names x_j^k.
+
+    A coefficient of 1.0 in front of a power is left out: 1.0*y is y bit
+    for bit.  The leading 0.0 stays, so the sum is never -0.0.
+    """
+    terms = []
+    for e, c in p.terms.items():
+        factors = [power(j, k) for j, k in enumerate(e) if k]
+        if not factors or float(c) != 1.0:
+            factors.insert(0, repr(float(c)))
+        terms.append("*".join(factors))
+    return " + ".join(["0.0"] + terms)
+
+
+def _power_names(point: str, powers: dict):
+    """power(j, k) for `_float_sum` at the point whose coordinates are the
+    locals point0, point1, ...: x_j^1 is the coordinate itself, as pow
+    returns it, and each x_j^k with k >= 2 a local recorded in `powers`."""
+    def power(j: int, k: int) -> str:
+        return (f"{point}{j}" if k == 1
+                else powers.setdefault((j, k), f"{point}{j}_{k}"))
+    return power
+
+
+def _compiled(name: str, lines: list[str]):
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
+def float_function(f: PolyVectorField):
+    """f in floats as one generated straight-line function `f(x, P)`.
 
     x lists the d coordinates, floats or arrays of one length, and P is
     their power function: C `pow` either way, `pow` on floats and
     `np.float_power` on arrays (numpy's vectorized `**` rounds
-    differently).  A component is 0.0 + c*p*p + ... over its terms in the
-    order `terms` holds them, each product running from the coefficient
-    through the powers in variable order.  Each power x_j^k with k >= 2 is
-    computed once per call; x_j^1 is x_j itself, as pow returns it.
+    differently).  A component is `_float_sum` of its polynomial, and each
+    power x_j^k with k >= 2 is computed once per call.
     """
-    powers: dict[tuple[int, int], str] = {}     # (j, k) -> local for x_j^k
-
-    def power(j: int, k: int) -> str:
-        return f"x{j}" if k == 1 else powers.setdefault((j, k), f"x{j}_{k}")
-
-    def component(p: SparsePoly) -> str:
-        return " + ".join(["0.0"] + [
-            "*".join([repr(float(c))]
-                     + [power(j, k) for j, k in enumerate(e) if k])
-            for e, c in p.terms.items()])
-
-    if f1 is None:
-        name, args = "f", "x, P"
-        rows = [component(a) for a in f0.components]
-    else:
-        f0._check(f1)
-        name, args = "rhs", "uv, x, P"
-        rows = [f"({component(a)}) + uv * ({component(b)})"
-                for a, b in zip(f0.components, f1.components)]
-    source = "\n".join(
-        [f"def {name}({args}):",
-         f"    {''.join(f'x{j}, ' for j in range(f0.dim))}= x"]
+    powers: dict[tuple[int, int], str] = {}
+    rows = [_float_sum(p, _power_names("x", powers)) for p in f.components]
+    return _compiled("f", [
+        "def f(x, P):",
+        f"    {''.join(f'x{j}, ' for j in range(f.dim))}= x"]
         + [f"    {local} = P(x{j}, {k})" for (j, k), local in powers.items()]
         + [f"    return [{', '.join(rows)}]"])
-    namespace: dict = {}
-    exec(source, namespace)
-    return namespace[name]
+
+
+# RK4's four stages: the point's local prefix, its control value, and how
+# the point is reached from x (prefix a) along the previous stage's slope
+_STAGES = (("a", "u0", None), ("b", "um", "half * ka"),
+           ("c", "um", "half * kb"), ("d", "u1", "h * kc"))
+
+
+def rk4_step_function(f0: PolyVectorField, f1: PolyVectorField):
+    """One classical RK4 step of x' = f0(x) + u f1(x) as one generated
+    straight-line function `step(u0, um, u1, x, h, P)`, returning the d
+    coordinates of the state after a step of size h from x.
+
+    u0, um and u1 are the control's values at the step's start, middle and
+    end.  x, h and the control values are floats (one trajectory, P = pow)
+    or arrays of one length (trials in lockstep, P = np.float_power), with
+    the same operations in the same order either way.  Stage slope i is
+    (f0_i) + uv * (f1_i), each a `_float_sum` at the stage's point, with
+    each power computed once per stage; a component of f1 without terms
+    adds no uv * (0.0), which is exact because the f0 sum is never -0.0
+    and control values are finite.  The stages combine as
+    x + h/6 * (k1 + 2 * k2 + 2 * k3 + k4).
+    """
+    f0._check(f1)
+    d = f0.dim
+    lines = ["def step(u0, um, u1, x, h, P):",
+             f"    {''.join(f'a{j}, ' for j in range(d))}= x",
+             "    half = h / 2"]
+    for point, uv, reach in _STAGES:
+        if reach:
+            lines += [f"    {point}{j} = a{j} + {reach}{j}" for j in range(d)]
+        powers: dict[tuple[int, int], str] = {}
+        power = _power_names(point, powers)
+        rows = [f"({_float_sum(a, power)}) + {uv} * ({_float_sum(b, power)})"
+                if b else _float_sum(a, power)
+                for a, b in zip(f0.components, f1.components)]
+        lines += [f"    {local} = P({point}{j}, {k})"
+                  for (j, k), local in powers.items()]
+        lines += [f"    k{point}{j} = {row}" for j, row in enumerate(rows)]
+    lines += ["    sixth = h / 6",
+              "    return [" + ", ".join(
+                  f"a{j} + sixth * (ka{j} + 2 * kb{j} + 2 * kc{j} + kd{j})"
+                  for j in range(d)) + "]"]
+    return _compiled("step", lines)
 
 
 def jet_bracket(f: PolyVectorField, g: PolyVectorField,
@@ -302,10 +356,10 @@ class SystemDef:
         self._leaf_degrees = (self.f0.degree(), self.f1.degree())
 
     @functools.cached_property
-    def float_rhs(self):
-        """`rhs(uv, x, P)` = f0(x) + uv f1(x) in floats, generated on first
-        use (:func:`float_function`)."""
-        return float_function(self.f0, self.f1)
+    def rk4_step(self):
+        """`step(u0, um, u1, x, h, P)`, one RK4 step of the system in
+        floats, generated on first use (:func:`rk4_step_function`)."""
+        return rk4_step_function(self.f0, self.f1)
 
     @functools.cached_property
     def _h0_rows(self) -> list[list[int]]:

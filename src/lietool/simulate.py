@@ -2,9 +2,9 @@
 
 * :func:`integrate` - classical fixed-step fourth-order Runge-Kutta, with
   steps aligned to the control's breakpoints so every step sees a smooth
-  right-hand side; the state is a list of Python floats, and the right-hand
-  side is the system's generated straight-line function
-  (:attr:`~lietool.fields.SystemDef.float_rhs`);
+  right-hand side; the state is a list of Python floats, and each step is
+  the system's one generated straight-line function
+  (:attr:`~lietool.fields.SystemDef.rk4_step`);
 * :func:`zm_state` - the truncated bracket expansion of the state
   sum_b eta_b(t,u) f_b(0), an approximate representation whose residual
   shrinks like the (M+1)-th power of the control size; eta comes from
@@ -16,11 +16,10 @@
 * :func:`drift_scan` - empirical verification of one-sided drift
   inequalities P x(t;u) >= (1-eps) xi_b(t,u) - C |x|^beta over a seeded
   family of controls.  Its trials are stepped in lockstep on (trials,)
-  arrays by the same RK4 step function and the same generated right-hand
-  side, each on `integrate`'s schedule, so every final state equals the
-  sequential one bit for bit.  The trials run longest first, so the ones
-  still running are always a prefix of the arrays and each step works on
-  views of it.
+  arrays by the same generated RK4 step, each on `integrate`'s schedule,
+  so every final state equals the sequential one bit for bit.  The trials
+  run longest first, so the ones still running are always a prefix of the
+  arrays and each step works on views of it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,27 +79,6 @@ def _substeps(left: float, right: float, step: float) -> tuple[int, float]:
     return n, (right - left) / n
 
 
-def _rk4_step(rhs: Callable, P: Callable, control_at: Callable, t0, h,
-              x: list) -> list:
-    """One classical RK4 step of x' = rhs(u(t), x, P) from (t0, x).
-
-    x lists the d coordinates.  t0, h and the coordinates are all floats
-    (one trajectory, P = pow) or all arrays of one length (trials in
-    lockstep, P = np.float_power); the operations and their order are the
-    same either way.  The control is evaluated once at each of t0,
-    t0 + h/2 and t0 + h.
-    """
-    half = h / 2
-    mid = control_at(t0 + half)
-    k1 = rhs(control_at(t0), x, P)
-    k2 = rhs(mid, [v + half * k for v, k in zip(x, k1)], P)
-    k3 = rhs(mid, [v + half * k for v, k in zip(x, k2)], P)
-    k4 = rhs(control_at(t0 + h), [v + h * k for v, k in zip(x, k3)], P)
-    sixth = h / 6
-    return [v + sixth * (a + 2 * b + 2 * c + d)
-            for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
-
-
 def _within_guard(x: list):
     """|x| <= BLOWUP_GUARD, False for a non-finite x (per trial on arrays)."""
     return sum(v * v for v in x) <= BLOWUP_GUARD ** 2
@@ -111,27 +89,35 @@ def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
 
     Within one piece the control is evaluated through that piece's own
     polynomial, so stage values at piece boundaries never leak across a
-    discontinuity.  The state is a list of Python floats.
+    discontinuity.  A constant piece c is passed to the step as it is:
+    horner((c,), s) = 0.0*s + c is c at every stage time s >= 0.  The state
+    is a list of Python floats.
     """
     _check_step(step)
     if isinstance(u, PiecewisePolyControl):
-        segments = [(left, right,
+        segments = [(left, right, coeffs[0] if coeffs else 0.0, None)
+                    if len(coeffs) <= 1 else
+                    (left, right, None,
                      lambda t, c=coeffs, l=left: horner(c, t - l))
                     for left, right, coeffs in u.float_pieces()]
     else:
-        segments = [(0.0, u.horizon, u.eval)]
+        segments = [(0.0, u.horizon, None, u.eval)]
 
-    rhs = sys.float_rhs
+    rk4 = sys.rk4_step
     x = [0.0] * sys.dim
     times = [0.0]
     states = [x]
-    for left, right, control_at in segments:
+    for left, right, value, control_at in segments:
         n, h = _substeps(left, right, step)
+        u0 = um = u1 = value
         for i in range(n):
             t0 = left + i * h
             t = t0 + h
+            if control_at is not None:
+                u0, um, u1 = (control_at(t0), control_at(t0 + h / 2),
+                              control_at(t))
             try:
-                x = _rk4_step(rhs, pow, control_at, t0, h, x)
+                x = rk4(u0, um, u1, x, h, pow)
             except OverflowError:       # a float power past the float range
                 raise BlowUpError(t, math.inf) from None
             if not _within_guard(x):
@@ -150,18 +136,21 @@ def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
     counts), so the ones still running at step s are a prefix and each
     step works on views of it.  Each trial keeps `integrate`'s schedule in
     per-trial vectors (piece left end, step size, first step, coefficients)
-    that a list of piece starts updates as the steps reach them.  A trial
-    that trips the blow-up guard is frozen at 0; after the loop the one of
-    lowest input index raises `BlowUpError` with its own time and norm, as
-    the sequential loop would.
+    that a list of piece starts updates as the steps reach them.  When every
+    piece of every trial is constant, as in the drift-scan family, the
+    coefficient row is each trial's control value at every stage (see
+    `integrate`) and no stage time is computed.  A trial that trips the
+    blow-up guard is frozen at 0; after the loop the one of lowest input
+    index raises `BlowUpError` with its own time and norm, as the
+    sequential loop would.
     """
-    rhs, trials = sys.float_rhs, len(controls)
+    rk4, trials = sys.rk4_step, len(controls)
     schedules = [[(left, *_substeps(left, right, step), coeffs)
                   for left, right, coeffs in u.float_pieces()]
                  for u in controls]
     steps = [sum(n for _, n, _, _ in schedule) for schedule in schedules]
     order = sorted(range(trials), key=lambda r: -steps[r])
-    terms = max((len(c) for s in schedules for *_, c in s), default=0)
+    terms = max(1, max((len(c) for s in schedules for *_, c in s), default=0))
     starts: dict[int, list] = {}        # step -> the pieces starting there
     for row, r in enumerate(order):
         at = 0
@@ -184,17 +173,21 @@ def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
             rows, ls, hs, cs = map(np.array, zip(*starts[s]))
             left[rows], h[rows], first[rows] = ls, hs, s
             coeffs[:, rows] = cs.T
-        lc, hc, cc = left[:m], h[:m], coeffs[:, :m]
-        t0 = lc + (s - first[:m]) * hc
-        new = _rk4_step(rhs, np.float_power, lambda t: horner(cc, t - lc),
-                        t0, hc, [v[:m] for v in x])
+        hc, cc, xs = h[:m], coeffs[:, :m], [v[:m] for v in x]
+        if terms == 1:
+            new = rk4(cc[0], cc[0], cc[0], xs, hc, np.float_power)
+        else:
+            lc = left[:m]
+            t0 = lc + (s - first[:m]) * hc
+            new = rk4(horner(cc, t0 - lc), horner(cc, t0 + hc / 2 - lc),
+                      horner(cc, t0 + hc - lc), xs, hc, np.float_power)
         if blown is not None:           # frozen trials hold 0
             new = [np.where(blown[:m], 0.0, v) for v in new]
         tripped = ~_within_guard(new)
         if tripped.any():
             for r in np.flatnonzero(tripped):
                 blow_ups[order[r]] = (
-                    float(t0[r] + hc[r]),
+                    float(left[r] + (s - first[r]) * h[r] + h[r]),
                     float(np.linalg.norm([v[r] for v in new])))
                 for v in new:           # its later steps must not overflow
                     v[r] = 0.0
@@ -423,14 +416,31 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def _family_rational(name: str, value: float) -> Fraction:
+    """value as the family's rational of denominator <= 1000, refused
+    unless finite and > 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    rational = Fraction(value).limit_denominator(1000)
+    if rational <= 0:
+        raise ValueError(f"{name} = {value!r} is {rational} as a fraction of "
+                         f"denominator <= 1000; it must be > 0")
+    return rational
+
+
 def random_control_family(seed: int, trials: int, rho: float, t_max: float,
                           ) -> list[PiecewisePolyControl]:
-    """Seeded piecewise-constant controls plus adversarial bang-bang ones."""
+    """Seeded piecewise-constant controls plus adversarial bang-bang ones.
+
+    The amplitude rho and the horizon t_max are read as rationals of
+    denominator <= 1000 and must be > 0 there: a zero amplitude would make
+    every control zero and the scan pass vacuously.
+    """
+    horizon = _family_rational("t_max", t_max)
+    amp = _family_rational("rho", rho)
     rng = random.Random(seed)
     out = []
     denominator = 64
-    horizon = Fraction(t_max).limit_denominator(1000)
-    amp = Fraction(rho).limit_denominator(1000)
     for i in range(trials):
         t = Fraction(rng.randint(max(1, denominator // 8), denominator),
                      denominator) * horizon
@@ -457,13 +467,18 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
 
     Refuses to run when the span condition is satisfied (no component
     functional exists, so there is nothing to scan), and refuses an empty
-    scan (`trials < 1`), which would pass vacuously.  All trials are
+    scan (`trials < 1`), which would pass vacuously, and non-finite eps, C
+    or beta (see `random_control_family` for rho and t_max).  All trials are
     integrated together (`_final_states`); identically zero controls, whose
     margins are 0, are counted in `zero_trials`.
     """
     if trials < 1:
         raise ValueError(f"a drift scan needs trials >= 1, got {trials}")
     _check_step(step)
+    for name, value in (("eps", eps), ("C", C), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    controls = random_control_family(seed, trials, rho, t_max)
     tree = trees.parse_tree(bracket) if isinstance(bracket, str) else bracket
     if isinstance(tree, HallElement):
         tree = tree.tree
@@ -479,7 +494,6 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
         family=fam.name, eps=eps, C=C, beta=beta, seed=seed, trials=trials,
         rho=rho, t_max=t_max, component=component, note=note)
     comp = np.array([float(c) for c in component])
-    controls = random_control_family(seed, trials, rho, t_max)
     report.zero_trials = sum(1 for u in controls if not any(u.pieces))
     for u, x in zip(controls, _final_states(sys, controls, step)):
         xi_val = float(xi(tree, u).exact)

@@ -340,6 +340,17 @@ class TestDriftScan:
         assert "step must be finite and > 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho", "1e-4"), ("--t-max", "1e-4"), ("--rho", "inf"),
+        ("--eps", "nan"), ("--beta", "nan"), ("--C", "inf")])
+    def test_degenerate_scan_parameter_is_usage_error(self, run, flag, value):
+        code, out, err = run("drift-scan", "--system", "zoo:easy",
+                             "--bracket", "W(1,0)", "--family", "s1",
+                             "--trials", "20", "--seed", "0", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} ")
+        assert "Traceback" not in err
+
     def test_unknown_family(self, run):
         code, _, err = run("drift-scan", "--system", "zoo:easy",
                            "--bracket", "W(1,0)", "--family", "oops",

@@ -531,18 +531,47 @@ def _reference_floats(field, x, power):
     return out
 
 
+def _reference_step(sys, u0, um, u1, x, h, power):
+    """One classical RK4 step over the term-by-term right-hand side
+    f0(y) + uv * f1(y) of `_reference_floats`, stage by stage."""
+    def rhs(uv, y):
+        return [a + uv * b for a, b in zip(_reference_floats(sys.f0, y, power),
+                                           _reference_floats(sys.f1, y, power))]
+
+    half = h / 2
+    k1 = rhs(u0, x)
+    k2 = rhs(um, [v + half * k for v, k in zip(x, k1)])
+    k3 = rhs(um, [v + half * k for v, k in zip(x, k2)])
+    k4 = rhs(u1, [v + h * k for v, k in zip(x, k3)])
+    sixth = h / 6
+    return [v + sixth * (a + 2 * b + 2 * c + d)
+            for v, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
 def _float_bits(values):
     return [v.tobytes() if isinstance(v, np.ndarray) else float(v).hex()
             for v in values]
 
 
+def _outcome(f, *args):
+    """The bits of f(*args), or OverflowError where a float power leaves
+    the float range (scalar `pow` raises; arrays hold inf)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _float_bits(f(*args))
+    except OverflowError:
+        return OverflowError
+
+
 @st.composite
 def _float_systems(draw):
-    """1-4 states, non-dyadic rational coefficients, powers 0-4, and some
-    components without terms in f0 and/or f1."""
+    """1-4 states, non-dyadic rational coefficients and coefficients +-1,
+    powers 0-4, and some components without terms in f0 and/or f1."""
     dim = draw(st.integers(1, 4))
-    coeff = st.builds(Fraction, st.integers(-40, 40).filter(bool),
-                      st.sampled_from((3, 5, 7, 9, 10, 11, 12)))
+    coeff = st.one_of(
+        st.sampled_from((Fraction(1), Fraction(-1))),
+        st.builds(Fraction, st.integers(-40, 40).filter(bool),
+                  st.sampled_from((3, 5, 7, 9, 10, 11, 12))))
     exponents = st.tuples(*[st.integers(0, 4)] * dim)
 
     def field(drift):
@@ -559,22 +588,24 @@ def _float_systems(draw):
 
 _COORDINATES = st.one_of(st.sampled_from((0.0, -0.0, -1.0, 1.0)),
                          st.floats(-30.0, 30.0))
+_STEPS = st.one_of(st.sampled_from((2e-4, 1e-3)), st.floats(1e-6, 0.1))
 
 
 class TestFloatFunction:
-    """The generated float right-hand side against a term-by-term
-    reference, bit for bit, at points and on arrays of points."""
+    """The generated RK4 step against a reference step over the
+    term-by-term right-hand side, and the generated field function against
+    the term-by-term field, bit for bit, at points and on arrays of
+    points."""
 
     @settings(max_examples=60, deadline=None)
     @given(sys=_float_systems(), data=st.data())
     def test_scalar_points(self, sys, data):
         x = data.draw(st.lists(_COORDINATES, min_size=sys.dim,
                                max_size=sys.dim))
-        uv = data.draw(_COORDINATES)
-        expected = [a + uv * b for a, b in zip(
-            _reference_floats(sys.f0, x, pow),
-            _reference_floats(sys.f1, x, pow))]
-        assert _float_bits(sys.float_rhs(uv, x, pow)) == _float_bits(expected)
+        u0, um, u1 = (data.draw(_COORDINATES) for _ in range(3))
+        h = data.draw(_STEPS)
+        assert _outcome(sys.rk4_step, u0, um, u1, x, h, pow) \
+            == _outcome(_reference_step, sys, u0, um, u1, x, h, pow)
         for f in (sys.f0, sys.f1):
             assert _float_bits(f.eval_float(x)) \
                 == _float_bits(_reference_floats(f, x, pow))
@@ -585,15 +616,34 @@ class TestFloatFunction:
         n = data.draw(st.integers(1, 6))
         points = st.lists(_COORDINATES, min_size=n, max_size=n).map(np.array)
         x = [data.draw(points) for _ in range(sys.dim)]
-        uv = data.draw(st.one_of(points, _COORDINATES))
-        expected = [a + uv * b for a, b in zip(
-            _reference_floats(sys.f0, x, np.float_power),
-            _reference_floats(sys.f1, x, np.float_power))]
-        assert _float_bits(sys.float_rhs(uv, x, np.float_power)) \
-            == _float_bits(expected)
+        u0, um, u1 = (data.draw(st.one_of(points, _COORDINATES))
+                      for _ in range(3))
+        h = data.draw(st.one_of(
+            st.lists(_STEPS, min_size=n, max_size=n).map(np.array), _STEPS))
+        P = np.float_power
+        assert _outcome(sys.rk4_step, u0, um, u1, x, h, P) \
+            == _outcome(_reference_step, sys, u0, um, u1, x, h, P)
         for f in (sys.f0, sys.f1):
             assert _float_bits(f.eval_float(x)) \
-                == _float_bits(_reference_floats(f, x, np.float_power))
+                == _float_bits(_reference_floats(f, x, P))
+
+    @pytest.mark.parametrize("x", [[0.0, -0.0], [-0.0, -0.0], [0.5, -0.0],
+                                   [-1.5, 0.25]])
+    def test_folded_terms_are_exact(self, x):
+        """Coefficients 1 and -1, and f1 components without terms, at
+        signed zeros, where 1.0*y and a + uv*0.0 are the cases to get
+        right, as floats and as arrays."""
+        sys = SystemDef(dim=2, f0=_field(2, [
+            {(0, 1): 1, (2, 0): -1}, {(1, 0): 1, (1, 1): Fraction(1, 3)}]),
+            f1=_field(2, [{}, {(0, 0): 1, (0, 2): 1}]))
+        args = (Fraction(-1, 3), 0.0, 2.5, x, 1e-3)
+        assert _float_bits(sys.rk4_step(*args, pow)) \
+            == _float_bits(_reference_step(sys, *args, pow))
+        arrays = [np.array([v, -v, 0.0]) for v in x]
+        args = (np.array([-0.5, 0.0, 1.0]), 0.0, -0.0, arrays,
+                np.array([1e-3, 2e-4, 0.5]))
+        assert _float_bits(sys.rk4_step(*args, np.float_power)) \
+            == _float_bits(_reference_step(sys, *args, np.float_power))
 
     def test_each_power_is_computed_once_per_call(self):
         calls = []
@@ -607,5 +657,8 @@ class TestFloatFunction:
             {(0, 2): Fraction(1, 3), (1, 2): Fraction(2, 7)},
             {(1, 0): 1, (0, 2): Fraction(-5, 3)}]),
             f1=_field(2, [{(0, 0): 1}, {}]))
-        sys.float_rhs(0.5, [0.25, -1.5], counting_pow)
+        sys.rk4_step(0.5, 0.25, -1.0, [0.25, -1.5], 1e-3, counting_pow)
+        assert calls == [2] * 4         # once per stage
+        calls.clear()
+        fields.float_function(sys.f0)([0.25, -1.5], counting_pow)
         assert calls == [2]

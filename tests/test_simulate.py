@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lietool
+from lietool import simulate
 from lietool.conditions import MembershipHoldsError, family_n2, family_s1
 from lietool.controls import PiecewisePolyControl, Poly, SampledControl, primitive
 from lietool.coord import xi
@@ -117,6 +118,40 @@ class TestIntegrate:
         times, states = reference_rk4(sys_def, u, 1e-3)
         assert traj.times.tobytes() == times.tobytes()
         assert traj.states.tobytes() == states.tobytes()
+
+    def test_bit_identical_to_reference_rk4_on_random_controls(self, rng):
+        """Seeded piecewise polynomials of degree 0-3: the constant pieces
+        skip Horner, the others do not, and the reference runs Horner on
+        every piece."""
+        from conftest import random_poly_control
+        degrees = set()
+        for system in ("easy", "w2_vs_q111", "jakubczyk"):
+            sys_def = zoo(system)
+            for _ in range(4):
+                u = random_poly_control(rng, Fraction(rng.randint(1, 8), 40),
+                                        max_pieces=4, max_degree=3)
+                degrees |= {len(c) for *_, c in u.float_pieces()}
+                traj = integrate(sys_def, u, 1e-3)
+                times, states = reference_rk4(sys_def, u, 1e-3)
+                assert traj.times.tobytes() == times.tobytes()
+                assert traj.states.tobytes() == states.tobytes()
+        assert {1, 4} <= degrees        # constant and cubic pieces
+
+    def test_constant_pieces_do_not_call_horner(self, monkeypatch):
+        def refuse(coeffs, x):
+            raise AssertionError("horner on a constant piece")
+
+        controls = random_control_family(7, 20, 0.3, 0.2) + [
+            PiecewisePolyControl.constant(0, Fraction(1, 20)),
+            PiecewisePolyControl.piecewise_constant(
+                (0, Fraction(1, 40), Fraction(1, 20)), (0, Fraction(1, 3)))]
+        monkeypatch.setattr(simulate, "horner", refuse)
+        states = _final_states(EASY, controls, 2e-3)
+        for u, x in zip(controls, states):
+            traj = integrate(EASY, u, 2e-3)
+            assert x.tobytes() == traj.final_state.tobytes()
+            assert traj.states.tobytes() \
+                == reference_rk4(EASY, u, 2e-3)[1].tobytes()
 
     def test_sampled_grid_built_once_with_unchanged_states(self, monkeypatch):
         class FreshGrid(SampledControl):
@@ -400,6 +435,8 @@ class TestDriftScan:
                                         max_pieces=4, max_degree=3)
                     for _ in range(12)]
         controls.append(PiecewisePolyControl.constant(0, Fraction(1, 20)))
+        # piecewise-constant and zero controls in the same batch
+        controls += random_control_family(5, 10, 0.3, 0.2)
         for system in ("easy", "w2_vs_q111", "jakubczyk"):
             states = _final_states(zoo(system), controls, 2e-3)
             for u, x in zip(controls, states):
@@ -420,6 +457,23 @@ class TestDriftScan:
         assert seventh.value.time_reached < sequential.value.time_reached
         assert lockstep.value.time_reached == sequential.value.time_reached
         assert lockstep.value.norm == sequential.value.norm
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("rho", 1e-4, "rho = 0.0001 is 0 "),
+        ("rho", -0.1, "rho = -0.1 is -1/10 "),
+        ("rho", math.inf, "rho must be finite"),
+        ("rho", math.nan, "rho must be finite"),
+        ("t_max", 1e-4, "t_max = 0.0001 is 0 "),
+        ("t_max", 0.0, "t_max = 0.0 is 0 "),
+        ("t_max", math.inf, "t_max must be finite"),
+        ("eps", math.nan, "eps must be finite"),
+        ("C", math.inf, "C must be finite"),
+        ("beta", math.nan, "beta must be finite"),
+    ])
+    def test_degenerate_parameters_refused(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            drift_scan(EASY, "W(1,0)", family_s1(), trials=20, seed=0,
+                       **{name: value})
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_step_validation(self, step):
