@@ -1,10 +1,13 @@
-"""Exact linear algebra: one Fraction eliminator and an integer kernel.
+"""Exact linear algebra: one exact eliminator and an integer kernel.
 
-`ExactSpan` is the one eliminator in `Fraction`: a subspace grown a vector at
-a time and kept in reduced row-echelon form.  Its rank, membership test,
-canonical annihilator basis (`null_space`) and exact coordinates over the
-vectors that grew it (`coordinates`) build the obstruction spans and their
-certificates.
+`ExactSpan` is the one exact eliminator: a subspace of Q^n grown a vector at
+a time and kept in reduced row-echelon form, fraction-free (as in Bareiss,
+Math. Comp. 22, 1968): each row is Python ints over one positive
+denominator, made primitive by one gcd whenever it is built or changed, and
+each incoming vector has its denominators cleared once.  Its rank,
+membership test, canonical annihilator basis (`null_space`) and exact
+coordinates over the vectors that grew it (`coordinates`) build the
+obstruction spans and their certificates, which are in `Fraction`.
 
 The integer kernel runs modulo a 31-bit prime with numpy int64, so every
 product of two residues fits.  `unimodular_inverse` inverts a square of
@@ -33,29 +36,40 @@ Vector = tuple[Fraction, ...]
 class ExactSpan:
     """Subspace of Q^n grown one vector at a time, in reduced row-echelon form.
 
-    `generators` are the vectors that grew the rank, in insertion order;
-    `rows[k]` is 1 at column `pivots[k]` and 0 at every other pivot column.
+    `generators` are the vectors that grew the rank, as given, in insertion
+    order.  Row k is stored in `integer_rows[k]` as Python ints over its
+    denominator, which is its entry at column `pivots[k]`: positive, and the
+    gcd of the row is 1, so the form stays canonical.  Every other pivot
+    column of the row is 0.  `rows` gives the rows in `Fraction`.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[list[Fraction]] = []
+        self.integer_rows: list[list[int]] = []
         self.pivots: list[int] = []
         self.generators: list[Vector] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vector: Sequence) -> list[Fraction]:
-        """Residual of `vector` against the span: zero on every pivot column."""
-        v = [Fraction(x) for x in vector]
-        for row, p in zip(self.rows, self.pivots):
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The reduced rows, 1 at their pivot column, in `Fraction`."""
+        return [[Fraction(x, row[p]) for x in row]
+                for row, p in zip(self.integer_rows, self.pivots)]
+
+    def reduce(self, vector: Sequence) -> list[int]:
+        """A positive multiple of the residual of `vector` against the span,
+        in integers: zero on every pivot column."""
+        v, _ = clear_denominators(vector)
+        for row, p in zip(self.integer_rows, self.pivots):
             c = v[p]
             if c:
-                for i, x in enumerate(row):
-                    if x:
-                        v[i] -= c * x
+                d = row[p]
+                g = math.gcd(c, d)
+                c, d = c // g, d // g
+                v = [d * x - c * y for x, y in zip(v, row)]
         return v
 
     def contains(self, vector: Sequence) -> bool:
@@ -67,15 +81,17 @@ class ExactSpan:
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        c = v[p]
-        new = [x / c for x in v]
-        for row in self.rows:
+        new = _primitive(v, p)
+        d = new[p]
+        rows = self.integer_rows
+        for k, (row, q) in enumerate(zip(rows, self.pivots)):
             f = row[p]
             if f:
-                row[:] = [x - f * y for x, y in zip(row, new)]
-        self.rows.append(new)
+                rows[k] = _primitive([d * x - f * y for x, y in zip(row, new)],
+                                     q)
+        rows.append(new)
         self.pivots.append(p)
-        self.generators.append(tuple(Fraction(x) for x in vector))
+        self.generators.append(tuple(vector))
         return True
 
     def null_space(self) -> list[Vector]:
@@ -90,33 +106,45 @@ class ExactSpan:
                 continue
             x = [Fraction(0)] * self.n
             x[f] = Fraction(1)
-            for row, p in zip(self.rows, self.pivots):
-                x[p] = -row[f]
+            for row, p in zip(self.integer_rows, self.pivots):
+                x[p] = Fraction(-row[f], row[p])
             basis.append(tuple(x))
         return basis
 
     def coordinates(self, vector: Sequence) -> Optional[list[Fraction]]:
         """Exact c with sum_j c_j generators[j] == vector, or None.
 
-        G has the generators as columns, which are independent, so
-        [G | -vector] has a null space exactly when vector lies in the span,
-        spanned by (c, 1); the combination is re-checked before it is
+        On integers: with generators[j] = G_j / d_j and vector = t / e, the
+        m generators are independent, so [G | -t] has rank m exactly when
+        vector lies in the span, and then its reduced row j is D_j at
+        column j and r_j at column m: a_j = -r_j / D_j solves
+        sum_j a_j G_j = t, and c_j = a_j d_j / e.  The combination is
+        re-checked in integers, over the lcm of the D_j, before it is
         returned.
         """
-        v = [Fraction(x) for x in vector]
-        m = len(self.generators)
+        target, e = clear_denominators(vector)
+        columns = [clear_denominators(g) for g in self.generators]
+        m = len(columns)
         system = ExactSpan(m + 1)
-        for i in range(self.n):
-            system.add([g[i] for g in self.generators] + [-v[i]])
-        kernel = system.null_space()
-        if not kernel:
+        for i, x in enumerate(target):
+            system.add([g[i] for g, _ in columns] + [-x])
+        if system.rank > m:
             return None
-        c = list(kernel[0][:m])
-        for i in range(self.n):
-            if sum((cj * g[i] for cj, g in zip(c, self.generators)),
-                   Fraction(0)) != v[i]:
-                return None
-        return c
+        reduced = sorted(zip(system.pivots, system.integer_rows))
+        lcm = math.lcm(*(row[j] for j, row in reduced))
+        a = [-row[m] * (lcm // row[j]) for j, row in reduced]
+        if any(sum(aj * g[i] for aj, (g, _) in zip(a, columns)) != lcm * x
+               for i, x in enumerate(target)):
+            return None
+        return [Fraction(aj * d, lcm * e) for aj, (_, d) in zip(a, columns)]
+
+
+def _primitive(v: list[int], p: int) -> list[int]:
+    """v divided by the gcd of its entries, signed so that v[p] > 0."""
+    g = math.gcd(*v)
+    if v[p] < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
 
 
 # The modulus of the integer kernel (2**31 - 1): row choice and the inverse of
@@ -126,9 +154,13 @@ PRIME = 2**31 - 1
 
 
 def clear_denominators(values: Sequence) -> tuple[list[int], int]:
-    """Integers n_i and the lcm d of the denominators with values_i = n_i / d."""
-    values = [Fraction(v) for v in values]
+    """Integers n_i and the lcm d of the denominators with values_i = n_i / d
+    (a `Fraction` or `int` is read as it is, anything else as a `Fraction`)."""
+    values = [v if isinstance(v, (Fraction, int)) else Fraction(v)
+              for v in values]
     d = math.lcm(*(v.denominator for v in values))
+    if d == 1:
+        return [v.numerator for v in values], 1
     return [v.numerator * (d // v.denominator) for v in values], d
 
 

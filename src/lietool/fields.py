@@ -31,12 +31,11 @@ rational field, and f_b(0) and every `Vector` are tuples of `Fraction`.
 
 For simulation each system generates one straight-line Python function per
 classical RK4 step, :func:`rk4_step_function` (`SystemDef.rk4_step`), built
-on first use; :func:`float_function` generates one for a single field
-(`PolyVectorField.eval_float`).  Both print their terms with one printer,
-`_float_sum`, and compute each power x_j^k once per stage or call through
-the power function they are given (C `pow`, on floats or elementwise on
-arrays), so they evaluate at one point or, on numpy arrays, at many points
-at once, with the same operations in the same order either way.
+on first use.  It prints its terms with one printer, `_float_sum`, and
+computes each power x_j^k once per stage through the power function it is
+given (C `pow`, on floats or elementwise on arrays), so it steps one point
+or, on numpy arrays, many points at once, with the same operations in the
+same order either way.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from . import trees
 from .exact_linalg import clear_denominators
@@ -63,7 +60,7 @@ Vector = tuple[Fraction, ...]
 class PolyVectorField:
     """d polynomial components over d state variables."""
 
-    __slots__ = ("dim", "components", "_float_eval")
+    __slots__ = ("dim", "components")
 
     def __init__(self, dim: int, components: Sequence[SparsePoly]):
         if len(components) != dim:
@@ -73,7 +70,6 @@ class PolyVectorField:
                 raise ValueError("component variable count != dim")
         self.dim = dim
         self.components = tuple(components)
-        self._float_eval = None
 
     @classmethod
     def zero(cls, dim: int) -> "PolyVectorField":
@@ -112,18 +108,6 @@ class PolyVectorField:
 
     def eval(self, point: Sequence) -> Vector:
         return tuple(c.eval(point) for c in self.components)
-
-    def eval_float(self, xs: Sequence) -> list:
-        """f(xs) in floats.  The d coordinates in `xs` are floats (one
-        point) or numpy arrays of one length (one point per entry).
-
-        The function is generated on the first call (:func:`float_function`)
-        and evaluates the same operations in the same order either way.
-        """
-        if self._float_eval is None:
-            self._float_eval = float_function(self)
-        power = np.float_power if isinstance(xs[0], np.ndarray) else pow
-        return self._float_eval(xs, power)
 
     def jacobian_at_zero(self) -> list[list[Fraction]]:
         return [[Fraction(self.components[i].partial(j).constant_term())
@@ -164,30 +148,6 @@ def _power_names(point: str, powers: dict):
         return (f"{point}{j}" if k == 1
                 else powers.setdefault((j, k), f"{point}{j}_{k}"))
     return power
-
-
-def _compiled(name: str, lines: list[str]):
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace[name]
-
-
-def float_function(f: PolyVectorField):
-    """f in floats as one generated straight-line function `f(x, P)`.
-
-    x lists the d coordinates, floats or arrays of one length, and P is
-    their power function: C `pow` either way, `pow` on floats and
-    `np.float_power` on arrays (numpy's vectorized `**` rounds
-    differently).  A component is `_float_sum` of its polynomial, and each
-    power x_j^k with k >= 2 is computed once per call.
-    """
-    powers: dict[tuple[int, int], str] = {}
-    rows = [_float_sum(p, _power_names("x", powers)) for p in f.components]
-    return _compiled("f", [
-        "def f(x, P):",
-        f"    {''.join(f'x{j}, ' for j in range(f.dim))}= x"]
-        + [f"    {local} = P(x{j}, {k})" for (j, k), local in powers.items()]
-        + [f"    return [{', '.join(rows)}]"])
 
 
 # RK4's four stages: the point's local prefix, its control value, and how
@@ -231,7 +191,9 @@ def rk4_step_function(f0: PolyVectorField, f1: PolyVectorField):
               "    return [" + ", ".join(
                   f"a{j} + sixth * (ka{j} + 2 * kb{j} + 2 * kc{j} + kd{j})"
                   for j in range(d)) + "]"]
-    return _compiled("step", lines)
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
 
 
 def jet_bracket(f: PolyVectorField, g: PolyVectorField,

@@ -467,8 +467,9 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
 
     Refuses to run when the span condition is satisfied (no component
     functional exists, so there is nothing to scan), and refuses an empty
-    scan (`trials < 1`), which would pass vacuously, and non-finite eps, C
-    or beta (see `random_control_family` for rho and t_max).  All trials are
+    scan (`trials < 1`), which would pass vacuously, non-finite eps, C or
+    beta, and beta <= 0, where C |x|^beta does not vanish at small states
+    (see `random_control_family` for rho and t_max).  All trials are
     integrated together (`_final_states`); identically zero controls, whose
     margins are 0, are counted in `zero_trials`.
     """
@@ -478,6 +479,8 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
     for name, value in (("eps", eps), ("C", C), ("beta", beta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if beta <= 0:
+        raise ValueError(f"beta must be > 0, got {beta!r}")
     controls = random_control_family(seed, trials, rho, t_max)
     tree = trees.parse_tree(bracket) if isinstance(bracket, str) else bracket
     if isinstance(tree, HallElement):

@@ -342,7 +342,8 @@ class TestDriftScan:
 
     @pytest.mark.parametrize("flag, value", [
         ("--rho", "1e-4"), ("--t-max", "1e-4"), ("--rho", "inf"),
-        ("--eps", "nan"), ("--beta", "nan"), ("--C", "inf")])
+        ("--eps", "nan"), ("--beta", "nan"), ("--C", "inf"),
+        ("--beta", "-1"), ("--beta", "0"), ("--beta", "-0.5")])
     def test_degenerate_scan_parameter_is_usage_error(self, run, flag, value):
         code, out, err = run("drift-scan", "--system", "zoo:easy",
                              "--bracket", "W(1,0)", "--family", "s1",

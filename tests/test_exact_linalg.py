@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,98 @@ class TestIntegerKernel:
             invert_square(matrix)
         with pytest.raises(ValueError):
             bareiss_inverse([[int(x * 6) for x in row] for row in matrix])
+
+
+big_rationals = st.builds(F, st.integers(-10**12, 10**12),
+                          st.integers(1, 10**6))
+
+
+@st.composite
+def vector_lists(draw):
+    """(n, vectors): 1 <= n <= 6 columns, 1-6 random rational vectors with
+    zero, duplicate and dependent (two-term combination) vectors mixed in."""
+    n = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.lists(big_rationals, min_size=n, max_size=n),
+                            min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "dependent"]))
+        if kind == "zero":
+            extra = [F(0)] * n
+        elif kind == "duplicate":
+            extra = list(draw(st.sampled_from(vectors)))
+        else:
+            a, b = (draw(st.sampled_from(vectors)) for _ in range(2))
+            s, t = draw(big_rationals), draw(big_rationals)
+            extra = [s * x + t * y for x, y in zip(a, b)]
+        vectors.insert(draw(st.integers(0, len(vectors))), extra)
+    return n, vectors
+
+
+class TestIntegerRows:
+    """The span on integer rows against sympy's `Matrix.rref`, on large
+    rationals, and the stored form itself."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(vector_lists(), st.randoms(use_true_random=False))
+    def test_against_sympy_rref(self, case, rnd):
+        n, vectors = case
+        span = span_of(vectors, n)
+        matrix = to_sympy(vectors, n)
+        expected, expected_pivots = matrix.rref()
+        assert span.rank == len(expected_pivots) == len(span.generators)
+        assert sorted(span.pivots) == list(expected_pivots)
+        assert [row for _, row in echelon(span)] == [
+            to_fractions(expected.row(i)) for i in range(span.rank)]
+        assert span.null_space() == [
+            tuple(to_fractions(v)) for v in matrix.nullspace()]
+        assert all(span.contains(v) for v in vectors)
+
+        coeffs = [F(rnd.randint(-10**6, 10**6), rnd.randint(1, 10**3))
+                  for _ in span.generators]
+        member = [sum((c * g[i] for c, g in zip(coeffs, span.generators)),
+                      F(0)) for i in range(n)]
+        assert span.contains(member)
+        combination = span.coordinates(member)
+        if span.generators:
+            columns = to_sympy([list(g) for g in zip(*span.generators)],
+                               span.rank)
+            solution, params = columns.gauss_jordan_solve(
+                to_sympy([[x] for x in member], 1))
+            assert params.shape[0] == 0
+            assert combination == to_fractions(solution) == coeffs
+        else:
+            assert combination == []
+        for f in sorted(set(range(n)) - set(span.pivots)):
+            outside = [F(int(i == f)) for i in range(n)]
+            assert not span.contains(outside)
+            assert span.coordinates(outside) is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(vector_lists())
+    def test_rows_are_canonical_integers(self, case):
+        n, vectors = case
+        span = span_of(vectors, n)
+        for row, p, fractions in zip(span.integer_rows, span.pivots,
+                                     span.rows):
+            assert all(type(x) is int for x in row)
+            assert row[p] > 0 and math.gcd(*row) == 1
+            assert [row[q] for q in span.pivots] == [
+                row[p] * (q == p) for q in span.pivots]
+            assert fractions == [F(x, row[p]) for x in row]
+
+    def test_generators_are_the_vectors_given(self):
+        span = ExactSpan(2)
+        v, w = (F(1, 2), F(3)), (F(-4, 3), F(2, 9))
+        assert span.add(v) and span.add(w)
+        assert span.generators[0] is v and span.generators[1] is w
+        assert span.integer_rows == [[1, 0], [0, 1]]
+
+    def test_back_substitution_keeps_rows_primitive(self):
+        # (0, -4, -2) is stored as (0, 2, 1), sign and gcd taken out; the
+        # first row becomes 2 (1, 2, 0) - 2 (0, 2, 1) = 2 (1, 0, -1)
+        span = span_of([(1, 2, 0), (0, -4, -2)], 3)
+        assert span.integer_rows == [[1, 0, -1], [0, 2, 1]]
+        assert span.rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(1, 2)]]
 
 
 class TestInsertionOrder:

@@ -517,7 +517,8 @@ class TestExponentValidation:
 
 def _reference_floats(field, x, power):
     """field(x) term by term: per component 0.0 + c*p*p + ... in `terms`
-    order, every power through `power` as it is met."""
+    order, every power x_j^k with k >= 2 through `power` as it is met; x_j^1
+    is the coordinate itself, as in the generated step."""
     out = []
     for comp in field.components:
         total = 0.0
@@ -525,7 +526,7 @@ def _reference_floats(field, x, power):
             term = float(c)
             for j, k in enumerate(e):
                 if k:
-                    term = term * power(x[j], k)
+                    term = term * (x[j] if k == 1 else power(x[j], k))
             total = total + term
         out.append(total)
     return out
@@ -593,8 +594,7 @@ _STEPS = st.one_of(st.sampled_from((2e-4, 1e-3)), st.floats(1e-6, 0.1))
 
 class TestFloatFunction:
     """The generated RK4 step against a reference step over the
-    term-by-term right-hand side, and the generated field function against
-    the term-by-term field, bit for bit, at points and on arrays of
+    term-by-term right-hand side, bit for bit, at points and on arrays of
     points."""
 
     @settings(max_examples=60, deadline=None)
@@ -606,9 +606,6 @@ class TestFloatFunction:
         h = data.draw(_STEPS)
         assert _outcome(sys.rk4_step, u0, um, u1, x, h, pow) \
             == _outcome(_reference_step, sys, u0, um, u1, x, h, pow)
-        for f in (sys.f0, sys.f1):
-            assert _float_bits(f.eval_float(x)) \
-                == _float_bits(_reference_floats(f, x, pow))
 
     @settings(max_examples=60, deadline=None)
     @given(sys=_float_systems(), data=st.data())
@@ -623,9 +620,21 @@ class TestFloatFunction:
         P = np.float_power
         assert _outcome(sys.rk4_step, u0, um, u1, x, h, P) \
             == _outcome(_reference_step, sys, u0, um, u1, x, h, P)
-        for f in (sys.f0, sys.f1):
-            assert _float_bits(f.eval_float(x)) \
-                == _float_bits(_reference_floats(f, x, P))
+
+    def test_negative_nan_lane_through_a_degree_one_term(self):
+        """x_j^1 is the coordinate itself in the step and the reference
+        alike, so a lane holding -NaN keeps its bits in both; numpy's
+        `float_power` may drop the sign of a NaN base."""
+        sys = SystemDef(dim=2, f0=_field(2, [
+            {(1, 0): 1, (0, 1): -2}, {(2, 0): Fraction(1, 3), (1, 1): 1}]),
+            f1=_field(2, [{(0, 0): 1}, {(1, 0): Fraction(-1, 7)}]))
+        minus_nan = np.copysign(np.nan, -1.0)
+        x = [np.array([minus_nan, 0.5, -0.25]), np.array([1.5, minus_nan, 0.0])]
+        args = (np.array([0.5, -1.0, 0.0]), 0.25, -1.0, x, 1e-3)
+        with np.errstate(invalid="ignore"):
+            step = sys.rk4_step(*args, np.float_power)
+            assert _float_bits(step) == _float_bits(
+                _reference_step(sys, *args, np.float_power))
 
     @pytest.mark.parametrize("x", [[0.0, -0.0], [-0.0, -0.0], [0.5, -0.0],
                                    [-1.5, 0.25]])
@@ -659,6 +668,3 @@ class TestFloatFunction:
             f1=_field(2, [{(0, 0): 1}, {}]))
         sys.rk4_step(0.5, 0.25, -1.0, [0.25, -1.5], 1e-3, counting_pow)
         assert calls == [2] * 4         # once per stage
-        calls.clear()
-        fields.float_function(sys.f0)([0.25, -1.5], counting_pow)
-        assert calls == [2]

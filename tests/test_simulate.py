@@ -469,6 +469,9 @@ class TestDriftScan:
         ("eps", math.nan, "eps must be finite"),
         ("C", math.inf, "C must be finite"),
         ("beta", math.nan, "beta must be finite"),
+        ("beta", 0.0, "beta must be > 0"),
+        ("beta", -0.5, "beta must be > 0"),
+        ("beta", -1.0, "beta must be > 0"),
     ])
     def test_degenerate_parameters_refused(self, name, value, message):
         with pytest.raises(ValueError, match=message):
