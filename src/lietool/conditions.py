@@ -10,7 +10,8 @@ indices).  Truncation policy:
 * trailing-X0 directions are exact: at the origin f_{b 0^nu}(0) = H0^nu
   f_b(0) with H0 the Jacobian of the drift field, and a Krylov chain that
   stalls once has stalled forever, so chains stop at the first stall (or
-  nu = d-1) with nothing lost;
+  nu = d-1) with nothing lost.  Each chain vector is `eval_bracket` of its
+  tree, whose value cache applies H0 (`SystemDef.bracket_value`);
 * germ enumeration is truncated at hard caps (defaults: family indices and
   interior-zero counts <= 12); the report's `stabilized` flag records whether
   the span was still growing near the caps, and a violated verdict downgrades
@@ -171,16 +172,13 @@ class SpanResult:
 def _chain_vectors(sys: SystemDef, germ: BracketTree,
                    offer: Callable[[BracketTree, Vector], None]) -> None:
     """Offer the full trailing-zero chain of one germ (exact truncation)."""
-    value = eval_bracket(sys, germ)
-    if value is sys._zero_value:
-        return
     chain_span = ExactSpan(sys.dim)
     tree = germ
-    for nu in range(sys.dim):
-        if not chain_span.add(value):
+    for _ in range(sys.dim):
+        value = eval_bracket(sys, tree)
+        if value is sys._zero_value or not chain_span.add(value):
             break   # a zero or a Krylov stall is permanent
         offer(tree, value)
-        value = sys.h0_apply(value)
         tree = trees.node(tree, X0)
 
 
@@ -472,27 +470,26 @@ class LayerUndeterminedError(ValueError):
     pass
 
 
-def _greedy_layer(b: BracketTree, member: Callable[[BracketTree], bool]) -> int:
-    if member(b):
+def _greedy_layer(b: BracketTree) -> int:
+    if default_pi1_member(b):
         return 1
     if b.is_leaf:
         raise LayerUndeterminedError(
             f"{trees.display_form(b)} is not decomposable over the generator "
             "set under the greedy rule")
-    return (_greedy_layer(b.left, member)
-            + _greedy_layer(b.right, member))
+    return _greedy_layer(b.left) + _greedy_layer(b.right)
 
 
 def ag_weight(pi: Union[BracketTree, str],
-              pi1_member: Callable[[BracketTree], bool] = default_pi1_member,
               sigma: Fraction = Fraction(1)) -> tuple[int, Fraction]:
-    """(layer k, weight |pi| - sigma k) for a bracket over the generator set."""
+    """(layer k, weight |pi| - sigma k) for a bracket over the generator set
+    of `default_pi1_member`."""
     if isinstance(pi, str):
         pi = trees.parse_tree(pi)
     sigma = Fraction(sigma)
     if not 0 <= sigma <= 1:
         raise ValueError("sigma must lie in [0, 1]")
-    k = _greedy_layer(pi, pi1_member)
+    k = _greedy_layer(pi)
     return k, Fraction(pi.length) - sigma * k
 
 
@@ -512,7 +509,6 @@ class AgScreenEntry:
 
 
 def ag_screen(sys: SystemDef,
-              pi1_member: Callable[[BracketTree], bool] = default_pi1_member,
               sigma: Fraction = Fraction(1), r: Fraction = Fraction(6),
               caps: Caps | None = None) -> list[AgScreenEntry]:
     """List type-(even n1, odd n0) brackets in odd layers with weight <= r and
@@ -531,7 +527,7 @@ def ag_screen(sys: SystemDef,
         for q in range(0, max_len + 1 - p):
             for element in basis_of_bidegree(p, q):
                 try:
-                    k, w = ag_weight(element.tree, pi1_member, sigma)
+                    k, w = ag_weight(element.tree, sigma)
                 except LayerUndeterminedError:
                     continue
                 if w <= r:

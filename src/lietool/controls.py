@@ -34,6 +34,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .exact_linalg import clear_denominators
+
 
 def horner(coeffs, x):
     """`Poly.eval`'s float Horner on ascending float coefficients, highest
@@ -88,10 +90,7 @@ class Poly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence = ()):  # trailing zeros trimmed
-        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs))
-        reduced = _reduced([f.numerator * (den // f.denominator)
-                            for f in fracs], den)
+        reduced = _reduced(*clear_denominators(coeffs))
         self.nums, self.den = reduced.nums, reduced.den
 
     @classmethod

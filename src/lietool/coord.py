@@ -19,9 +19,9 @@ Closed forms exist for every element whose germ lies in the eight named
 families (M, W, P, Q, Qs, Qf, R, Rs), as recognized by the structural matcher
 `trees.match_named_family`; `xi_closed_form` evaluates them with the
 combinatorial prefactors alpha/beta/gamma and is an independent path
-cross-checked against the recursion in the tests.  The closed forms of one
-control share one chain of primitives u_1, u_2, ... and of the iterated
-primitives of each u_j^2, kept apart from the recursion's paths.
+cross-checked against the recursion in the tests.  Each call builds its own
+primitives u_1, u_2, ... and iterated primitives of u_j^2, apart from the
+recursion's paths.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import trees
-from .controls import ControlSignal, PiecewisePolyControl, primitives
+from .controls import (ControlSignal, PiecewisePolyControl, primitive,
+                       primitives)
 from .hall import HallElement, hall_factor
 from .trees import BracketTree, X0, X1
 from .words import Word
@@ -141,13 +142,6 @@ def gamma_coeff(j: int, k: int, l: int, m: int) -> Fraction:
     return Fraction(1, 12)  # j < k == l == m or j == k < l == m
 
 
-# the primitives each exact control's closed forms share, apart from
-# _XI_CACHE so the closed forms stay an independent check; weak keys, and no
-# value holds the control itself, so an entry dies with it
-_CLOSED_FORM_CHAINS: "weakref.WeakKeyDictionary[PiecewisePolyControl, dict]" = (
-    weakref.WeakKeyDictionary())
-
-
 def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     """Closed-form xi for elements of the eight named families, exact."""
     if not isinstance(u, PiecewisePolyControl):
@@ -156,20 +150,13 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
     if pattern is None:
         raise ValueError(f"{_as_tree(b).text} is outside the named families")
     fam, idx, nu = pattern.family, pattern.indices, pattern.nu
-    # primitives(u_1) under 0 (not primitives(u), whose chain holds u),
-    # primitives(u_j^2) under j >= 1
-    chains = _CLOSED_FORM_CHAINS.setdefault(u, {})
-
-    def prim(j: int):
-        if 0 not in chains:
-            chains[0] = primitives(u.antiderivative())
-        return chains[0](j - 1)
+    # built per call, apart from _XI_CACHE, so the closed forms stay an
+    # independent check of the recursion
+    prim = primitives(u)
 
     def primitive_of_square(j: int, mu: int):
         """The (mu + 1)-th primitive of u_j^2."""
-        if j not in chains:
-            chains[j] = primitives(prim(j).power(2))
-        return chains[j](mu + 1)
+        return primitive(prim(j).power(2), mu + 1)
 
     if fam == "M":
         integrand = u
@@ -266,13 +253,7 @@ def _leq(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1 + _REL_TOL) + _ABS_TOL
 
 
-def check_inequalities(u: PiecewisePolyControl,
-                       stefani_orders: tuple[int, ...] = (1, 2, 3),
-                       primitive_norm_cases: tuple[tuple[int, int, float], ...]
-                       = ((2, 1, 2.0), (3, 1, float("inf")), (3, 2, 1.0)),
-                       rough_cases: tuple[str, ...] =
-                       ("M(2)", "W(1,0)", "W(2,1)", "P(1,1,0)"),
-                       ) -> list[InequalityResult]:
+def check_inequalities(u: PiecewisePolyControl) -> list[InequalityResult]:
     """Evaluate every constant-explicit inequality on one control.
 
     Returns one result per inequality with both side values; the inequality
@@ -287,7 +268,7 @@ def check_inequalities(u: PiecewisePolyControl,
     u1_sup = u1.sup_norm()
 
     # interpolation: ||u1||_{2k+1}^{2k+1} <= ||u1||_inf ||u1||_{2k}^{2k}
-    for k in stefani_orders:
+    for k in (1, 2, 3):
         lhs = u1.abs_power_integral(2 * k + 1)
         rhs = u1_sup * float(u1.even_power_integral(2 * k))
         results.append(InequalityResult(
@@ -312,7 +293,7 @@ def check_inequalities(u: PiecewisePolyControl,
             "quintic vs squared-quadratic", True, lhs, rhs, _leq(lhs, rhs)))
 
     # ||u_j||_p <= t^(j-j0)/(j-j0)! ||u_j0||_p
-    for j, j0, p in primitive_norm_cases:
+    for j, j0, p in ((2, 1, 2.0), (3, 1, math.inf), (3, 2, 1.0)):
         lhs = prim(j).lp_norm(p)
         rhs = t ** (j - j0) / math.factorial(j - j0) * prim(j0).lp_norm(p)
         results.append(InequalityResult(
@@ -320,7 +301,7 @@ def check_inequalities(u: PiecewisePolyControl,
             _leq(lhs, rhs)))
 
     # rough bound |xi_b| <= (c(k) t)^|b| / |b|! t^-(1+k) ||u1||_k^k
-    for text in rough_cases:
+    for text in ("M(2)", "W(1,0)", "W(2,1)", "P(1,1,0)"):
         tree = trees.parse_tree(text)
         k = tree.n1
         c = float(rough_bound_constant(k))

@@ -9,9 +9,12 @@ pushes a formal bracket tree through the substitution homomorphism
 X0 -> f0, X1 -> f1 on Taylor jets: f_b(0) is the order-0 jet of f_b, and a
 node needed to order k asks its children for order k + 1 (truncated-Taylor
 arithmetic).  Each system keeps, per interned tree, the highest-order jet
-computed so far, which serves every lower order; trailing X0 brackets at the
-origin reduce to multiplication by the Jacobian of f0 at 0 (valid because
-f0(0) = 0), which the span machinery exploits.
+computed so far, which serves every lower order.  At the origin a trailing
+X0 factor is one multiplication by H0, the Jacobian of f0 at 0 (valid
+because f0(0) = 0): f_{b0}(0) = H0 f_b(0).  `SystemDef.bracket_value` is the
+one place that applies this rule, and it caches f_b(0) for every tree on a
+chain b 0^nu, so the trailing-zero chains of the span machinery read their
+vectors from that cache.
 
 Most brackets of a polynomial system vanish, so a vanishing jet costs an
 identity test: each system holds one zero jet and one zero value, and every
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -332,8 +334,7 @@ class SystemDef:
 
     def h0_apply(self, v: Sequence[Fraction]) -> Vector:
         """H0 v, as J times the numerators of v over one denominator."""
-        den = math.lcm(*(x.denominator for x in v))
-        nums = [x.numerator * (den // x.denominator) for x in v]
+        nums, den = clear_denominators(v)
         den *= self._leaf_denominators[0]
         return tuple(Fraction(sum(c * n for c, n in zip(row, nums)), den)
                      for row in self._h0_rows)
@@ -400,22 +401,39 @@ class SystemDef:
         return self.bracket_jet(b, self._degree_bound(b))
 
     def bracket_value(self, b: BracketTree) -> Vector:
-        """f_b(0), with trailing X0 factors handled by Jacobian powers."""
-        cached = self._value_cache.get(b)
-        if cached is not None:
-            return cached
-        core, nu = trees.strip_trailing_zeros(b)
-        jet = self._numerator_jet(core, 0)
-        value = self._zero_value
-        if jet is not self._zero_jet:
-            den = self._denominator(core)
-            value = tuple(Fraction(c.constant_term(), den)
-                          for c in jet.components)
-            for _ in range(nu):
-                value = self.h0_apply(value)
-            if not any(value):
-                value = self._zero_value
-        return self._value_cache.setdefault(b, value)
+        """f_b(0), exact.
+
+        For b = c 0^nu, f_{c 0^k}(0) = H0 f_{c 0^(k-1)}(0) at the origin
+        (f0(0) = 0), so trailing X0 factors are peeled off only down to the
+        deepest tree whose value is cached, or down to the core c, whose
+        value is its order-0 numerator jet over D0^n0 D1^n1.  H0 is then
+        applied once per peeled factor, and every value on the way is
+        cached.  The peel is a loop, so nu is not bounded by the stack.
+        """
+        cache = self._value_cache
+        peeled = []
+        value = cache.get(b)
+        while value is None and not b.is_leaf and b.right is trees.X0:
+            peeled.append(b)
+            b = b.left
+            value = cache.get(b)
+        if value is None:
+            jet = self._numerator_jet(b, 0)
+            value = self._zero_value
+            if jet is not self._zero_jet:
+                den = self._denominator(b)
+                value = self._shared_zero(tuple(
+                    Fraction(c.constant_term(), den) for c in jet.components))
+            value = cache.setdefault(b, value)
+        for tree in reversed(peeled):
+            if value is not self._zero_value:
+                value = self._shared_zero(self.h0_apply(value))
+            value = cache.setdefault(tree, value)
+        return value
+
+    def _shared_zero(self, value: Vector) -> Vector:
+        """value, or the shared `_zero_value` when it vanishes."""
+        return value if any(value) else self._zero_value
 
 
 def _numerator_field(f: PolyVectorField) -> tuple[PolyVectorField, int]:

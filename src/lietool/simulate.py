@@ -60,7 +60,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray          # shape (len(times), d)
     step: float
-    method: str = "rk4-fixed"
 
     @property
     def final_state(self) -> np.ndarray:
@@ -286,10 +285,13 @@ class PureCounterexampleReport:
 def _steer_second_state(u: PiecewisePolyControl) -> tuple[PiecewisePolyControl, float]:
     """Perturb u by c*g so the second state of ``no_zm_pure`` vanishes at t.
 
-    g is a fixed early bump with unit double primitive; the defect
-    x2(t) = u2(t) + (1/2) int u1^2 is quadratic in c, solved to ~1e-13.
-    The identity below is insensitive to the leftover defect delta (its
-    error is exactly delta^2 / 2).
+    g is a fixed early bump with unit double primitive, and the defect
+    x2(t) = u2(t) + (1/2) int u1^2 of u + c*g is exactly a c^2 + b c + k:
+    a = (1/2) int g1^2, b = 1 + int u1 g1 and k the defect of u.  c is its
+    real root nearest 0, found by the cancellation-free quadratic formula
+    and cut to a denominator <= 10^12; the returned defect is exact at that
+    c.  The identity below is insensitive to the leftover defect delta (its
+    error is exactly delta^2 / 2).  Raises ValueError when no real c exists.
     """
     t = u.horizon
     # g = triangle bump on [0, t/2] scaled so that g2(t) = 1
@@ -298,35 +300,31 @@ def _steer_second_state(u: PiecewisePolyControl) -> tuple[PiecewisePolyControl, 
         (0, half / 2, half, t),
         (Poly((0, 1)), Poly((half / 2, -1)), Poly(())),
     )
-    g2_end = primitive(g, 2).end_value()
-    g = g.scale(1 / g2_end)
-
-    def defect(c: float) -> float:
-        probe = u + g.scale(Fraction(c).limit_denominator(10 ** 12))
-        u1 = probe.antiderivative()
-        return float(u1.antiderivative().end_value()
-                     + u1.power(2).integral() / 2)
-
-    # Newton on the scalar defect (quadratic, well-conditioned near 0)
-    c = -defect(0.0)
-    for _ in range(60):
-        d = defect(c)
-        if abs(d) < 1e-13:
-            break
-        slope = (defect(c + 1e-7) - d) / 1e-7
-        c -= d / slope
-    return u + g.scale(Fraction(c).limit_denominator(10 ** 12)), defect(c)
+    g = g.scale(1 / primitive(g, 2).end_value())
+    u1, g1 = u.antiderivative(), g.antiderivative()
+    a = g1.power(2).integral() / 2
+    b = 1 + (u1 * g1).integral()
+    k = u1.antiderivative().end_value() + u1.power(2).integral() / 2
+    disc = b * b - 4 * a * k
+    if disc < 0:
+        raise ValueError(
+            "no correction c*g zeroes the second state of no_zm_pure: the "
+            f"defect {float(a):.6g} c^2 + {float(b):.6g} c + {float(k):.6g} "
+            "has no real root")
+    q = -(float(b) + math.copysign(math.sqrt(disc), b)) / 2
+    c = Fraction(float(k) / q if q else 0.0).limit_denominator(10 ** 12)
+    return u + g.scale(c), float(a * c * c + b * c + k)
 
 
 def pure_counterexample_check(u: PiecewisePolyControl,
-                              step: float = 1e-3,
-                              tolerance: float = 1e-7) -> PureCounterexampleReport:
+                              step: float = 1e-3) -> PureCounterexampleReport:
     """Check x(t;u) - Z4_pure(0) = (1/8) (int u1^2)^2 e3 on ``no_zm_pure``.
 
     Requires u2(t) = 0 for the input control.  The identity itself holds on
     the closed loop x2(t) = 0, which the checker reaches by a small internal
     state-feedback correction (quadratic in the control size); the reported
-    quantities refer to the corrected control.
+    quantities refer to the corrected control, and the check passes at a
+    residual <= 1e-7.  Raises ValueError when no correction exists.
     """
     if not isinstance(u, PiecewisePolyControl):
         raise TypeError("needs an exact piecewise-polynomial control")
@@ -347,7 +345,7 @@ def pure_counterexample_check(u: PiecewisePolyControl,
     return PureCounterexampleReport(
         discrepancy=discrepancy, predicted=predicted, residual=residual,
         quartic_value=quartic, correction=residual_defect,
-        passed=residual <= tolerance)
+        passed=residual <= 1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lietool import trees
+from lietool import cli, trees
 from lietool.conditions import (Caps, LayerUndeterminedError,
                                 MembershipHoldsError, ag_screen, ag_weight,
                                 check_n2, check_n3, check_sextic,
@@ -13,10 +15,13 @@ from lietool.conditions import (Caps, LayerUndeterminedError,
                                 family_n3, family_s1, neutral_span,
                                 pi_threshold)
 from lietool.exact_linalg import ExactSpan
-from lietool.fields import PolyVectorField, SystemDef, eval_bracket
+from lietool.fields import (PolyVectorField, SystemDef, eval_bracket,
+                            system_from_json_dict)
 from lietool.hall import InternalConsistencyError
 from lietool.polynomials import SparsePoly
 from lietool.zoo import zoo
+
+DATA = Path(__file__).parent / "data"
 
 
 def linear_system(dim: int = 3) -> SystemDef:
@@ -51,6 +56,37 @@ class TestNeutralSpan:
     def test_caps_validated(self):
         with pytest.raises(ValueError):
             neutral_span(zoo("easy"), family_s1(), Caps(max_index=0))
+
+
+class TestChainVectors:
+    def test_every_pinned_report_reads_the_value_cache(self):
+        """Each span generator's vector is the very object `eval_bracket`
+        returns for its tree, on every pinned catalog report."""
+        pinned = json.loads((DATA / "catalog_verdicts.json").read_text())
+        checks = {"n2": lambda s: check_n2(s), "n3": lambda s: check_n3(s),
+                  "sextic": lambda s: check_sextic(s),
+                  "sussmann:1": lambda s: check_sussmann_stefani(s, 1),
+                  "wk:2,0": lambda s: check_wk_loose(s, 2, 0),
+                  "wk:3,0": lambda s: check_wk_loose(s, 3, 0)}
+        reports = 0
+        for check in pinned["checks"]:
+            if check["condition"].startswith("ag:"):
+                continue
+            spec = check["system"]
+            if spec.startswith("dense:"):
+                sys = system_from_json_dict(
+                    pinned["dense_systems"][int(spec[len("dense:"):])])
+            else:
+                sys = cli._load_system(spec)
+            report = checks[check["condition"]](sys)
+            assert report.to_json_dict() == check["report"]
+            span = report.span
+            assert len(span.basis_vectors) == len(span.generating_elements)
+            for tree, vector in zip(span.generating_elements,
+                                    span.basis_vectors):
+                assert vector is eval_bracket(sys, tree)
+            reports += 1
+        assert reports == 30
 
 
 class TestCaps:

@@ -125,25 +125,6 @@ class TestClosedForm:
             for u in controls:
                 assert xi(e, u).exact == xi_closed_form(e, u).exact, repr(e)
 
-    def test_second_pass_integrates_only_the_kernels(self, rng, monkeypatch):
-        elements = [e for p in range(1, 6) for q in range(0, 9 - p)
-                    for e in basis_of_bidegree(p, q)]
-        u = random_poly_control(rng)
-        first = [xi_closed_form(e, u).exact for e in elements]
-        calls = Counter()
-        antiderivative = PiecewisePolyControl.antiderivative
-
-        def counted(v):
-            calls["antiderivative"] += 1
-            return antiderivative(v)
-
-        monkeypatch.setattr(PiecewisePolyControl, "antiderivative", counted)
-        assert [xi_closed_form(e, u).exact for e in elements] == first
-        # the primitives of u and of each u_j^2 are shared: only each
-        # element's kernel_integral, nu + 1 antiderivatives, runs again
-        assert calls["antiderivative"] == sum(
-            match_named_family(e).nu + 1 for e in elements)
-
     def test_primitive_chain_dies_with_its_control(self, rng):
         u = random_poly_control(rng)
         xi_closed_form(parse_tree("Rs(1,1,2,0,1)"), u)

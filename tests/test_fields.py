@@ -254,6 +254,40 @@ def _dense_system(seed, dim):
                      f0=PolyVectorField(dim, f0), f1=PolyVectorField(dim, f1))
 
 
+class TestTrailingZeroChains:
+    """`bracket_value` peels trailing X0 factors only down to a cached tree
+    or the core, and applies H0 once per peeled factor."""
+
+    def test_a_deep_chain_needs_no_recursion(self):
+        sys = zoo("easy")
+        assert sys.bracket_value(M(3000)) == (0, 0, 0)
+        assert all(sys._value_cache[M(nu)] is sys._zero_value
+                   for nu in range(3, 3001))
+
+    def test_one_h0_application_per_uncached_factor(self, monkeypatch):
+        sys = _dense_system(0, 5)
+        calls = []
+        h0_apply = SystemDef.h0_apply
+
+        def counted(self, v):
+            calls.append(v)
+            return h0_apply(self, v)
+
+        monkeypatch.setattr(SystemDef, "h0_apply", counted)
+        values = [sys.bracket_value(trees.zeros(W(1, 0), 6))]
+        assert len(calls) == 6
+        values.append(sys.bracket_value(trees.zeros(W(1, 0), 7)))
+        assert len(calls) == 7
+        assert all(any(v) for v in calls + values)
+        # each value is the cached one of its tree, and H0 of the one before
+        chain = [sys.bracket_value(trees.zeros(W(1, 0), nu))
+                 for nu in range(8)]
+        assert len(calls) == 7
+        assert all(v is c for v, c in zip(calls, chain))
+        for before, after in zip(chain, chain[1:]):
+            assert h0_apply(sys, before) == after
+
+
 class TestVanishingJets:
     """A vanishing jet is the system's one shared zero, and costs nothing."""
 

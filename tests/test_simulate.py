@@ -369,6 +369,24 @@ class TestPureCounterexample:
         with pytest.raises(ValueError):
             pure_counterexample_check(u)
 
+    def test_no_real_correction_is_refused(self):
+        # u2(1) = 0, but the steering defect 0.61 c^2 + 0.67 c + 0.67 has no
+        # real root: no correction zeroes the second state
+        u = PiecewisePolyControl.piecewise_constant(
+            (0, Fraction(1, 4), Fraction(3, 4), 1), (8, -8, 8))
+        assert primitive(u, 2).end_value() == 0
+        with pytest.raises(ValueError, match="no real root"):
+            pure_counterexample_check(u)
+
+    def test_steering_zeroes_the_second_state(self):
+        for lam in (1, 5, Fraction(1, 8)):
+            u = sym_pc(Fraction(1, 5), 1).scale(lam)
+            steered, defect = simulate._steer_second_state(u)
+            u1 = steered.antiderivative()
+            exact = u1.antiderivative().end_value() + u1.power(2).integral() / 2
+            assert float(exact) == defect
+            assert abs(defect) <= 1e-16
+
 
 class TestDriftScan:
     def test_easy_square_bracket_scan_passes(self):
