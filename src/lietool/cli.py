@@ -21,7 +21,7 @@ from . import conditions, coord, expansions, simulate, trees
 from .zoo import (UnknownSystemError, zoo as build_zoo, zoo_names,
                   zoo_parameters)
 from .conditions import Caps
-from .controls import load_control
+from .controls import PiecewisePolyControl, load_control
 from .fields import load_system, system_to_json_dict
 from .hall import basis_of_bidegree, decompose, enumerate_basis
 from .trees import TreeSyntaxError, parse_tree
@@ -111,10 +111,12 @@ def _cmd_decompose(args) -> int:
 def _cmd_xi(args) -> int:
     tree = _parse_tree_arg(args.bracket)
     u = _load_control(args.control)
-    if args.closed_form:
+    if not args.closed_form:
+        value = coord.xi(tree, u)
+    elif isinstance(u, PiecewisePolyControl):
         value = coord.xi_closed_form(tree, u)
     else:
-        value = coord.xi(tree, u)
+        raise CliError("error: --closed-form needs a piecewise_poly control")
     if value.exact is not None:
         print(value.exact)
     else:

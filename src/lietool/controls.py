@@ -524,8 +524,9 @@ class SampledControl:
     def coarsened(self) -> "SampledControl":
         """The half grid, built once: the same object on every call, so the
         coordinate memo serves its paths too."""
-        if self.values.size < 5:
-            raise ValueError("grid too small to coarsen")
+        if self.values.size < 5 or self.values.size % 2 == 0:
+            raise ValueError(f"an error estimate needs an odd count of at "
+                             f"least 5 samples, got {self.values.size}")
         if self._coarse is None:
             self._coarse = self._derived(self.values[::2])
         return self._coarse

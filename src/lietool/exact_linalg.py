@@ -15,11 +15,9 @@ determinant +-1, as the Hall solver needs: one Gauss-Jordan inverse mod p,
 lifted p-adically (Dixon, Numer. Math. 40, 1982) until M X = I holds exactly,
 within a digit budget from Hadamard's bound.  `ExactIntMatrix` multiplies an
 int64 matrix into integers of any size on limbs that provably fit in int64.
-`independent_rows` and `invert_square` choose rows mod p (a minor that is
-nonzero mod p is nonzero over Q, and an unlucky prime falls back to the exact
-greedy choice in an `ExactSpan`) and invert fraction-free (Bareiss) in Python
-ints, as an adjugate and a determinant.  Sizes are those this package meets:
-state dimensions <= 10, word spaces up to a few thousand words.
+`independent_rows` and `invert_square` read a greedy row choice and the
+reduced form of [A | I] off an `ExactSpan`.  Sizes are those this package
+meets: state dimensions <= 10, word spaces up to a few thousand words.
 """
 
 from __future__ import annotations
@@ -147,9 +145,9 @@ def _primitive(v: list[int], p: int) -> list[int]:
     return v if g == 1 else [x // g for x in v]
 
 
-# The modulus of the integer kernel (2**31 - 1): row choice and the inverse of
-# `unimodular_inverse` run modulo it, so every product of two residues fits in
-# int64.
+# The modulus of the integer kernel (2**31 - 1): the inverse of
+# `unimodular_inverse` runs modulo it, so every product of two residues fits
+# in int64.
 PRIME = 2**31 - 1
 
 
@@ -162,92 +160,6 @@ def clear_denominators(values: Sequence) -> tuple[list[int], int]:
     if d == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _rows_mod_p(columns: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Greedy independent rows of an n-row integer matrix, mod PRIME.
-
-    Row echelon on the transpose, scanning its columns (the rows) in order.
-    A square that is nonsingular mod p is nonsingular over Q, so every row
-    set this returns is valid; an unlucky prime can only make it too short.
-    """
-    m = len(columns)
-    t = np.array([[x % PRIME for x in col] for col in columns],
-                 dtype=np.int64).reshape(m, n)
-    picked: list[int] = []
-    r = 0
-    for c in range(n):
-        nonzero = np.flatnonzero(t[r:, c])
-        if not nonzero.size:
-            continue
-        s = r + int(nonzero[0])
-        if s != r:
-            t[[r, s]] = t[[s, r]]
-        t[r, c:] = t[r, c:] * pow(int(t[r, c]), PRIME - 2, PRIME) % PRIME
-        below = r + 1 + np.flatnonzero(t[r + 1:, c])
-        if below.size:
-            t[below, c:] = (t[below, c:]
-                            - t[below, c, None] * t[r, c:]) % PRIME
-        picked.append(c)
-        r += 1
-        if r == m:
-            break
-    return picked
-
-
-def bareiss_inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of a square integer matrix, in Python ints.
-
-    Fraction-free Gauss-Jordan on [A | I] (Bareiss, Math. Comp. 22, 1968):
-    every division is exact, and the pass ends at [det I | adj].  Step k
-    touches only the window of left columns k+1.. and right columns ..k; the
-    right columns beyond k still hold the scaled identity, kept implicit.
-    The pivot is the smallest in absolute value, which keeps the minors
-    small; row swaps permute the right columns, undone at the end.  When a
-    pivot equals the previous one, rows change only where the pivot row is
-    nonzero.
-    """
-    m = len(matrix)
-    rows = [list(row) + [0] * m for row in matrix]
-    order = list(range(m))      # right column of each row's identity entry
-    prev, sign = 1, 1
-    for k in range(m):
-        s = min((i for i in range(k, m) if rows[i][k]),
-                key=lambda i: abs(rows[i][k]), default=None)
-        if s is None:
-            raise ValueError("matrix is singular")
-        if s != k:
-            rows[k], rows[s] = rows[s], rows[k]
-            order[k], order[s] = order[s], order[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        pivot_row[m + k] = prev
-        window = slice(k + 1, m + k + 1)
-        kw = pivot_row[window]
-        sparse = ([(j, y) for j, y in enumerate(kw, k + 1) if y]
-                  if pivot == prev else None)
-        for i in range(m):
-            if i == k:
-                continue
-            row = rows[i]
-            f = row[k]
-            if f and sparse is not None:
-                # (prev x - f y) / prev is exact, so f y / prev is too
-                for j, y in sparse:
-                    row[j] -= f * y // prev
-            elif f:
-                row[window] = [(pivot * x - f * y) // prev
-                               for x, y in zip(row[window], kw)]
-            elif pivot != prev:
-                row[window] = [pivot * x // prev for x in row[window]]
-            row[k] = 0
-        prev = pivot
-    adj = [[0] * m for _ in range(m)]
-    for row, out in zip(rows, adj):
-        for k, j in enumerate(order):
-            out[j] = sign * row[m + k]
-    return adj, sign * prev
 
 
 def _limbs(values: np.ndarray, bits: int, count: int) -> np.ndarray:
@@ -301,7 +213,7 @@ def _inverse_mod(a: np.ndarray, p: int) -> Optional[np.ndarray]:
     Gauss-Jordan on [A | I]: step k touches only the window of left columns
     k.. and right columns ..k; the right columns beyond k still hold the
     identity of the rows not yet pivoted, kept implicit, and row swaps
-    permute the right columns, undone at the end (as in `bareiss_inverse`).
+    permute the right columns, undone at the end.
     """
     m = len(a)
     t = np.zeros((m, 2 * m), dtype=np.int64)
@@ -390,24 +302,16 @@ def apply_digits(digits: Sequence[ExactIntMatrix], b) -> np.ndarray:
 
 
 def independent_rows(columns: list[list[Fraction]]) -> list[int]:
-    """Indices of rows forming an invertible square submatrix.
-
-    `columns` is a full-column-rank matrix given column-wise; each column is
-    scaled to integers, which leaves row independence unchanged.  Rows are
-    chosen mod PRIME; if that falls short of full rank (the prime divides
-    every candidate minor), the exact greedy choice decides.
-    """
+    """The greedy choice of rows of a full-column-rank matrix, given
+    column-wise: row i is taken when it is independent of the rows taken
+    before it, until they form an invertible square submatrix."""
     if not columns:
         return []
-    m, n = len(columns), len(columns[0])
-    integer = [clear_denominators(col)[0] for col in columns]
-    picked = _rows_mod_p(integer, n)
-    if len(picked) == m:
-        return picked
+    m = len(columns)
     span = ExactSpan(m)
     picked = []
-    for i in range(n):
-        if span.add([col[i] for col in integer]):
+    for i, row in enumerate(zip(*columns)):
+        if span.add(row):
             picked.append(i)
             if len(picked) == m:
                 return picked
@@ -417,9 +321,15 @@ def independent_rows(columns: list[list[Fraction]]) -> list[int]:
 def invert_square(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a square invertible matrix.
 
-    Row i is scaled by d_i to integers, B = D A, so A^-1 = adj(B) D / det(B).
+    The rows [a_i | e_i] span a space whose reduced form is [I | A^-1] up to
+    row scaling, so the row with pivot p is row p of A^-1 over its entry at
+    p.  A pivot at column m or beyond means A is singular.
     """
-    cleared = [clear_denominators(row) for row in matrix]
-    adj, det = bareiss_inverse([row for row, _ in cleared])
-    scales = [d for _, d in cleared]
-    return [[Fraction(x * d, det) for x, d in zip(row, scales)] for row in adj]
+    m = len(matrix)
+    span = ExactSpan(2 * m)
+    for i, row in enumerate(matrix):
+        span.add(list(row) + [int(i == j) for j in range(m)])
+    if any(p >= m for p in span.pivots):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, row[p]) for x in row[m:]]
+            for p, row in sorted(zip(span.pivots, span.integer_rows))]

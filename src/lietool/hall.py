@@ -199,6 +199,8 @@ def basis_of_bidegree(n1: int, n0: int) -> tuple[HallElement, ...]:
     cached = _BIDEGREE_CACHE.get(key)
     if cached is not None:
         return cached
+    if n1 < 0 or n0 < 0:
+        raise ValueError(f"bidegree must be >= 0, got ({n1}, {n0})")
     found: list[BracketTree] = []
     if (n1, n0) == (0, 1):
         found.append(X0)

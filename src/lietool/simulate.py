@@ -512,12 +512,16 @@ def residual_scaling_slope(sys: SystemDef, u: PiecewisePolyControl, M: int,
                            step: float = 5e-4) -> float:
     """Log-log slope of |x - Z_M(0)| under control scaling u -> lambda u.
 
-    Needs at least two scales and a nonzero residual at each (a zero
-    control, say, has none), else there is no slope to fit.
+    Needs at least two finite scales > 0, each unlike its neighbours, and a
+    nonzero residual at each (a zero control has none), else no slope fits.
     """
     if len(lambdas) < 2:
         raise ValueError(f"a residual slope needs at least two scales, "
                          f"got {len(lambdas)}")
+    for previous, lam in zip((None, *lambdas), lambdas):
+        if not (math.isfinite(lam) and lam > 0) or lam == previous:
+            raise ValueError(f"scales must be finite, > 0 and unlike their "
+                             f"neighbours, got {lam!r}")
     residuals = []
     for lam in lambdas:
         scaled = u.scale(Fraction(lam).limit_denominator(10 ** 6))

@@ -60,6 +60,13 @@ class TestBasis:
         names = [line.split("\t")[-1] for line in out.strip().splitlines()]
         assert names == ["X1", "M(1)", "M(2)", "X0"]
 
+    @pytest.mark.parametrize("flags", [("--n1", "-1", "--n0", "3"),
+                                       ("--n1", "2", "--n0", "-1")])
+    def test_negative_bidegree_is_usage_error(self, run, flags):
+        code, out, err = run("basis", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bidegree must be >= 0")
+
     def test_cumulative_5_5_is_pinned(self, run):
         code, out, _ = run("basis", "--n1", "5", "--n0", "5", "--cumulative")
         assert code == 0
@@ -104,6 +111,33 @@ class TestXi:
         _, out2, _ = run("xi", "--bracket", "W(1,0)",
                          "--control", control_file, "--closed-form")
         assert out1 == out2
+
+    @staticmethod
+    def samples_file(tmp_path, count):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({
+            "type": "samples", "t": 1.0,
+            "values": [i / (count - 1) for i in range(count)]}))
+        return str(path)
+
+    def test_closed_form_on_samples_is_usage_error(self, run, tmp_path):
+        code, out, err = run("xi", "--bracket", "W(1,0)", "--control",
+                             self.samples_file(tmp_path, 5), "--closed-form")
+        assert (code, out) == (2, "")
+        assert err == "error: --closed-form needs a piecewise_poly control\n"
+
+    def test_even_sample_count_is_usage_error(self, run, tmp_path):
+        code, out, err = run("xi", "--bracket", "X1", "--control",
+                             self.samples_file(tmp_path, 6))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "got 6" in err
+        assert "Traceback" not in err
+
+    def test_odd_sample_count_estimates_the_error(self, run, tmp_path):
+        # the trapezoid is exact on u(s) = s, on both grids
+        code, out, _ = run("xi", "--bracket", "X1", "--control",
+                           self.samples_file(tmp_path, 5))
+        assert code == 0 and out == "0.5\terror_estimate=0.0\n"
 
 
 class TestEval:

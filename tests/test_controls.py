@@ -305,6 +305,14 @@ class TestSampled:
         u = SampledControl(1.0, np.linspace(0, 1, 9))
         assert u.coarsened().values.size == 5
 
+    @pytest.mark.parametrize("count", [2, 3, 4, 6, 10])
+    def test_no_half_grid_is_refused(self, count):
+        # values[::2] of an even count ends short of the horizon
+        u = SampledControl(1.0, np.linspace(0, 1, count))
+        with pytest.raises(ValueError, match=f"odd count of at least 5 "
+                                             f"samples, got {count}$"):
+            u.coarsened()
+
     @pytest.mark.parametrize("t, values, named", [
         (1.0, [0.0, "inf", 1.0], "sample 1 is not finite: inf"),
         (1.0, [0.0, 1.0, float("nan")], "sample 2 is not finite: nan"),

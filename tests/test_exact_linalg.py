@@ -7,9 +7,8 @@ import sympy        # a declared test dependency: fail, do not skip
 from hypothesis import given, settings, strategies as st
 
 from lietool.exact_linalg import (PRIME, ExactIntMatrix, ExactSpan,
-                                  _rows_mod_p, apply_digits, bareiss_inverse,
-                                  independent_rows, invert_square,
-                                  unimodular_inverse)
+                                  apply_digits, independent_rows,
+                                  invert_square, unimodular_inverse)
 
 
 def F(a, b=1):
@@ -224,7 +223,8 @@ def matrices(draw, square=False):
 
 
 class TestIntegerKernel:
-    """Row choice mod p and the fraction-free inverse against sympy."""
+    """The row choice and the inverse read from an `ExactSpan`, against
+    sympy."""
 
     @settings(max_examples=150, deadline=None)
     @given(matrices())
@@ -239,6 +239,22 @@ class TestIntegerKernel:
         assert rref_inverse(square) is not None
 
     @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_independent_rows_are_the_greedy_choice_by_rank(self, columns):
+        # row i is taken iff it raises the rank of the rows taken before it
+        if not full_column_rank(columns):
+            return
+        rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
+        greedy = []
+        for i, row in enumerate(rows):
+            if len(greedy) == len(columns):
+                break
+            taken = [rows[j] for j in greedy] + [row]
+            if to_sympy(taken, len(columns)).rank() == len(taken):
+                greedy.append(i)
+        assert independent_rows(columns) == greedy
+
+    @settings(max_examples=150, deadline=None)
     @given(matrices(square=True))
     def test_invert_square_equals_the_rref_inverse(self, matrix):
         expected = rref_inverse(matrix)
@@ -250,37 +266,21 @@ class TestIntegerKernel:
 
     def test_determinant_other_than_one(self):
         matrix = [[F(2), F(1), F(0)], [F(0), F(3), F(1)], [F(1), F(0), F(4)]]
-        adj, det = bareiss_inverse([[int(x) for x in row] for row in matrix])
-        assert det == 25
-        assert invert_square(matrix) == [[F(x, det) for x in row]
-                                         for row in adj]
-        assert invert_square(matrix) == rref_inverse(matrix)
-
-    @pytest.mark.parametrize("matrix, expected_det", [
-        ([[0, 1], [1, 0]], -1),             # one row swap
-        ([[0, 2, 1], [3, 0, 0], [1, 1, 5]], -27)])
-    def test_adjugate_and_determinant_with_row_swaps(self, matrix,
-                                                      expected_det):
-        adj, det = bareiss_inverse(matrix)
-        assert det == expected_det
-        n = len(matrix)
-        for i in range(n):
-            for j in range(n):
-                assert sum(adj[i][k] * matrix[k][j]
-                           for k in range(n)) == det * (i == j)
+        inverse = invert_square(matrix)
+        assert inverse == rref_inverse(matrix)
+        assert math.lcm(*(x.denominator for row in inverse for x in row)) == 25
 
     def test_minor_zero_mod_p_falls_back_to_exact_choice(self):
         # rows (1, 0) and (1, p): the square has det p, which is 0 mod p
         columns = [[F(1), F(1)], [F(0), F(PRIME)]]
-        assert _rows_mod_p([[1, 1], [0, PRIME]], 2) == [0]
         assert independent_rows(columns) == [0, 1]
         square = [[F(1), F(0)], [F(1), F(PRIME)]]
         assert invert_square(square) == rref_inverse(square)
 
-    def test_mod_p_choice_may_skip_a_row_that_is_independent_over_q(self):
+    def test_greedy_choice_takes_a_row_dependent_only_mod_p(self):
         # the second row (1, p) is dependent on the first only mod p
         columns = [[F(1), F(1), F(1)], [F(0), F(PRIME), F(1)]]
-        assert independent_rows(columns) == [0, 2]
+        assert independent_rows(columns) == [0, 1]
 
     @pytest.mark.parametrize("columns", [
         [[F(0), F(0), F(0)]],
@@ -298,8 +298,6 @@ class TestIntegerKernel:
     def test_singular_squares_raise(self, matrix):
         with pytest.raises(ValueError):
             invert_square(matrix)
-        with pytest.raises(ValueError):
-            bareiss_inverse([[int(x * 6) for x in row] for row in matrix])
 
 
 big_rationals = st.builds(F, st.integers(-10**12, 10**12),

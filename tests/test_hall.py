@@ -248,6 +248,11 @@ class TestEnumeration:
                     continue
                 assert len(basis_of_bidegree(p, q)) == witt(p, q), (p, q)
 
+    @pytest.mark.parametrize("n1, n0", [(-1, 3), (2, -1), (-1, -1)])
+    def test_negative_bidegree_is_refused(self, n1, n0):
+        with pytest.raises(ValueError, match=f"got \\({n1}, {n0}\\)"):
+            basis_of_bidegree(n1, n0)
+
     def test_enumerate_sorted_and_bounded(self):
         out = enumerate_basis(2, 3)
         assert all(e.n1 <= 2 and e.n0 <= 3 for e in out)

@@ -341,6 +341,22 @@ class TestResidualScaling:
         with pytest.raises(ValueError, match="at least two scales"):
             residual_scaling_slope(EASY, SCALING_BASE, 1, lambdas=(1.0,))
 
+    @pytest.mark.parametrize("lambdas, named", [
+        ((0.5, 0.5), "0.5"),
+        ((0.5, -0.5), "-0.5"),
+        ((1.0, 0.0), "0.0"),
+        ((1.0, float("nan")), "nan"),
+        ((float("inf"), 1.0), "inf"),
+        ((1.0, 0.5, 0.5, 0.25), "0.5")])
+    def test_bad_scales_are_refused_before_integrating(self, monkeypatch,
+                                                       lambdas, named):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the scales were checked")
+        monkeypatch.setattr(simulate, "integrate", no_integration)
+        with pytest.raises(ValueError, match="scales must be") as info:
+            residual_scaling_slope(EASY, SCALING_BASE, 1, lambdas=lambdas)
+        assert f"got {named}" in str(info.value)
+
 
 class TestPureCounterexample:
     def test_zero_control(self):
