@@ -15,7 +15,12 @@ indices).  Truncation policy:
 * germ enumeration is truncated at hard caps (defaults: family indices and
   interior-zero counts <= 12); the report's `stabilized` flag records whether
   the span was still growing near the caps, and a violated verdict downgrades
-  to `inconclusive` when it was.
+  to `inconclusive` when it was;
+* a span that fills Q^d ends the walk at the offer that fills it, and is
+  stabilized: no later element can grow it, so nothing past the caps is lost;
+* a layer bidegree (n1, n0) where `SystemDef.vanishes_at` holds is skipped
+  before it is enumerated: on a graded system every f_b(0) there is zero,
+  so its chains would offer nothing.
 
 Verdicts carry re-checkable certificates: a rational combination of span
 generators for `satisfied`, a separating component functional for
@@ -182,19 +187,42 @@ def _chain_vectors(sys: SystemDef, germ: BracketTree,
         tree = trees.node(tree, X0)
 
 
+class _SpanFull(Exception):
+    """An offer filled Q^d: no later offer can grow the span."""
+
+
 def neutral_span(sys: SystemDef, fam: FamilySpec,
                  caps: Caps | None = None) -> SpanResult:
-    """Exact basis of span{f_b(0) : b in fam} under the truncation caps."""
+    """Exact basis of span{f_b(0) : b in fam} under the truncation caps.
+
+    The walk returns at the offer that fills Q^d, and such a span is
+    stabilized: nothing past it can grow the span.
+    """
     caps = caps or Caps()
-    window = caps.window(sys.dim)
     span = ExactSpan(sys.dim)
     elements: list[BracketTree] = []
-    stabilized = True
 
     def offer(tree: BracketTree, value: Vector) -> None:
         if tree.text not in fam.exclude and span.add(value):
             elements.append(tree)
+            if span.rank == sys.dim:
+                raise _SpanFull
 
+    try:
+        stabilized = _walk(sys, fam, caps, span, offer)
+    except _SpanFull:
+        stabilized = True
+    return SpanResult(exact=span, generating_elements=elements,
+                      stabilized=stabilized, caps=caps)
+
+
+def _walk(sys: SystemDef, fam: FamilySpec, caps: Caps, span: ExactSpan,
+          offer: Callable[[BracketTree, Vector], None]) -> bool:
+    """Offer every element of fam within the caps; returns whether the
+    span had stopped growing near them.  A layer bidegree whose f_b(0)
+    `vanishes_at` is skipped before it is enumerated."""
+    window = caps.window(sys.dim)
+    stabilized = True
     for gen in fam.generators:
         if isinstance(gen, Fixed):
             if gen.tree.text not in fam.exclude:
@@ -222,7 +250,8 @@ def neutral_span(sys: SystemDef, fam: FamilySpec,
             for budget in range(0, caps.max_n0 + 1):
                 before = span.rank
                 for n1 in sorted(gen.n1_set):
-                    if n1 + budget > caps.max_layer_length:
+                    if (n1 + budget > caps.max_layer_length
+                            or sys.vanishes_at(n1, budget)):
                         continue
                     for element in basis_of_bidegree(n1, budget):
                         if element.tree.right is X0:
@@ -236,8 +265,7 @@ def neutral_span(sys: SystemDef, fam: FamilySpec,
                 stabilized = False
         else:  # pragma: no cover
             raise TypeError(gen)
-    return SpanResult(exact=span, generating_elements=elements,
-                      stabilized=stabilized, caps=caps)
+    return stabilized
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ also when its jet does not.  Zero to order k says nothing about order k + 1,
 so a zero jet is cached at its own order like any other; only the zero past
 the degree bound holds at every order.
 
+On a weighted-homogeneous (graded) system most bidegrees can only have zero
+values, and `SystemDef.vanishes_at` names them from the system's weightings,
+solved once; `bracket_value` returns the zero value for them before it
+computes any jet.  Jets are never pruned this way: a parent bracket reads a
+jet's higher-order terms.
+
 The jets run on integers.  A system clears the denominators of its fields
 once, f0 = F0 / D0 and f1 = F1 / D1 with integer fields F0, F1, and its jet
 cache holds the integer numerators F_b built from them by the same bracket
@@ -48,10 +54,11 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, zip_longest
 from typing import Optional, Sequence, Union
 
 from . import trees
-from .exact_linalg import clear_denominators
+from .exact_linalg import ExactSpan, clear_denominators
 from .hall import HallElement, LieElement
 from .polynomials import SparsePoly
 from .trees import BracketTree
@@ -318,6 +325,7 @@ class SystemDef:
         self._zero_jet = PolyVectorField.zero(self.dim)
         self._zero_value: Vector = (Fraction(0),) * self.dim
         self._leaf_degrees = (self.f0.degree(), self.f1.degree())
+        self._vanishing: dict[tuple[int, int], bool] = {}
 
     @functools.cached_property
     def rk4_step(self):
@@ -338,6 +346,53 @@ class SystemDef:
         den *= self._leaf_denominators[0]
         return tuple(Fraction(sum(c * n for c, n in zip(row, nums)), den)
                      for row in self._h0_rows)
+
+    @functools.cached_property
+    def _gradings(self) -> list[tuple[int, ...]]:
+        """A basis of the weightings (r_1..r_d, w0, w1) that grade the
+        system, each scaled to integers: under each, every term of f0 has
+        weight w0 and every term of f1 weight w1, where c x^e d_i has weight
+        sum_j e_j r_j - r_i.
+
+        Each term is one homogeneous linear equation in the d + 2 unknowns,
+        solved exactly in one `ExactSpan`; the rows stop at rank d + 2,
+        where only the zero weighting is left.  The rows of f0 and f1
+        alternate, so a system without a grading gets there early.
+        """
+        n = self.dim + 2
+        equations = ExactSpan(n)
+        rows = zip_longest(_weight_rows(self.f0, n - 2),
+                           _weight_rows(self.f1, n - 1))
+        for row in chain.from_iterable(rows):
+            if row is not None and equations.add(row) and equations.rank == n:
+                return []
+        return [tuple(clear_denominators(g)[0])
+                for g in equations.null_space()]
+
+    def vanishes_at(self, n1: int, n0: int) -> bool:
+        """True when f_b(0) = 0 for every bracket b with n1 X1 and n0 X0
+        factors, as the system's gradings prove; cached per bidegree.
+
+        Take a weighting (r, w0, w1) of `_gradings`.  The weight of a term
+        c x^e d_i is sum_j e_j r_j - r_i, and weights add under the bracket:
+        a term of [f, g] = (Dg) f - (Df) g is x^(e - e_j) d_i from g times
+        x^e' d_j from f, of weight (sum e r - r_i) + (sum e' r - r_j).  So
+        by induction every term of f_b has weight n0 w0 + n1 w1.  The
+        constant term at coordinate i has weight -r_i, so
+        f_b(0)_i != 0 requires -r_i = n0 w0 + n1 w1.  This is linear in the
+        weighting, so it holds under every weighting once it holds on the
+        basis; a bidegree where no coordinate passes has f_b(0) = 0.  The
+        rule is about values only: f_b itself need not vanish there.
+        """
+        key = (n1, n0)
+        dead = self._vanishing.get(key)
+        if dead is None:
+            d = self.dim
+            dead = self._vanishing[key] = not any(
+                all(g[i] + n0 * g[d] + n1 * g[d + 1] == 0
+                    for g in self._gradings)
+                for i in range(d))
+        return dead
 
     def _degree_bound(self, b: BracketTree) -> int:
         """A bound on deg f_b: deg f0 or deg f1 at a leaf, deg L + deg R - 1
@@ -409,17 +464,21 @@ class SystemDef:
         value is its order-0 numerator jet over D0^n0 D1^n1.  H0 is then
         applied once per peeled factor, and every value on the way is
         cached.  The peel is a loop, so nu is not bounded by the stack.
+        It also stops at a tree whose bidegree `vanishes_at`: that value is
+        the shared zero, and no jet is computed for it.
         """
         cache = self._value_cache
         peeled = []
         value = cache.get(b)
-        while value is None and not b.is_leaf and b.right is trees.X0:
+        while (value is None and not self.vanishes_at(b.n1, b.n0)
+               and not b.is_leaf and b.right is trees.X0):
             peeled.append(b)
             b = b.left
             value = cache.get(b)
         if value is None:
-            jet = self._numerator_jet(b, 0)
             value = self._zero_value
+            jet = (self._zero_jet if self.vanishes_at(b.n1, b.n0)
+                   else self._numerator_jet(b, 0))
             if jet is not self._zero_jet:
                 den = self._denominator(b)
                 value = self._shared_zero(tuple(
@@ -434,6 +493,18 @@ class SystemDef:
     def _shared_zero(self, value: Vector) -> Vector:
         """value, or the shared `_zero_value` when it vanishes."""
         return value if any(value) else self._zero_value
+
+
+def _weight_rows(f: PolyVectorField, slot: int):
+    """One row per term c x^e d_i of f: the coefficients of
+    sum_j e_j r_j - r_i - w = 0 over the unknowns (r_1..r_d, w0, w1), with
+    w at column `slot`."""
+    for i, component in enumerate(f.components):
+        for e in component.terms:
+            row = [*e, 0, 0]
+            row[i] -= 1
+            row[slot] = -1
+            yield row
 
 
 def _numerator_field(f: PolyVectorField) -> tuple[PolyVectorField, int]:

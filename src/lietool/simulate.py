@@ -40,7 +40,7 @@ from .controls import (ControlSignal, PiecewisePolyControl, Poly, horner,
 from .coord import xi
 from .expansions import eta_by_product
 from .fields import SystemDef, eval_bracket
-from .hall import HallElement, basis_up_to_length
+from .hall import HallElement, basis_of_bidegree
 from .zoo import zoo
 
 BLOWUP_GUARD = 1.0e6
@@ -208,11 +208,15 @@ def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
 def _float_bracket_values(sys: SystemDef, max_length: int,
                           max_n1: int) -> dict[HallElement, np.ndarray]:
     """Nonzero f_b(0) as floats, in basis order, for the Hall elements
-    b != X0 with |b| <= max_length and n1(b) <= max_n1."""
+    b != X0 with |b| <= max_length and n1(b) <= max_n1.  A bidegree whose
+    f_b(0) `vanishes_at` is skipped before it is enumerated."""
     values = {}
-    for element in basis_up_to_length(max_length):
-        if element.tree is trees.X0 or element.n1 > max_n1:
-            continue
+    elements = sorted(
+        element for n1 in range(1, max_n1 + 1)
+        for n0 in range(max_length + 1 - n1)
+        if not sys.vanishes_at(n1, n0)
+        for element in basis_of_bidegree(n1, n0))
+    for element in elements:
         v = eval_bracket(sys, element.tree)
         if any(v):
             values[element] = np.array([float(c) for c in v])

@@ -89,6 +89,58 @@ class TestChainVectors:
         assert reports == 30
 
 
+def _padded(sys: SystemDef) -> SystemDef:
+    """sys with one more coordinate and zero dynamics along it: the same
+    values with a trailing 0, so its spans never fill Q^(d+1)."""
+    d = sys.dim + 1
+
+    def pad(f):
+        return PolyVectorField(d, [
+            SparsePoly(d, {e + (0,): c for e, c in comp.terms.items()})
+            for comp in f.components] + [SparsePoly(d)])
+
+    return SystemDef(dim=d, f0=pad(sys.f0), f1=pad(sys.f1), name=sys.name)
+
+
+class TestFullRankStop:
+    """A span that fills Q^d ends the walk, and is stabilized."""
+
+    @pytest.mark.parametrize("spec, check", [
+        ("zoo:w3_vs_qb12", check_n3), ("zoo:sextic:p=7", check_sextic)])
+    def test_pinned_reports_with_fewer_evaluations(self, spec, check,
+                                                   monkeypatch):
+        pinned = json.loads((DATA / "catalog_verdicts.json").read_text())
+        expected, = [c["report"] for c in pinned["checks"]
+                     if c["system"] == spec]
+        calls = []
+        bracket_value = SystemDef.bracket_value
+
+        def counted(self, b):
+            calls.append(b)
+            return bracket_value(self, b)
+
+        monkeypatch.setattr(SystemDef, "bracket_value", counted)
+        sys = cli._load_system(spec)
+        report = check(sys)
+        assert report.to_json_dict() == expected
+        assert report.span.rank == sys.dim
+        # the filling generator is the last tree evaluated
+        assert calls[-1] is report.span.generating_elements[-1]
+        stopped = len(calls)
+        calls.clear()
+        whole = check(_padded(sys))
+        assert whole.span.generating_elements == report.span.generating_elements
+        assert stopped < len(calls)
+
+    def test_a_full_span_is_stabilized_below_the_default_caps(self):
+        pinned = json.loads((DATA / "catalog_verdicts.json").read_text())
+        sys = system_from_json_dict(pinned["dense_systems"][0])
+        report = check_wk_loose(sys, 2, 0, Caps(max_n0=2))
+        assert report.verdict == "satisfied"
+        assert report.span.rank == sys.dim
+        assert report.span.stabilized
+
+
 class TestCaps:
     @pytest.mark.parametrize("field, value", [
         ("max_index", 0), ("max_n0", -1), ("max_layer_length", 0),

@@ -378,6 +378,98 @@ class TestPinnedValues:
         assert nonzero == sum(map(len, pinned["values"].values())) == 153
 
 
+def _pinned_dense_systems():
+    with open(DATA / "catalog_verdicts.json") as fh:
+        return [system_from_json_dict(d)
+                for d in json.load(fh)["dense_systems"]]
+
+
+def _constant_vanishes(sys, tree):
+    """f_b(0) = 0 read off the order-0 jet, which `vanishes_at` never
+    shortcuts."""
+    jet = sys.bracket_jet(tree, 0)
+    return not any(c.constant_term() for c in jet.components)
+
+
+@st.composite
+def _graded_systems(draw):
+    """A system graded by drawn integer weights (r, w0, w1): every term
+    c x^e d_i of f0 (f1) has sum_j e_j r_j - r_i = w0 (w1), degree <= 3,
+    and f0(0) = 0."""
+    dim = draw(st.integers(1, 3))
+    r = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+    w = draw(st.tuples(st.integers(-3, 2), st.integers(-3, 2)))
+    leaves = []
+    for slot, weight in enumerate(w):
+        components = []
+        for i in range(dim):
+            monomials = [e for e in product(range(4), repeat=dim)
+                         if sum(e) <= 3 and (slot or any(e))
+                         and sum(a * b for a, b in zip(e, r)) - r[i] == weight]
+            picked = draw(st.lists(st.sampled_from(monomials), unique=True,
+                                   max_size=3)) if monomials else []
+            components.append(SparsePoly(dim, {
+                e: Fraction(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
+                for e in picked}))
+        leaves.append(PolyVectorField(dim, components))
+    return SystemDef(dim=dim, f0=leaves[0], f1=leaves[1], name="graded"), r, w
+
+
+class TestGradedVanishing:
+    """`vanishes_at` claims f_b(0) = 0 only where the order-0 jet agrees,
+    and claims it wherever a weighting of the system proves it."""
+
+    def test_zoo_and_dense_systems(self):
+        zoo_systems, dense = default_instances(), _pinned_dense_systems()
+        dead = 0
+        for sys in zoo_systems + dense:
+            for element in basis_up_to_length(9):
+                if sys.vanishes_at(element.n1, element.n0):
+                    assert _constant_vanishes(sys, element.tree), \
+                        (sys.name, element)
+                    dead += 1
+        assert sum(bool(sys._gradings) for sys in zoo_systems) == 16
+        assert all(sys._gradings == [] for sys in dense)
+        assert dead > 1500
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=_graded_systems())
+    def test_random_graded_systems(self, drawn):
+        sys, r, (w0, w1) = drawn
+        for element in basis_up_to_length(6):
+            n1, n0 = element.n1, element.n0
+            if all(-ri != n0 * w0 + n1 * w1 for ri in r):
+                assert sys.vanishes_at(n1, n0), element
+            if sys.vanishes_at(n1, n0):
+                assert _constant_vanishes(sys, element.tree), element
+
+    def test_a_dead_value_computes_no_jet(self, monkeypatch):
+        sys = zoo("sextic", p=7)
+        tree = next(e.tree for e in basis_up_to_length(6)
+                    if sys.vanishes_at(e.n1, e.n0) and e.tree.right is X0)
+        jets = []
+        numerator_jet = SystemDef._numerator_jet
+
+        def counted(self, b, order):
+            jets.append(b)
+            return numerator_jet(self, b, order)
+
+        monkeypatch.setattr(SystemDef, "_numerator_jet", counted)
+        assert sys.bracket_value(tree) is sys._zero_value
+        assert jets == []
+
+    def test_jets_of_dead_bidegrees_keep_their_terms(self):
+        """A dead bidegree's f_b need not vanish, and a parent bracket reads
+        it: on jakubczyk W(1,0) is dead and P(1,1,0) = [X1, W(1,0)] is not
+        zero at 0."""
+        sys = zoo("jakubczyk")
+        inner = W(1, 0)
+        assert sys.vanishes_at(inner.n1, inner.n0)
+        assert sys.bracket_value(inner) is sys._zero_value
+        assert sys.bracket_field(inner)
+        assert any(sys.bracket_value(P(1, 1, 0)))
+
+
 # ---------------------------------------------------------------------------
 # Plain-Fraction reference: terms as {exponent tuple: Fraction}, the product
 # and the truncated bracket computed the direct way, with no packing and no
