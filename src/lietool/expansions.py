@@ -12,7 +12,9 @@ word-space constructions):
 * :func:`ordered_product` - the infinite ordered product of Hall-element
   exponentials exp(xi_b E(b)), made finite by keeping |b| <= cutoff, factors
   decreasing from left to right (X0 leftmost, X1 rightmost); on every exact
-  piecewise-polynomial control;
+  piecewise-polynomial control.  A run of consecutive long factors
+  (2|b| > cutoff) is one product by 1 + sum xi_b E(b), exactly, since any
+  product of two long factors lies past the cutoff;
 * :func:`interaction_log` - the logarithm after factoring exp(t X0) out on
   the left, whose coefficients on the Hall basis are the coordinates of the
   pseudo-first kind eta_b; built on :func:`formal_state`, so
@@ -35,6 +37,7 @@ entries are rational word series and whose exponents are cut at h;
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -84,17 +87,26 @@ def ordered_product(u: PiecewisePolyControl, cutoff: int) -> TensorSeries:
     Factors are ordered decreasing left to right (X0 leftmost, X1 rightmost);
     omitted factors only touch degrees beyond the cutoff, so the result is
     exactly the truncated state, on every exact piecewise-polynomial control.
+
+    A factor is long when 2|b| > cutoff.  Any product of two long factors
+    lies past the cutoff, so a run of consecutive long factors multiplies to
+    1 + S with S = sum xi_b E(b): each run is one series product, and only
+    the factors with 2|b| <= cutoff are exponentiated.  A zero-xi factor is
+    1 and never ends a run.
     """
     if not isinstance(u, PiecewisePolyControl):
         raise TypeError("ordered_product needs an exact control")
-    elements = basis_up_to_length(cutoff)
     out = TensorSeries.unit(cutoff)
-    for element in sorted(elements, reverse=True):
-        value = xi(element, u).exact
-        if not value:
+    elements = sorted(basis_up_to_length(cutoff), reverse=True)
+    factors = [(e, value) for e in elements if (value := xi(e, u).exact)]
+    for long, run in itertools.groupby(
+            factors, key=lambda f: 2 * f[0].length > cutoff):
+        if long:
+            out = out + out * LieElement(dict(run)).expand_to_words(cutoff)
             continue
-        factor = expand_to_words(element.tree, cutoff).scale(value)
-        out = out * factor.exp()
+        for element, value in run:
+            factor = expand_to_words(element.tree, cutoff).scale(value)
+            out = out * factor.exp()
     return out
 
 
@@ -114,9 +126,9 @@ class EtaTable:
 def interaction_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     """eta_b table from log(exp(-t X0) * state); exact, residual-checked.
 
-    The X0-only components must cancel identically (eta_{X0} = 0); any
-    surviving (0, q) word triggers an internal-consistency failure inside the
-    bidegree decomposition.
+    The X0-only components must cancel identically (eta_{X0} = 0); a
+    surviving pure-X0 word raises InternalConsistencyError before anything
+    is decomposed.
     """
     state = formal_state(u, cutoff).series
     log_series = (TensorSeries.piece_exponential(cutoff, -u.horizon, 0)
@@ -237,8 +249,12 @@ def eta_by_product(u: ControlSignal, cutoff: int, max_n1: int) -> EtaTable:
     `cross_coefficient_element` at b times prod_i xi_{b_i}^{h_i}, on every
     control: exact on a piecewise-polynomial one, the fine-grid float values
     on a sampled one.  The factors of a pattern have n1 <= n1(b), so the
-    restriction to n1 <= max_n1 loses nothing below it.
+    restriction to n1 <= max_n1 loses nothing below it.  Needs
+    cutoff >= 0 and max_n1 >= 0.
     """
+    if cutoff < 0 or max_n1 < 0:
+        raise ValueError(f"eta_by_product needs cutoff >= 0 and max_n1 >= 0, "
+                         f"got {cutoff} and {max_n1}")
     elements = [e for e in basis_up_to_length(cutoff)
                 if e.tree is not X0 and e.n1 <= max_n1]
     xis = {e: xi_path(e.tree, u).end_value() for e in elements}
@@ -276,8 +292,11 @@ def cross_term_check(u: PiecewisePolyControl, cutoff: int = 4) -> list[CrossTerm
     """Compare eta_b from `interaction_log` with `eta_by_product`.
 
     Checked for every Hall element b != X0 with length <= cutoff; each
-    report's cross sum is the product route's eta_b - xi_b.
+    report's cross sum is the product route's eta_b - xi_b.  Needs
+    cutoff >= 1: anything less would check nothing.
     """
+    if cutoff < 1:
+        raise ValueError(f"cross_term_check needs cutoff >= 1, got {cutoff}")
     eta = interaction_log(u, cutoff)
     reports = []
     for target, by_product in eta_by_product(u, cutoff, cutoff).values.items():

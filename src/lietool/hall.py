@@ -241,6 +241,8 @@ def enumerate_basis(n1_max: int, n0_max: int) -> list[HallElement]:
 
 def basis_up_to_length(max_length: int) -> list[HallElement]:
     """All Hall elements of length <= max_length, sorted."""
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
     return _sorted_basis((p, q) for p in range(max_length + 1)
                          for q in range(max_length + 1 - p))
 

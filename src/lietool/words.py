@@ -126,6 +126,11 @@ class CutoffError(ValueError):
     pass
 
 
+def _require_cutoff(cutoff: int) -> None:
+    if cutoff < 0:
+        raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
+
+
 class TensorSeries:
     """A polynomial in the free algebra, truncated at a fixed total degree.
 
@@ -138,6 +143,7 @@ class TensorSeries:
 
     def __init__(self, cutoff: int, coeffs: dict[Word, object] | None = None):
         """The series sum coeffs[w] w; words beyond the cutoff are dropped."""
+        _require_cutoff(cutoff)
         coeffs = coeffs or {}
         for c in coeffs.values():
             _require_rational(c)
@@ -190,21 +196,25 @@ class TensorSeries:
     @classmethod
     def piece_exponential(cls, cutoff: int, dt, value) -> "TensorSeries":
         """exp(dt (X0 + value X1)) in closed form: the coefficient of a word
-        w is dt^|w| value^n1(w) / |w|!, for rational dt and value."""
+        w is dt^|w| value^n1(w) / |w|!, for rational dt and value.
+
+        With dt = p/q, value = a/b and c the cutoff, every coefficient is an
+        integer over q^c b^c c!: a word of length n with k X1 letters gets
+        p^n q^(c-n) (c!/n!) a^k b^(c-k)."""
+        _require_cutoff(cutoff)
         dt, value = Fraction(dt), Fraction(value)
-        table = []              # by degree n, then by number k of X1 letters
-        weight = Fraction(1)
-        for n in range(cutoff + 1):
+        p, q = dt.numerator, dt.denominator
+        a, b = value.numerator, value.denominator
+        c = cutoff
+        letters = np.array([a ** k * b ** (c - k) for k in range(c + 1)],
+                           dtype=object)
+        den = math.factorial(c) * q ** c
+        blocks, weight = [], den                  # p^n q^(c-n) c!/n!
+        for n in range(c + 1):
             if n:
-                weight *= dt / n
-            table.extend(weight * value ** k for k in range(n + 1))
-        numerators, den = clear_denominators(table)
-        blocks = []
-        for n in range(cutoff + 1):
-            start = n * (n + 1) // 2
-            row = np.array(numerators[start:start + n + 1], dtype=object)
-            blocks.append(row[_ones(n)])
-        return cls._make(cutoff, blocks, den)
+                weight = weight // (q * n) * p
+            blocks.append((letters[:n + 1] * weight)[_ones(n)])
+        return cls._make(cutoff, blocks, den * b ** c)
 
     def __getitem__(self, word: Word):
         n = len(word)

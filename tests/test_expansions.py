@@ -15,7 +15,8 @@ from lietool.expansions import (cross_coefficient_element, cross_term_check,
                                 magnus_log, ordered_product, verify_expansions)
 from lietool.hall import HallElement, LieElement, basis_up_to_length, decompose
 from lietool.trees import M, W, X0, X1, node
-from lietool.words import TensorSeries, all_words, expand_to_words
+from lietool.words import (CutoffError, TensorSeries, all_words,
+                           expand_to_words)
 
 ZERO = PiecewisePolyControl.constant(0, 1)
 UNIT = PiecewisePolyControl.constant(1, 1)
@@ -74,6 +75,18 @@ def _fact(k):
     return math.factorial(k)
 
 
+def _one_factor_at_a_time(u, cutoff):
+    """Sussmann's product with every factor exp(xi_b E(b)) multiplied in on
+    its own, decreasing left to right."""
+    out = TensorSeries.unit(cutoff)
+    for element in sorted(basis_up_to_length(cutoff), reverse=True):
+        value = xi(element, u).exact
+        if value:
+            factor = expand_to_words(element.tree, cutoff).scale(value)
+            out = out * factor.exp()
+    return out
+
+
 class TestOrderedProduct:
     def test_zero_control(self):
         u = PiecewisePolyControl.constant(0, Fraction(3, 4))
@@ -110,6 +123,30 @@ class TestOrderedProduct:
         u = SampledControl(1.0, np.ones(9))
         with pytest.raises(TypeError):
             ordered_product(u, 3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(poly_controls())
+    def test_matches_one_factor_at_a_time(self, u):
+        # even cutoffs matter most: |b| = cutoff/2 is still exponentiated
+        for cutoff in range(1, 9):
+            assert ordered_product(u, cutoff) == _one_factor_at_a_time(u, cutoff)
+
+    @pytest.mark.parametrize("cutoff, most", [(7, 28), (9, 45)])
+    def test_one_product_per_run_of_long_factors(self, monkeypatch, cutoff,
+                                                 most):
+        # one factor at a time makes 98 products at cutoff 7 and 280 at 9
+        u = PiecewisePolyControl.piecewise_constant(
+            (0, Fraction(1, 3), Fraction(3, 4), 1), (2, Fraction(-1, 3), 5))
+        calls = []
+        mul = TensorSeries.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(TensorSeries, "__mul__", counted)
+        ordered_product(u, cutoff)
+        assert len(calls) <= most
 
 
 class TestInteractionLog:
@@ -251,6 +288,26 @@ class TestEtaByProduct:
         want = (xi(w1, u).approx
                 - Fraction(1, 2) * xi(M(1), u).approx * xi(X1, u).approx)
         assert eta[w1] == want
+
+
+class TestNegativeCutoff:
+    """A cutoff below zero is refused, never read as an empty series."""
+
+    @pytest.mark.parametrize("view", [formal_state, ordered_product,
+                                      interaction_log, magnus_log])
+    def test_state_views_refuse(self, view):
+        with pytest.raises(CutoffError, match="got -1"):
+            view(UNIT, -1)
+
+    @pytest.mark.parametrize("cutoff, max_n1", [(-1, 3), (3, -1)])
+    def test_eta_by_product_refuses(self, cutoff, max_n1):
+        with pytest.raises(ValueError, match="got"):
+            eta_by_product(UNIT, cutoff, max_n1)
+
+    @pytest.mark.parametrize("cutoff", [0, -1])
+    def test_cross_term_check_refuses_checking_nothing(self, cutoff):
+        with pytest.raises(ValueError, match=f"got {cutoff}"):
+            cross_term_check(UNIT, cutoff)
 
 
 def test_verify_expansions_all_pass():

@@ -262,6 +262,9 @@ class TestEnumeration:
     def test_rejects_negative_bounds(self):
         with pytest.raises(ValueError):
             enumerate_basis(-1, 0)
+        with pytest.raises(ValueError, match="got -1"):
+            basis_up_to_length(-1)
+        assert basis_up_to_length(0) == []
 
     def test_third_hall_condition_on_enumeration(self):
         for e in enumerate_basis(4, 4):

@@ -281,14 +281,33 @@ def test_log_exp_round_trips(data):
     assert y.log().exp() == y
 
 
+_PIECE_DATA = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6))
+
+
 @settings(max_examples=60, deadline=None)
-@given(cutoffs, st.fractions(max_denominator=12), st.fractions(max_denominator=12))
+@given(st.integers(min_value=0, max_value=10), _PIECE_DATA, _PIECE_DATA)
 def test_closed_form_piece_exponential(cutoff, dt, value):
     generator = (TensorSeries.from_word((0,), cutoff, dt)
                  + TensorSeries.from_word((1,), cutoff, dt * value))
     assert TensorSeries.piece_exponential(cutoff, dt, value) == generator.exp()
+    assert (TensorSeries.piece_exponential(cutoff, -dt, value)
+            == generator.scale(-1).exp())
     assert (TensorSeries.piece_exponential(cutoff, dt, 0)
             == TensorSeries.from_word((0,), cutoff, dt).exp())
+    assert (TensorSeries.piece_exponential(cutoff, 0, value)
+            == TensorSeries.unit(cutoff))
+
+
+@pytest.mark.parametrize("make", [
+    TensorSeries.zero, TensorSeries.unit, TensorSeries,
+    lambda c: TensorSeries.from_word((), c),
+    lambda c: TensorSeries.piece_exponential(c, Fraction(1, 2), 3)])
+def test_negative_cutoff_is_refused(make):
+    with pytest.raises(CutoffError, match="got -1"):
+        make(-1)
+    assert make(0).cutoff == 0
 
 
 def test_reduced_to_one_common_denominator():
