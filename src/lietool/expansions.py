@@ -252,9 +252,8 @@ def eta_by_product(u: ControlSignal, cutoff: int, max_n1: int) -> EtaTable:
     restriction to n1 <= max_n1 loses nothing below it.  Needs
     cutoff >= 0 and max_n1 >= 0.
     """
-    if cutoff < 0 or max_n1 < 0:
-        raise ValueError(f"eta_by_product needs cutoff >= 0 and max_n1 >= 0, "
-                         f"got {cutoff} and {max_n1}")
+    if max_n1 < 0:
+        raise ValueError(f"eta_by_product needs max_n1 >= 0, got {max_n1}")
     elements = [e for e in basis_up_to_length(cutoff)
                 if e.tree is not X0 and e.n1 <= max_n1]
     xis = {e: xi_path(e.tree, u).end_value() for e in elements}

@@ -283,6 +283,7 @@ def test_log_exp_round_trips(data):
 
 _PIECE_DATA = st.one_of(
     st.just(Fraction(0)),
+    st.fractions(max_denominator=12),
     st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6))
 
 
