@@ -132,7 +132,8 @@ class Poly:
                         self.den * other.den)
 
     def scale(self, factor) -> "Poly":
-        factor = Fraction(factor)
+        if type(factor) is not Fraction:
+            factor = Fraction(factor)
         return _reduced([c * factor.numerator for c in self.nums],
                         self.den * factor.denominator)
 
@@ -255,6 +256,23 @@ class PiecewisePolyControl:
             out.breakpoints, out._widths = self.breakpoints, self._widths
         else:
             out.breakpoints, out._widths = breakpoints, _widths(breakpoints)
+        out.pieces = tuple(pieces)
+        out._floats = None
+        return out
+
+    @classmethod
+    def _on_grid(cls, numerators: Sequence[int], den: int,
+                 pieces: Sequence[Poly]) -> "PiecewisePolyControl":
+        """The control with breakpoints n / den for the strictly increasing
+        integers `numerators`, the first 0, and one Poly per piece: widths
+        from integer differences, no validation."""
+        out = object.__new__(cls)
+        out.breakpoints = tuple(Fraction(n, den) for n in numerators)
+        widths = []
+        for left, right in zip(numerators, numerators[1:]):
+            g = gcd(right - left, den)
+            widths.append(((right - left) // g, den // g))
+        out._widths = tuple(widths)
         out.pieces = tuple(pieces)
         out._floats = None
         return out

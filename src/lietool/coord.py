@@ -6,6 +6,9 @@ with m maximal,
 
     xi_b(t,u) = (1/m!) int_0^t xi_{b1}(s,u)^m  d xi_{b2}(s,u).
 
+Since d xi_{X0} = ds, a b2 = X0 (and an X0 letter of a Chen word) enters the
+recursion with no product: the integrand is xi_{b1}^m / m! itself.
+
 One recursion (`xi_path`, and `chen_coefficient_path` for word
 coefficients, both memoized per control) serves both control types through
 the operations they share.  For exact piecewise-polynomial controls every
@@ -96,7 +99,9 @@ def _xi_derivative(b: BracketTree, u: ControlSignal) -> ControlSignal:
     if b is X1:
         return u
     b1, m, b2 = hall_factor(b)
-    integrand = xi_path(b1, u).power(m) * _xi_derivative(b2, u)
+    integrand = xi_path(b1, u).power(m)
+    if b2 is not X0:                    # d xi_X0 = ds: no product
+        integrand = integrand * _xi_derivative(b2, u)
     return integrand if m == 1 else integrand.scale(
         Fraction(1, math.factorial(m)))
 
@@ -209,8 +214,10 @@ def chen_coefficient_path(word: Word, u: ControlSignal) -> ControlSignal:
         return cached
     if not word:
         return cache.setdefault(word, u.power(0))
-    letter = u if word[-1] else u.power(0)
-    path = (chen_coefficient_path(word[:-1], u) * letter).antiderivative()
+    path = chen_coefficient_path(word[:-1], u)
+    if word[-1]:                        # an X0 letter's factor is 1
+        path = path * u
+    path = path.antiderivative()
     return cache.setdefault(word, path)
 
 

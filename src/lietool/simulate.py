@@ -35,8 +35,8 @@ import numpy as np
 
 from . import trees
 from .conditions import Caps, FamilySpec, component_functional
-from .controls import (ControlSignal, PiecewisePolyControl, Poly, horner,
-                       primitive)
+from .controls import (ControlSignal, PiecewisePolyControl, Poly, _reduced,
+                       horner, primitive)
 from .coord import xi
 from .expansions import eta_by_product
 from .fields import SystemDef, eval_bracket
@@ -436,27 +436,30 @@ def random_control_family(seed: int, trials: int, rho: float, t_max: float,
 
     The amplitude rho and the horizon t_max are read as rationals of
     denominator <= 1000 and must be > 0 there: a zero amplitude would make
-    every control zero and the scan pass vacuously.
+    every control zero and the scan pass vacuously.  With t_max = h/q, each
+    control's horizon is k/64 t_max and its cuts are c/24 of that, so every
+    breakpoint is an integer over 24 * 64 * q and is built from integers.
     """
     horizon = _family_rational("t_max", t_max)
     amp = _family_rational("rho", rho)
+    a, r = amp.numerator, amp.denominator
+    den = 24 * 64 * horizon.denominator
+    bangs = (_reduced((a,), r), _reduced((-a,), r))
+    levels = [_reduced((a * n,), 8 * r) for n in range(-8, 9)]
     rng = random.Random(seed)
     out = []
-    denominator = 64
     for i in range(trials):
-        t = Fraction(rng.randint(max(1, denominator // 8), denominator),
-                     denominator) * horizon
+        unit = rng.randint(8, 64) * horizon.numerator      # t = 24 unit / den
         bang = i % 5 == 4
         pieces = rng.randint(1, 6) if not bang else rng.randint(2, 8)
         cuts = sorted(rng.sample(range(1, 24), pieces - 1)) if pieces > 1 else []
-        breakpoints = [Fraction(0)] + [t * c / 24 for c in cuts] + [t]
         if bang:
-            start = rng.choice((1, -1))
-            values = [amp * start * (-1) ** j for j in range(pieces)]
+            start = rng.choice((0, 1))      # the draw of choice((1, -1))
+            values = [bangs[(start + j) % 2] for j in range(pieces)]
         else:
-            values = [amp * Fraction(rng.randint(-8, 8), 8)
-                      for _ in range(pieces)]
-        out.append(PiecewisePolyControl.piecewise_constant(breakpoints, values))
+            values = [levels[rng.randint(-8, 8) + 8] for _ in range(pieces)]
+        out.append(PiecewisePolyControl._on_grid(
+            [0, *(unit * c for c in cuts), 24 * unit], den, values))
     return out
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly_control
 from lietool import trees
@@ -14,8 +15,8 @@ from lietool.controls import PiecewisePolyControl, Poly, SampledControl, primiti
 from lietool.coord import (chen_coefficient, chen_coefficient_path,
                            check_inequalities, match_named_family, rough_bound_constant, xi,
                            xi_closed_form, xi_path)
-from lietool.hall import basis_of_bidegree, basis_up_to_length
-from lietool.trees import D, M, P, Q_flat, W, X1, parse_tree
+from lietool.hall import basis_of_bidegree, basis_up_to_length, hall_factor
+from lietool.trees import D, M, P, Q_flat, W, X0, X1, parse_tree
 from lietool.words import all_words
 
 UNIT = PiecewisePolyControl.constant(1, 1)
@@ -223,6 +224,55 @@ class TestChenMemo:
             chen_coefficient(word, u)
         # one antiderivative per nonempty word, on each grid
         assert calls == {257: 62, 129: 62}
+
+
+def _xi_by_unit_factor(b, u, memo):
+    """(d/ds xi_b, xi_b) on u by the recursion that keeps d xi_X0 = 1 ds as
+    a product by the constant path u.power(0), memoized in `memo` only."""
+    if b not in memo:
+        if b is X0:
+            derivative = u.power(0)
+        elif b is X1:
+            derivative = u
+        else:
+            b1, m, b2 = hall_factor(b)
+            derivative = (_xi_by_unit_factor(b1, u, memo)[1].power(m)
+                          * _xi_by_unit_factor(b2, u, memo)[0])
+            if m > 1:
+                derivative = derivative.scale(Fraction(1, math.factorial(m)))
+        memo[b] = derivative, derivative.antiderivative()
+    return memo[b]
+
+
+class TestUnitFactorDropped:
+    """xi and chen_coefficient, which skip the product by the constant 1
+    for X0, equal the recursions that keep it, bit for bit."""
+
+    ELEMENTS = [e.tree for e in basis_up_to_length(6)]
+    WORDS = all_words(6)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([17, 65, 129]))
+    def test_equals_the_recursion_with_the_unit_factor(self, seed, samples):
+        exact = random_poly_control(random.Random(seed), max_pieces=4,
+                                    max_degree=3)
+        sampled = SampledControl(1.0, exact.sample(samples))
+        coarse = sampled.coarsened()
+        memos = {id(v): {} for v in (exact, sampled, coarse)}
+
+        def check(value_of, path_of):
+            assert value_of(exact).exact == path_of(exact).end_value()
+            fine, half = path_of(sampled).end_value(), path_of(coarse).end_value()
+            value = value_of(sampled)
+            assert value.approx.hex() == fine.hex()
+            assert value.error_estimate.hex() == abs(fine - half).hex()
+
+        for b in self.ELEMENTS:
+            check(lambda v: xi(b, v),
+                  lambda v: _xi_by_unit_factor(b, v, memos[id(v)])[1])
+        for word in self.WORDS:
+            check(lambda v: chen_coefficient(word, v),
+                  lambda v: _chen_by_letters(word, v))
 
 
 class TestSampledAgainstExact:

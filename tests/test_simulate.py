@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lietool
 from lietool import simulate
@@ -17,7 +19,7 @@ from lietool.coord import xi
 from lietool.expansions import eta_by_product, interaction_log
 from lietool.fields import PolyVectorField, SystemDef
 from lietool.polynomials import SparsePoly
-from lietool.simulate import (BlowUpError, _final_states,
+from lietool.simulate import (BlowUpError, _family_rational, _final_states,
                               _float_bracket_values, drift_scan, integrate,
                               pure_counterexample_check,
                               random_control_family, residual_scaling_slope,
@@ -573,3 +575,49 @@ class TestDriftScan:
                    for _ in range(2)]
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["zero_trials"] == 4
+
+
+def fraction_family(seed, trials, rho, t_max):
+    """The scan family by Fraction arithmetic: each breakpoint is
+    k/64 t_max c/24 and each value rho times n/8 or +-rho."""
+    horizon = _family_rational("t_max", t_max)
+    amp = _family_rational("rho", rho)
+    rng = random.Random(seed)
+    out = []
+    for i in range(trials):
+        t = Fraction(rng.randint(8, 64), 64) * horizon
+        bang = i % 5 == 4
+        pieces = rng.randint(1, 6) if not bang else rng.randint(2, 8)
+        cuts = sorted(rng.sample(range(1, 24), pieces - 1)) if pieces > 1 else []
+        breakpoints = [Fraction(0)] + [t * c / 24 for c in cuts] + [t]
+        if bang:
+            start = rng.choice((1, -1))
+            values = [amp * start * (-1) ** j for j in range(pieces)]
+        else:
+            values = [amp * Fraction(rng.randint(-8, 8), 8)
+                      for _ in range(pieces)]
+        out.append(PiecewisePolyControl.piecewise_constant(breakpoints, values))
+    return out
+
+
+_FAMILY_SCALES = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 1 / 7, 3.333, 0.999, 17.0]),
+    st.floats(min_value=1e-3, max_value=50.0))
+
+
+class TestRandomControlFamily:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 60), _FAMILY_SCALES,
+           _FAMILY_SCALES)
+    def test_equals_the_fraction_formula(self, seed, trials, rho, t_max):
+        got = random_control_family(seed, trials, rho, t_max)
+        want = fraction_family(seed, trials, rho, t_max)
+        assert len(got) == len(want) == trials
+        for u, v in zip(got, want):
+            assert u.breakpoints == v.breakpoints
+            assert [(p.nums, p.den) for p in u.pieces] \
+                == [(p.nums, p.den) for p in v.pieces]
+            assert u._widths == v._widths
+            assert u.float_pieces() == v.float_pieces()
+        assert sum(not any(u.pieces) for u in got) \
+            == sum(not any(v.pieces) for v in want)
