@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Union
 from . import trees
 from .exact_linalg import ExactSpan
 from .fields import SystemDef, Vector, eval_bracket
-from .hall import InternalConsistencyError, basis_of_bidegree
+from .hall import InternalConsistencyError, as_tree, basis_of_bidegree
 from .trees import BracketTree, X0, X1
 
 
@@ -385,7 +385,8 @@ def check_sussmann_stefani(sys: SystemDef, k: int,
 
 
 def pi_threshold(k: int, m: int) -> Union[int, float]:
-    """Admissible-layer threshold: 1 + ceil((2k-2)/(m+1)); infinite at m=-1."""
+    """Admissible-layer threshold: 1 + ceil((2k-2)/(m+1)); at m = -1 it is 1
+    for k = 1 and infinite for k >= 2."""
     if k < 1 or m < -1:
         raise ValueError("need k >= 1 and m >= -1")
     if m == -1:
@@ -417,11 +418,11 @@ def family_sextic() -> FamilySpec:
 
 def _check_wk(sys: SystemDef, condition: str, k: int, m: int,
               fam: FamilySpec, caps: Caps) -> ConditionReport:
-    """W_k against fam; at m = -1 the layer set is infinite and cut at the
-    caps, so a violated verdict is only inconclusive."""
+    """W_k against fam; where pi(k, m) is infinite the layer set is cut at
+    the caps, so a violated verdict is only inconclusive."""
     _, note = _pi_layer_set(k, m, caps)
     report = _run_check(sys, condition, trees.W(k, 0), fam, caps, detail=note)
-    if m == -1 and report.verdict == "violated":
+    if pi_threshold(k, m) is math.inf and report.verdict == "violated":
         report.verdict = "inconclusive"
         report.detail += "; infinite layer set truncated at caps"
     return report
@@ -473,25 +474,10 @@ def default_pi1_member(b: BracketTree) -> bool:
     M2 = ad_{M1}(X0), so the set freely generates its Lie algebra and spans a
     complement of R X1 + R M1 + R M2.
     """
-    i2 = i1 = i0 = 0
-    m2, m1 = trees.M(2), trees.M(1)
-    cur = b
-    while not cur.is_leaf and cur.left == m2:
-        i2 += 1
-        cur = cur.right
-    while not cur.is_leaf and cur.left == m1:
-        i1 += 1
-        cur = cur.right
-    while not cur.is_leaf and cur.left is X1:
-        i0 += 1
-        cur = cur.right
-    if cur is not X0:
-        return False
-    if i0 == 1:
-        return False
-    if i0 == 0 and i1 == 1:
-        return False
-    return True
+    rest, _ = trees.strip_ad(trees.M(2), b)
+    rest, i1 = trees.strip_ad(trees.M(1), rest)
+    rest, i0 = trees.strip_ad(X1, rest)
+    return rest is X0 and i0 != 1 and (i0, i1) != (0, 1)
 
 
 class LayerUndeterminedError(ValueError):
@@ -512,8 +498,7 @@ def ag_weight(pi: Union[BracketTree, str],
               sigma: Fraction = Fraction(1)) -> tuple[int, Fraction]:
     """(layer k, weight |pi| - sigma k) for a bracket over the generator set
     of `default_pi1_member`."""
-    if isinstance(pi, str):
-        pi = trees.parse_tree(pi)
+    pi = as_tree(pi)
     sigma = Fraction(sigma)
     if not 0 <= sigma <= 1:
         raise ValueError("sigma must lie in [0, 1]")

@@ -228,8 +228,9 @@ class PiecewisePolyControl:
 
     Pieces are polynomials in the local variable (s - breakpoints[i]) on
     [breakpoints[i], breakpoints[i+1]].  The represented function is the
-    right-continuous union of the pieces (only integrals and pointwise values
-    matter here, so the convention at breakpoints is immaterial).
+    left-continuous union of the pieces: `eval`, `piece_index` and `sample`
+    give an interior breakpoint to the piece on its left (only integrals and
+    pointwise values matter here, so the convention is immaterial).
     """
 
     __slots__ = ("breakpoints", "pieces", "_widths", "_floats", "__weakref__")
@@ -301,8 +302,7 @@ class PiecewisePolyControl:
 
     def eval(self, s):
         """The value at s: exact for Fraction/int s, which must lie in
-        [0, t]; a float s is evaluated leniently past the ends (RK4 stage
-        times can round past the horizon)."""
+        [0, t]; a float s is evaluated leniently past the ends."""
         if isinstance(s, (Fraction, int)):
             s = Fraction(s)
             if not 0 <= s <= self.horizon:

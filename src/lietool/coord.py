@@ -38,7 +38,7 @@ from typing import Optional
 from . import trees
 from .controls import (ControlSignal, PiecewisePolyControl, primitive,
                        primitives)
-from .hall import HallElement, hall_factor
+from .hall import as_tree, hall_factor
 from .trees import BracketTree, X0, X1
 from .words import Word
 
@@ -60,17 +60,9 @@ class XiValue:
         return f"XiValue(~{self.approx:.6g} +- {self.error_estimate:.2g})"
 
 
-def _as_tree(b) -> BracketTree:
-    if isinstance(b, HallElement):
-        return b.tree
-    if isinstance(b, str):
-        return trees.parse_tree(b)
-    return b
-
-
 def match_named_family(b) -> Optional[trees.FamilyPattern]:
     """`trees.match_named_family` on a Hall element, tree or tree text."""
-    return trees.match_named_family(_as_tree(b))
+    return trees.match_named_family(as_tree(b))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +76,7 @@ _XI_CACHE: "weakref.WeakKeyDictionary[ControlSignal, dict]" = (
 
 def xi_path(b, u: ControlSignal) -> ControlSignal:
     """The function s -> xi_b(s, u) on [0, t]: exact, or on u's grid."""
-    tree = _as_tree(b)
+    tree = as_tree(b)
     cache = _XI_CACHE.setdefault(u, {})
     cached = cache.get(tree)
     if cached is not None:
@@ -118,7 +110,7 @@ def _end_value(path_of, u: ControlSignal) -> XiValue:
 
 def xi(b, u: ControlSignal) -> XiValue:
     """xi_b(t, u): exact for piecewise-polynomial u, estimated for samples."""
-    tree = _as_tree(b)
+    tree = as_tree(b)
     return _end_value(lambda v: xi_path(tree, v), u)
 
 
@@ -153,7 +145,7 @@ def xi_closed_form(b, u: PiecewisePolyControl) -> XiValue:
         raise TypeError("closed forms are evaluated on exact controls")
     pattern = match_named_family(b)
     if pattern is None:
-        raise ValueError(f"{_as_tree(b).text} is outside the named families")
+        raise ValueError(f"{as_tree(b).text} is outside the named families")
     fam, idx, nu = pattern.family, pattern.indices, pattern.nu
     # built per call, apart from _XI_CACHE, so the closed forms stay an
     # independent check of the recursion

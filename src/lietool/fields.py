@@ -59,7 +59,7 @@ from typing import Optional, Sequence, Union
 
 from . import trees
 from .exact_linalg import ExactSpan, clear_denominators
-from .hall import HallElement, LieElement
+from .hall import HallElement, LieElement, as_tree
 from .polynomials import SparsePoly
 from .trees import BracketTree
 
@@ -519,11 +519,7 @@ def _numerator_field(f: PolyVectorField) -> tuple[PolyVectorField, int]:
 
 def eval_bracket(sys: SystemDef, b: Union[BracketTree, HallElement, str]) -> Vector:
     """f_b(0), exact."""
-    if isinstance(b, str):
-        b = trees.parse_tree(b)
-    if isinstance(b, HallElement):
-        b = b.tree
-    return sys.bracket_value(b)
+    return sys.bracket_value(as_tree(b))
 
 
 def eval_lie(sys: SystemDef, a: LieElement) -> Vector:

@@ -143,8 +143,7 @@ class HallElement:
     def of(cls, tree: Union[BracketTree, "HallElement", str]) -> "HallElement":
         if isinstance(tree, HallElement):
             return tree
-        if isinstance(tree, str):
-            tree = trees.parse_tree(tree)
+        tree = as_tree(tree)
         element = cls._cache.get(tree)
         if element is None:
             if not is_hall(tree):
@@ -189,6 +188,16 @@ def _element(tree: BracketTree) -> HallElement:
 
 _element(X0)
 _element(X1)
+
+
+def as_tree(b: Union[BracketTree, HallElement, str]) -> BracketTree:
+    """The tree of a tree, a Hall element or tree text."""
+    if isinstance(b, HallElement):
+        return b.tree
+    if isinstance(b, str):
+        return trees.parse_tree(b)
+    return b
+
 
 _BIDEGREE_CACHE: dict[tuple[int, int], tuple[HallElement, ...]] = {}
 
@@ -446,15 +455,10 @@ def hall_factor(b: Union[BracketTree, HallElement]) -> tuple[BracketTree, int, B
     Returns (b1, m, b2) with b1 < b2 in the Hall order and b2 not of the form
     (b1, c).
     """
-    tree = b.tree if isinstance(b, HallElement) else b
+    tree = as_tree(b)
     if tree.is_leaf:
         raise ValueError("leaves have no factorization")
     if not is_hall(tree):
         raise ValueError(f"{tree.text} is not a Hall-set element")
-    b1 = tree.left
-    m = 1
-    rest = tree.right
-    while not rest.is_leaf and rest.left is b1:
-        m += 1
-        rest = rest.right
-    return b1, m, rest
+    rest, m = trees.strip_ad(tree.left, tree)
+    return tree.left, m, rest

@@ -40,7 +40,7 @@ from .controls import (ControlSignal, PiecewisePolyControl, Poly, _reduced,
 from .coord import xi
 from .expansions import eta_by_product
 from .fields import SystemDef, eval_bracket
-from .hall import HallElement, basis_of_bidegree
+from .hall import HallElement, as_tree, basis_of_bidegree
 from .zoo import zoo
 
 BLOWUP_GUARD = 1.0e6
@@ -487,9 +487,7 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta!r}")
     controls = random_control_family(seed, trials, rho, t_max)
-    tree = trees.parse_tree(bracket) if isinstance(bracket, str) else bracket
-    if isinstance(tree, HallElement):
-        tree = tree.tree
+    tree = as_tree(bracket)
     component = component_functional(sys, tree, fam, caps)
     note = ""
     if tree == trees.W(3, 0) and fam.name == "N3":

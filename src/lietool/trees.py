@@ -17,6 +17,13 @@ with j, k, l, m >= 1 and mu, nu >= 0.  Whitespace is insignificant.  The named
 shortcuts expand to the standard families built from right-iterated brackets
 with X0 (`M`), their squares (`W`), and the higher layers (`P`, `Q`, `Qs`,
 `Qf`, `R`, `Rs`, `D`); see the module functions of the same names.
+
+:func:`match_named_family` inverts these builders by composition: it strips
+a tree's trailing zeros, matches both children of the germ, and applies the
+one rule their families fit (two consecutive M make a W; an M over a W, P or
+Q makes a P, Q or R; two W make a Qs or Qf; a W over a P makes an Rs).  The
+recursion is cut at depth 4, the deepest nesting R -> Q -> P -> W -> M, so a
+deep tree, such as a long ad-chain, is rejected without a RecursionError.
 """
 
 from __future__ import annotations
@@ -117,6 +124,15 @@ def ad(a: BracketTree, m: int, b: BracketTree) -> BracketTree:
     return b
 
 
+def strip_ad(a: BracketTree, b: BracketTree) -> tuple[BracketTree, int]:
+    """Peel leading left `a` factors: (rest, m) with b == ad(a, m, rest)."""
+    m = 0
+    while not b.is_leaf and b.left is a:
+        b = b.right
+        m += 1
+    return b, m
+
+
 # ---------------------------------------------------------------------------
 # Named families
 
@@ -183,47 +199,11 @@ class FamilyPattern:
     nu: int
 
 
-def _match_M(b: BracketTree) -> Optional[int]:
-    core, nu = strip_trailing_zeros(b)
-    return nu if core is X1 else None
+# the deepest nesting, R -> Q -> P -> W -> M; nothing deeper can match
+_MAX_NESTING = 4
 
-
-def _match_W_germ(b: BracketTree) -> Optional[int]:
-    """j such that b == (M(j-1), M(j)), else None."""
-    if b.is_leaf:
-        return None
-    jl = _match_M(b.left)
-    jr = _match_M(b.right)
-    if jl is not None and jr == jl + 1:
-        return jl + 1
-    return None
-
-
-def _match_W(b: BracketTree) -> Optional[tuple[int, int]]:
-    core, nu = strip_trailing_zeros(b)
-    j = _match_W_germ(core)
-    return (j, nu) if j is not None else None
-
-
-def _match_P_germ(b: BracketTree) -> Optional[tuple[int, int]]:
-    """(j, k) such that b == (M(k-1), W(j, 0)), else None."""
-    if b.is_leaf:
-        return None
-    k = _match_M(b.left)
-    j = _match_W_germ(b.right)
-    if k is not None and j is not None:
-        return (j, k + 1)
-    return None
-
-
-def _match_Q_germ(b: BracketTree) -> Optional[tuple[int, int, int]]:
-    if b.is_leaf:
-        return None
-    l = _match_M(b.left)
-    jk = _match_P_germ(b.right)
-    if l is not None and jk is not None:
-        return (jk[0], jk[1], l + 1)
-    return None
+# the family of (M(i-1), F(*indices, 0)), indexed (*indices, i)
+_OVER_M = {"W": "P", "P": "Q", "Q": "R"}
 
 
 def match_named_family(b: BracketTree) -> Optional[FamilyPattern]:
@@ -232,38 +212,39 @@ def match_named_family(b: BracketTree) -> Optional[FamilyPattern]:
     Purely structural: no Hall-set membership is implied (e.g. "P(3,1,0)"
     names the tree (M(0), W(3,0)) even though it is not a basis element).
     """
+    match = _match(b, _MAX_NESTING)
+    return FamilyPattern(*match) if match else None
+
+
+def _match(b: BracketTree, depth: int) -> Optional[tuple[str, tuple, int]]:
     core, nu = strip_trailing_zeros(b)
     if core is X1:
-        return FamilyPattern("M", (), nu)
-    if core.is_leaf:
+        return "M", (), nu
+    if core.is_leaf or depth == 0:
         return None
-    j = _match_W_germ(core)
-    if j is not None:
-        return FamilyPattern("W", (j,), nu)
-    p = _match_P_germ(core)
-    if p is not None:
-        return FamilyPattern("P", p, nu)
-    q = _match_Q_germ(core)
-    if q is not None:
-        return FamilyPattern("Q", q, nu)
-    wl = _match_W(core.left)
-    if wl is not None:
-        j, mu = wl
-        wr = _match_W(core.right)
-        if wr is not None:
-            k, nur = wr
-            if nur == 0 and k != j:
-                return FamilyPattern("Qs", (j, mu, k), nu)
-            if k == j and nur == mu + 1:
-                return FamilyPattern("Qf", (j, mu), nu)
-        pr = _match_P_germ(core.right)
-        if pr is not None:
-            return FamilyPattern("Rs", (*pr, j, mu), nu)
-    ml = _match_M(core.left)
-    if ml is not None:
-        qr = _match_Q_germ(core.right)
-        if qr is not None:
-            return FamilyPattern("R", (*qr, ml + 1), nu)
+    left = _match(core.left, depth - 1)
+    if left is None or left[0] not in ("M", "W"):
+        return None
+    right = _match(core.right, depth - 1)
+    if right is None:
+        return None
+    (family, indices, mu), (rfamily, rindices, rnu) = left, right
+    if family == "M":
+        i = mu + 1
+        if rfamily == "M" and rnu == i:
+            return "W", (i,), nu
+        if rfamily in _OVER_M and rnu == 0:
+            return _OVER_M[rfamily], (*rindices, i), nu
+        return None
+    (j,) = indices
+    if rfamily == "W":
+        (k,) = rindices
+        if rnu == 0 and k != j:
+            return "Qs", (j, mu, k), nu
+        if k == j and rnu == mu + 1:
+            return "Qf", (j, mu), nu
+    elif rfamily == "P" and rnu == 0:
+        return "Rs", (*rindices, j, mu), nu
     return None
 
 

@@ -177,6 +177,12 @@ class TestCheck:
         assert code == 0
         assert "violated" in out
 
+    def test_deep_sussmann_target(self, run):
+        # the target ad(X1, 1200, X0) is displayed through the family matcher
+        code, out, _ = run("check", "--system", "zoo:easy",
+                           "--condition", "sussmann:600")
+        assert code == 0, out
+
     def test_fail_on_violation(self, run):
         code, _, _ = run("check", "--system", "zoo:easy",
                          "--condition", "sussmann:1", "--fail-on-violation")

@@ -241,6 +241,17 @@ class TestWkLoose:
             assert report.verdict == "inconclusive", check.__name__
             assert "infinite layer set truncated at caps" in report.detail
 
+    def test_first_order_minus_one_is_the_finite_layer_set(self):
+        # pi(1, -1) = pi(1, 0) = 1: nothing is truncated, nothing downgraded
+        sys = zoo("easy")
+        for check in (check_wk_loose, check_wk_cubic_screen):
+            at_minus_one, at_zero = check(sys, 1, -1), check(sys, 1, 0)
+            assert at_zero.verdict == "violated", check.__name__
+            assert at_minus_one.verdict == at_zero.verdict, check.__name__
+            assert at_minus_one.span.rank == at_zero.span.rank
+            assert at_minus_one.span.stabilized == at_zero.span.stabilized
+            assert at_minus_one.detail == at_zero.detail == "pi=1"
+
 
 class TestCubicScreen:
     def test_jakubczyk_satisfied_via_restricted_list(self):
