@@ -3,7 +3,8 @@
 Subcommands: basis, decompose, xi, eval, check, verify-expansions, simulate,
 drift-scan, zoo.  Exit codes: 0 on success (including a computed verdict),
 1 when --fail-on-violation is set and the verdict is violated, 2 on usage
-errors, 141 (as for SIGPIPE) when the reader closes standard output early.
+errors and on a run whose state norm exceeds the blow-up guard, 141 (as for
+SIGPIPE) when the reader closes standard output early.
 Rationals serialize as "p/q" strings; reports echo every numeric default so
 runs are reproducible from their output alone.
 """

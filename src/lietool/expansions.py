@@ -4,9 +4,8 @@ Four exact views of the same word series at a degree cutoff (they are
 word-space constructions):
 
 * :func:`formal_state` - the state as an ordered product of piece
-  exponentials exp(dt (X0 + u X1)) (the exact flow of the right-invariant
-  formal ODE for piecewise-constant inputs), each built in closed form by
-  :meth:`TensorSeries.piece_exponential`; piecewise-constant controls only;
+  exponentials exp(dt (X0 + u X1)), the exact flow of the right-invariant
+  formal ODE for piecewise-constant inputs; piecewise-constant controls only;
 * the letter-by-letter iterated-integral coefficients from
   :mod:`lietool.coord` (cross-checked in tests rather than recomputed here);
 * :func:`ordered_product` - the infinite ordered product of Hall-element
@@ -21,8 +20,9 @@ word-space constructions):
   piecewise-constant controls only.
 
 The products, exponentials and logarithms run on the dense degree-graded
-series of :mod:`lietool.words`; exp(-t X0) is a piece exponential too, and a
-logarithm reaches the Hall basis through its integer numerators, one
+series of :mod:`lietool.words`; the pieces, exp(-t X0) and the letter
+factors of the ordered product are linear exponentials, in closed form, and
+a logarithm reaches the Hall basis through its integer numerators, one
 bidegree solve at a time (:func:`lietool.hall.decompose_lie_series`).
 
 :func:`eta_by_product` reaches eta on every control without word series:
@@ -31,7 +31,9 @@ multivariate Campbell-Baker-Hausdorff-Dynkin expansion of the rest gives
 eta_b = xi_b + sum_h F_{b,h} xi^h.  :func:`cross_coefficient_element`
 extracts one universal coefficient element F as the x^h entry of
 log(prod_i exp(x_i E(b_i))), computed as a series in the magnitudes x whose
-entries are rational word series and whose exponents are cut at h;
+entries are rational word series and whose exponents are cut at h.  The
+factor patterns h depend only on the bidegree, so they are enumerated once
+per bidegree and each F adds its terms into every target it holds;
 :func:`cross_term_check` compares the two routes to eta.
 """
 
@@ -64,20 +66,17 @@ class FormalState:
         return self.series[word]
 
 
-def _require_piecewise_constant(u: PiecewisePolyControl) -> None:
+def formal_state(u: PiecewisePolyControl, cutoff: int) -> FormalState:
+    """Exact truncated solution of the formal ODE at the horizon."""
     if not isinstance(u, PiecewisePolyControl) or not u.is_piecewise_constant():
         raise ValueError("the formal layer needs a piecewise-constant control "
                          "with rational breakpoints and values")
-
-
-def formal_state(u: PiecewisePolyControl, cutoff: int) -> FormalState:
-    """Exact truncated solution of the formal ODE at the horizon."""
-    _require_piecewise_constant(u)
     state = TensorSeries.unit(cutoff)
     for i, piece in enumerate(u.pieces):
         dt = u.breakpoints[i + 1] - u.breakpoints[i]
-        state = state * TensorSeries.piece_exponential(
-            cutoff, dt, piece.eval(Fraction(0)))
+        generator = TensorSeries(
+            cutoff, {(0,): dt, (1,): dt * piece.eval(Fraction(0))})
+        state = state * generator.exp()
     return FormalState(series=state, horizon=u.horizon, control=u)
 
 
@@ -131,7 +130,7 @@ def interaction_log(u: PiecewisePolyControl, cutoff: int) -> EtaTable:
     is decomposed.
     """
     state = formal_state(u, cutoff).series
-    log_series = (TensorSeries.piece_exponential(cutoff, -u.horizon, 0)
+    log_series = (TensorSeries.from_word((0,), cutoff, -u.horizon).exp()
                   * state).log()
     if any(log_series[(0,) * n] for n in range(1, cutoff + 1)):
         raise InternalConsistencyError(
@@ -209,36 +208,32 @@ def cross_coefficient_element(elements: Sequence[HallElement],
     return _CROSS_CACHE.setdefault(key, result)
 
 
-def _factor_patterns(target: HallElement, pool: Sequence[HallElement]):
-    """All (b_1 > ... > b_q, h) with q >= 2 matching the target bidegree.
+def _factor_patterns(n1: int, n0: int, pool: Sequence[HallElement]):
+    """All (b_1 > ... > b_q, h) with sum h >= 2 and sum h_i bidegree(b_i)
+    = (n1, n0).
 
     `pool` holds the candidate factors, Hall elements other than X0, sorted
-    descending; the factors that fit the target keep that order.
+    descending; the factors that fit the bidegree keep that order.
     """
-    n1_t, n0_t = target.bidegree
     usable = [e for e in pool
-              if e.n1 <= n1_t and e.n0 <= n0_t and e.length < target.length]
+              if e.n1 <= n1 and e.n0 <= n0 and e.length < n1 + n0]
 
     def recurse(start: int, n1_left: int, n0_left: int, chosen):
         if n1_left == 0 and n0_left == 0:
-            if len(chosen) >= 2 or (len(chosen) == 1 and chosen[0][1] >= 2):
-                if sum(h for _, h in chosen) >= 2:
-                    yield tuple(chosen)
+            if sum(h for _, h in chosen) >= 2:
+                yield tuple(chosen)
             return
         for i in range(start, len(usable)):
             e = usable[i]
-            if e.n1 > n1_left or e.n0 > n0_left:
-                continue
-            max_h = target.length // e.length
-            for h in range(1, max_h + 1):
-                if e.n1 * h > n1_left or e.n0 * h > n0_left:
-                    break
+            h = 1
+            while e.n1 * h <= n1_left and e.n0 * h <= n0_left:
                 chosen.append((e, h))
                 yield from recurse(i + 1, n1_left - e.n1 * h,
                                    n0_left - e.n0 * h, chosen)
                 chosen.pop()
+                h += 1
 
-    yield from recurse(0, n1_t, n0_t, [])
+    yield from recurse(0, n1, n0, [])
 
 
 def eta_by_product(u: ControlSignal, cutoff: int, max_n1: int) -> EtaTable:
@@ -258,19 +253,16 @@ def eta_by_product(u: ControlSignal, cutoff: int, max_n1: int) -> EtaTable:
                 if e.tree is not X0 and e.n1 <= max_n1]
     xis = {e: xi_path(e.tree, u).end_value() for e in elements}
     pool = sorted(elements, reverse=True)
-    table = EtaTable(cutoff=cutoff, horizon=u.horizon)
-    for target in elements:
-        total = xis[target]
-        for pattern in _factor_patterns(target, pool):
-            term = cross_coefficient_element(
-                [e for e, _ in pattern],
-                [h for _, h in pattern]).coeffs.get(target)
-            if term:
+    table = dict(xis)
+    for n1, n0 in dict.fromkeys(e.bidegree for e in elements):
+        for pattern in _factor_patterns(n1, n0, pool):
+            element = cross_coefficient_element([e for e, _ in pattern],
+                                                [h for _, h in pattern])
+            for target, term in element.coeffs.items():
                 for e, h in pattern:
                     term *= xis[e] ** h
-                total += term
-        table.values[target] = total
-    return table
+                table[target] += term
+    return EtaTable(cutoff=cutoff, horizon=u.horizon, values=table)
 
 
 @dataclass

@@ -304,9 +304,10 @@ class SystemDef:
     expected_values: dict[str, Vector] = field(default_factory=dict)
     zero_elsewhere_max_n1: Optional[int] = None  # None = no vanishing claim
     zero_elsewhere: bool = False
-    notes: str = ""
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim {self.dim} is not a positive integer")
         if any(self.f0.value_at_zero()):
             raise ValueError("f0(0) must vanish")
         # normalize expected-table keys to canonical tree text
@@ -539,7 +540,7 @@ def field_from_json(dim: int, data: list) -> PolyVectorField:
     for entry in data:
         terms = {}
         for mono in entry:
-            powers = tuple(_power(p, mono) for p in mono["powers"])
+            powers = tuple(_integer(p, "power", mono) for p in mono["powers"])
             if len(powers) != dim:
                 raise ValueError("powers length != dim")
             terms[powers] = terms.get(powers, 0) + Fraction(mono["coeff"])
@@ -547,18 +548,18 @@ def field_from_json(dim: int, data: list) -> PolyVectorField:
     return PolyVectorField(dim, comps)
 
 
-def _power(p, mono) -> int:
-    """A JSON power as an int.  Non-integral powers are refused here and
-    negative ones by `SparsePoly`."""
-    if type(p) is int:
-        return p
+def _integer(value, name: str, monomial=None) -> int:
+    """`3`, `3.0` or `"3"` as the int 3; a bool or a non-integer is refused."""
+    if type(value) is int:
+        return value
     try:
-        value = None if isinstance(p, bool) else Fraction(p)
+        exact = None if isinstance(value, bool) else Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        value = None
-    if value is None or value.denominator != 1:
-        raise ValueError(f"power {p!r} in monomial {mono!r} is not an integer")
-    return int(value)
+        exact = None
+    if exact is None or exact.denominator != 1:
+        where = "" if monomial is None else f" in monomial {monomial!r}"
+        raise ValueError(f"{name} {value!r}{where} is not an integer")
+    return int(exact)
 
 
 def field_to_json(f: PolyVectorField) -> list:
@@ -568,7 +569,9 @@ def field_to_json(f: PolyVectorField) -> list:
 
 
 def system_from_json_dict(data: dict, name: str = "system") -> SystemDef:
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
+    if dim < 1:      # refused before the fields are read against it
+        raise ValueError(f"dim {dim} is not a positive integer")
     return SystemDef(
         dim=dim,
         f0=field_from_json(dim, data["f0"]),

@@ -46,7 +46,7 @@ from .zoo import zoo
 BLOWUP_GUARD = 1.0e6
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(ValueError):
     def __init__(self, time_reached: float, norm: float):
         super().__init__(
             f"state norm {norm:.3g} exceeded the blow-up guard "

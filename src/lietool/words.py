@@ -13,9 +13,11 @@ blocks i and j is `np.multiply.outer(a_i, b_j).ravel()`, a block of degree
 i + j.  All numerators share one common denominator, reduced by a single gcd
 after every operation, so equal series have equal blocks.  Coefficients are
 rational (`numbers.Rational`); anything else is refused with a TypeError.  An
-all-zero block may be left out (``None``).  The word expansion of a bracket
-tree (:func:`word_expansion`) is an int64 array of the same bit indices and
-one of its coefficients, so it fills a block directly, and the Hall solver
+all-zero block may be left out (``None``).  :meth:`TensorSeries.exp` is the
+one exponential: a closed form on a linear series, the power sum otherwise.
+The word expansion of a bracket tree (:func:`word_expansion`) is an int64
+array of the same bit indices and one of its coefficients, so it fills a
+block directly, and the Hall solver
 reads its columns and targets by them.  Words are decoded from their bit
 indices only where a caller asks for tuples.
 """
@@ -75,6 +77,12 @@ def _ones(n: int) -> np.ndarray:
 
 
 @functools.cache
+def _by_ones(c: int) -> np.ndarray:
+    """Row entry (degree n, ones k) of each word of degree <= c, in order."""
+    return np.concatenate([n * (n + 1) // 2 + _ones(n) for n in range(c + 1)])
+
+
+@functools.cache
 def bidegree_indices(n1: int, n0: int) -> np.ndarray:
     """Bit indices of the words with n1 ones and n0 zeros, ascending, which
     is lexicographic order (read-only)."""
@@ -126,11 +134,6 @@ class CutoffError(ValueError):
     pass
 
 
-def _require_cutoff(cutoff: int) -> None:
-    if cutoff < 0:
-        raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
-
-
 class TensorSeries:
     """A polynomial in the free algebra, truncated at a fixed total degree.
 
@@ -143,7 +146,8 @@ class TensorSeries:
 
     def __init__(self, cutoff: int, coeffs: dict[Word, object] | None = None):
         """The series sum coeffs[w] w; words beyond the cutoff are dropped."""
-        _require_cutoff(cutoff)
+        if cutoff < 0:
+            raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
         coeffs = coeffs or {}
         for c in coeffs.values():
             _require_rational(c)
@@ -192,29 +196,6 @@ class TensorSeries:
     @classmethod
     def from_word(cls, word: Word, cutoff: int, coeff=Fraction(1)) -> "TensorSeries":
         return cls(cutoff, {word: coeff})
-
-    @classmethod
-    def piece_exponential(cls, cutoff: int, dt, value) -> "TensorSeries":
-        """exp(dt (X0 + value X1)) in closed form: the coefficient of a word
-        w is dt^|w| value^n1(w) / |w|!, for rational dt and value.
-
-        With dt = p/q, value = a/b and c the cutoff, every coefficient is an
-        integer over q^c b^c c!: a word of length n with k X1 letters gets
-        p^n q^(c-n) (c!/n!) a^k b^(c-k)."""
-        _require_cutoff(cutoff)
-        dt, value = Fraction(dt), Fraction(value)
-        p, q = dt.numerator, dt.denominator
-        a, b = value.numerator, value.denominator
-        c = cutoff
-        letters = np.array([a ** k * b ** (c - k) for k in range(c + 1)],
-                           dtype=object)
-        den = math.factorial(c) * q ** c
-        blocks, weight = [], den                  # p^n q^(c-n) c!/n!
-        for n in range(c + 1):
-            if n:
-                weight = weight // (q * n) * p
-            blocks.append((letters[:n + 1] * weight)[_ones(n)])
-        return cls._make(cutoff, blocks, den * b ** c)
 
     def __getitem__(self, word: Word):
         n = len(word)
@@ -334,11 +315,34 @@ class TensorSeries:
         return result
 
     def exp(self) -> "TensorSeries":
-        """exp of a series with zero constant term (checked)."""
+        """exp of a series with zero constant term (checked).
+
+        A linear series (x0 X0 + x1 X1) / d, c the cutoff, takes the closed
+        form: a word of length n with k X1 letters gets x0^(n-k) x1^k
+        d^(c-n) (c!/n!) over d^c c!, the (c+1)(c+2)/2 values reduced by their
+        gcd before one index spreads them over the words.  Any other series
+        takes the power sum of x^k / k!."""
         if self[()]:
             raise ValueError("exp requires a zero constant term")
-        return TensorSeries.unit(self.cutoff) + self._power_sum(
-            lambda k: Fraction(1, math.factorial(k)))
+        c, d = self.cutoff, self.den
+        if any(b is not None and b.any() for b in self.blocks[2:]):
+            return TensorSeries.unit(c) + self._power_sum(
+                lambda k: Fraction(1, math.factorial(k)))
+        first = self.blocks[1] if c else None
+        x0, x1 = (0, 0) if first is None else first.tolist()
+        powers0, powers1 = ([x ** j for j in range(c + 1)] for x in (x0, x1))
+        den = math.factorial(c) * d ** c
+        values, weight = [den], den               # weight d^(c-n) c!/n!
+        for n in range(1, c + 1):
+            weight //= d * n
+            values += [weight * powers0[n - k] * powers1[k]
+                       for k in range(n + 1)]
+        g = math.gcd(*values)
+        spread = (np.array(values, dtype=object) // g)[_by_ones(c)]
+        blocks = [spread[(1 << n) - 1:(2 << n) - 1] for n in range(c + 1)]
+        out = TensorSeries.__new__(TensorSeries)
+        out._set(c, blocks, den // g)
+        return out
 
     def log(self) -> "TensorSeries":
         """log of a series with constant term 1 (checked)."""

@@ -13,6 +13,7 @@ p=5)``); defaults are chosen to match the classical instances.
 from __future__ import annotations
 
 import inspect
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -53,6 +54,8 @@ def _e1_input(d: int) -> PolyVectorField:
 
 
 def _easy() -> SystemDef:
+    """Integrator chain with competing quadratic and cubic outputs;
+    fails the order-2 span condition."""
     d = 3
     f0 = _field(d, {
         2: [_mono(d, 1, (1, 1))],
@@ -67,12 +70,12 @@ def _easy() -> SystemDef:
             "P(1,1,0)": _e(d, 3, -6),
         },
         zero_elsewhere=True,
-        notes="integrator chain with competing quadratic and cubic outputs; "
-              "fails the order-2 span condition",
     )
 
 
 def _no_zm_pure() -> SystemDef:
+    """State expansion with plain second-kind coordinates misses a
+    quartic cross term on this system."""
     d = 3
     f0 = _field(d, {
         2: [_mono(d, 1, (1, 1)), _mono(d, Fraction(1, 2), (1, 2))],
@@ -85,13 +88,13 @@ def _no_zm_pure() -> SystemDef:
             "P(1,2,0)": _e(d, 3),
         },
         zero_elsewhere=True, zero_elsewhere_max_n1=4,
-        notes="state expansion with plain second-kind coordinates misses a "
-              "quartic cross term on this system",
     )
 
 
 def _wk_prototype(k: int = 2, p: int = 5,
                   lam: Fraction = Fraction(1)) -> SystemDef:
+    """Prototype competition between the order-2k square bracket and a
+    pure control power."""
     if k < 1 or p < 2 or (k == 1 and p == 2):
         raise ValueError("need k >= 1 and p >= 2 with (k,p) != (1,2)")
     d = k + 1
@@ -99,7 +102,6 @@ def _wk_prototype(k: int = 2, p: int = 5,
     terms[k + 1] = [_mono(d, 1, (k, 2)), _mono(d, -Fraction(lam), (1, p))]
     expected = {f"M({j - 1})": _e(d, j) for j in range(1, k + 1)}
     expected[f"W({k},0)"] = _e(d, k + 1, 2)
-    import math
     expected[trees.ad(trees.X1, p, trees.X0).text] = _e(
         d, k + 1, -Fraction(lam) * math.factorial(p))
     name = f"wk_prototype(k={k},p={p})"
@@ -108,12 +110,11 @@ def _wk_prototype(k: int = 2, p: int = 5,
     return SystemDef(
         dim=d, f0=_field(d, terms), f1=_e1_input(d), name=name,
         expected_values=expected, zero_elsewhere=True,
-        notes="prototype competition between the order-2k square bracket and "
-              "a pure control power",
     )
 
 
 def _jakubczyk() -> SystemDef:
+    """Controllable: the cubic term neutralizes the square bracket."""
     d = 3
     terms = _chain_terms(d, 2, 2)
     terms[3] = [_mono(d, 1, (2, 2)), _mono(d, 1, (1, 3))]
@@ -124,14 +125,13 @@ def _jakubczyk() -> SystemDef:
             "P(1,1,0)": _e(d, 3, 6), "W(2,0)": _e(d, 3, 2),
         },
         zero_elsewhere=True,
-        notes="controllable: the cubic term neutralizes the square bracket",
     )
 
 
 def _x22_x1k(k: int = 4) -> SystemDef:
+    """Separates the controllability notions for k = 3, 4, 5."""
     if k < 2:
         raise ValueError("need k >= 2")
-    import math
     d = 3
     terms = _chain_terms(d, 2, 2)
     terms[3] = [_mono(d, 1, (2, 2)), _mono(d, -1, (1, k))]
@@ -142,11 +142,12 @@ def _x22_x1k(k: int = 4) -> SystemDef:
             trees.ad(trees.X1, k, trees.X0).text: _e(d, 3, -math.factorial(k)),
         },
         zero_elsewhere=True,
-        notes="separates the controllability notions for k = 3, 4, 5",
     )
 
 
 def _w2_vs_q111() -> SystemDef:
+    """Controllable only with large controls: the quartic power is not
+    an admissible neutralizer for the order-4 square bracket."""
     sys = _x22_x1k(4)
     return SystemDef(
         dim=sys.dim, f0=sys.f0, f1=sys.f1, name="w2_vs_q111",
@@ -155,12 +156,11 @@ def _w2_vs_q111() -> SystemDef:
             "Q(1,1,1,0)": _e(3, 3, -24),
         },
         zero_elsewhere=True,
-        notes="controllable only with large controls: the quartic power is "
-              "not an admissible neutralizer for the order-4 square bracket",
     )
 
 
 def _w2_vs_p11nu(nu: int = 1) -> SystemDef:
+    """Cubic neutralizer pushed down an integrator chain."""
     if nu < 1:
         raise ValueError("need nu >= 1 (nu = 0 is 'jakubczyk')")
     d = 3 + nu
@@ -175,7 +175,6 @@ def _w2_vs_p11nu(nu: int = 1) -> SystemDef:
         dim=d, f0=_field(d, terms), f1=_e1_input(d),
         name=f"w2_vs_p11nu(nu={nu})",
         expected_values=expected, zero_elsewhere=True,
-        notes="cubic neutralizer pushed down an integrator chain",
     )
 
 
@@ -279,6 +278,7 @@ def _w3_vs_q111() -> SystemDef:
 
 
 def _w3_time() -> SystemDef:
+    """Obstructed only through a time-dependent drift direction."""
     d = 5
     terms = _chain_terms(d, 2, 3)
     terms[4] = [_mono(d, 1, (1, 4)), _mono(d, 1, (3, 3))]
@@ -293,14 +293,13 @@ def _w3_time() -> SystemDef:
             "P(3,3,0)": _e(d, 4, 6), "P(3,3,1)": _e(d, 5, -6),
         },
         zero_elsewhere=False,
-        notes="obstructed only through a time-dependent drift direction",
     )
 
 
 def _sextic(p: int = 8) -> SystemDef:
+    """Order-6 square bracket vs an order-p primitive power."""
     if p < 3:
         raise ValueError("need p >= 3")
-    import math
     d = 4
     terms = {2: [_mono(d, 1, (1, 1))], 3: [_mono(d, 1, (1, 3))],
              4: [_mono(d, 1, (3, 2)), _mono(d, -1, (2, p))]}
@@ -312,11 +311,11 @@ def _sextic(p: int = 8) -> SystemDef:
             trees.ad(trees.M(1), p, trees.X0).text: _e(d, 4, -math.factorial(p)),
         },
         zero_elsewhere=True,
-        notes="order-6 square bracket vs an order-p primitive power",
     )
 
 
 def _w3_vs_qb10() -> SystemDef:
+    """Square-vs-square competition at trailing depth 0."""
     d = 5
     terms = {2: [_mono(d, 1, (1, 1))],
              3: [_mono(d, 1, (2, 1)), _mono(d, 1, (1, 2))],
@@ -331,11 +330,11 @@ def _w3_vs_qb10() -> SystemDef:
             "Qf(1,0,0)": _e(d, 5, -8), "W(3,0)": _e(d, 5, 2),
         },
         zero_elsewhere=True,
-        notes="square-vs-square competition at trailing depth 0",
     )
 
 
 def _w3_vs_qb11() -> SystemDef:
+    """Square-vs-square competition at trailing depth 1."""
     d = 6
     terms = {2: [_mono(d, 1, (1, 1)), _mono(d, 1, (1, 2))]}
     terms.update(_chain_terms(d, 3, 5))
@@ -348,11 +347,11 @@ def _w3_vs_qb11() -> SystemDef:
     return SystemDef(
         dim=d, f0=_field(d, terms), f1=_e1_input(d), name="w3_vs_qb11",
         expected_values=expected, zero_elsewhere=True,
-        notes="square-vs-square competition at trailing depth 1",
     )
 
 
 def _w3_vs_qb12() -> SystemDef:
+    """Not nilpotent: the drift term feeds back into the input line."""
     d = 7
     terms = {1: [_mono(d, 1, (1, 2))]}
     terms.update(_chain_terms(d, 2, 6))
@@ -363,7 +362,6 @@ def _w3_vs_qb12() -> SystemDef:
             "W(3,0)": _e(d, 7, 2), "Qf(1,2,0)": _e(d, 7, -8),
         },
         zero_elsewhere=False,
-        notes="not nilpotent: the drift term feeds back into the input line",
     )
 
 

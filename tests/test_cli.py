@@ -314,8 +314,28 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "step must be finite and > 0" in err
 
+    def test_blow_up_exits_2_not_as_a_violation(self, run, tmp_path):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({
+            "t": "1", "type": "piecewise_poly",
+            "breakpoints": ["0", "1"], "pieces": [["1000"]]}))
+        code, out, err = run("simulate", "--system", "zoo:easy",
+                             "--control", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: state norm ")
+        assert "exceeded the blow-up guard" in err
+
 
 class TestDriftScan:
+    def test_blow_up_exits_2_not_as_a_violation(self, run):
+        code, out, err = run("drift-scan", "--system", "zoo:easy",
+                             "--bracket", "W(1,0)", "--family", "s1",
+                             "--seed", "0", "--rho", "1000", "--t-max", "1",
+                             "--trials", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: state norm ")
+        assert "exceeded the blow-up guard" in err
+
     def test_seeded_scan_is_byte_identical(self, run):
         args = ("drift-scan", "--system", "zoo:easy", "--bracket", "W(1,0)",
                 "--family", "s1", "--trials", "8", "--seed", "9", "--json")
@@ -423,6 +443,18 @@ def test_usage_error_on_missing_subcommand(run):
 
 
 class TestErrors:
+    @pytest.mark.parametrize("dim, message", [
+        (3.9, "dim 3.9 is not an integer"), (True, "dim True is not an integer"),
+        (0, "dim 0 is not a positive integer")])
+    def test_dim_not_a_positive_integer_is_usage_error(self, run, tmp_path,
+                                                       dim, message):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"dim": dim, "f0": [], "f1": []}))
+        code, out, err = run("check", "--system", str(path),
+                             "--condition", "n2")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_control_hint_when_the_control_fails_to_load(self, run, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"type": "piecewise_poly"}))

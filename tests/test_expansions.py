@@ -9,7 +9,7 @@ from conftest import random_pc_control
 from lietool import expansions, trees
 from lietool.controls import (PiecewisePolyControl, Poly, SampledControl,
                               primitive)
-from lietool.coord import chen_coefficient, xi
+from lietool.coord import chen_coefficient, xi, xi_path
 from lietool.expansions import (cross_coefficient_element, cross_term_check,
                                 eta_by_product, formal_state, interaction_log,
                                 magnus_log, ordered_product, verify_expansions)
@@ -131,10 +131,10 @@ class TestOrderedProduct:
         for cutoff in range(1, 9):
             assert ordered_product(u, cutoff) == _one_factor_at_a_time(u, cutoff)
 
-    @pytest.mark.parametrize("cutoff, most", [(7, 28), (9, 45)])
+    @pytest.mark.parametrize("cutoff, most", [(7, 14), (9, 27)])
     def test_one_product_per_run_of_long_factors(self, monkeypatch, cutoff,
                                                  most):
-        # one factor at a time makes 98 products at cutoff 7 and 280 at 9
+        # one factor at a time makes 84 products at cutoff 7 and 262 at 9
         u = PiecewisePolyControl.piecewise_constant(
             (0, Fraction(1, 3), Fraction(3, 4), 1), (2, Fraction(-1, 3), 5))
         calls = []
@@ -253,7 +253,77 @@ class TestCrossTermCheck:
         assert reports[w1].eta - reports[w1].xi == expected
 
 
+def _per_target_patterns(target, pool):
+    """The factor patterns of one target, enumerated for that target: the
+    reference for the per-bidegree `expansions._factor_patterns`."""
+    n1_t, n0_t = target.bidegree
+    usable = [e for e in pool
+              if e.n1 <= n1_t and e.n0 <= n0_t and e.length < target.length]
+
+    def recurse(start, n1_left, n0_left, chosen):
+        if n1_left == 0 and n0_left == 0:
+            if len(chosen) >= 2 or (len(chosen) == 1 and chosen[0][1] >= 2):
+                if sum(h for _, h in chosen) >= 2:
+                    yield tuple(chosen)
+            return
+        for i in range(start, len(usable)):
+            e = usable[i]
+            if e.n1 > n1_left or e.n0 > n0_left:
+                continue
+            max_h = target.length // e.length
+            for h in range(1, max_h + 1):
+                if e.n1 * h > n1_left or e.n0 * h > n0_left:
+                    break
+                chosen.append((e, h))
+                yield from recurse(i + 1, n1_left - e.n1 * h,
+                                   n0_left - e.n0 * h, chosen)
+                chosen.pop()
+
+    yield from recurse(0, n1_t, n0_t, [])
+
+
+def _eta_per_target(u, cutoff, max_n1):
+    """eta by Sussmann's product, one target at a time: the target's own
+    patterns, each coefficient element probed for the target's entry."""
+    elements = [e for e in basis_up_to_length(cutoff)
+                if e.tree is not X0 and e.n1 <= max_n1]
+    xis = {e: xi_path(e.tree, u).end_value() for e in elements}
+    pool = sorted(elements, reverse=True)
+    values = {}
+    for target in elements:
+        total = xis[target]
+        for pattern in _per_target_patterns(target, pool):
+            term = cross_coefficient_element(
+                [e for e, _ in pattern],
+                [h for _, h in pattern]).coeffs.get(target)
+            if term:
+                for e, h in pattern:
+                    term *= xis[e] ** h
+                total += term
+        values[target] = total
+    return values
+
+
+def _bits(values):
+    return [(b, v if isinstance(v, Fraction) else float.hex(v))
+            for b, v in values.items()]
+
+
+_SAMPLES = st.lists(st.floats(min_value=-3, max_value=3), min_size=129,
+                    max_size=129)
+
+
 class TestEtaByProduct:
+    @settings(max_examples=15, deadline=None)
+    @given(st.one_of(poly_controls(), _SAMPLES.map(
+               lambda v: SampledControl(0.75, v))),
+           st.sampled_from([(4, 4), (5, 5), (6, 2), (7, 7), (9, 3)]))
+    def test_matches_the_per_target_walk(self, u, degrees):
+        # same values, same order and, on samples, the same float bits
+        cutoff, max_n1 = degrees
+        assert (_bits(eta_by_product(u, cutoff, max_n1).values)
+                == _bits(_eta_per_target(u, cutoff, max_n1)))
+
     @settings(max_examples=25, deadline=None)
     @given(poly_controls())
     def test_reproduces_every_chen_coefficient(self, u):
@@ -262,7 +332,7 @@ class TestEtaByProduct:
         log = TensorSeries.zero(cutoff)
         for b, value in eta_by_product(u, cutoff, cutoff).values.items():
             log = log + expand_to_words(b.tree, cutoff).scale(value)
-        state = TensorSeries.piece_exponential(cutoff, u.horizon, 0) * log.exp()
+        state = TensorSeries.from_word((0,), cutoff, u.horizon).exp() * log.exp()
         for word in all_words(cutoff):
             assert state[word] == chen_coefficient(word, u).exact
 

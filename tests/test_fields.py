@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_tree
 from lietool import fields, trees
 from lietool.fields import (PolyVectorField, SystemDef, eval_bracket,
-                            eval_lie, jet_bracket, system_from_json_dict,
-                            system_to_json_dict, vf_bracket)
+                            eval_lie, jet_bracket, load_system,
+                            system_from_json_dict, system_to_json_dict,
+                            vf_bracket)
 from lietool.hall import basis_up_to_length, decompose
 from lietool.polynomials import SparsePoly
 from lietool.trees import M, P, W, X0, X1, ad, node
@@ -639,6 +640,39 @@ class TestExponentValidation:
     def test_field_from_json_reads_integral_powers(self):
         sys = system_from_json_dict(self._system([2.0, "1"]))
         assert sys.f1.components[1].terms == {(2, 1): 1}
+
+
+class TestDimValidation:
+    """`dim` is read by the same integer rule as the powers, and a system
+    of no dimension is refused rather than checked vacuously."""
+
+    def _file(self, tmp_path, dim):
+        data = system_to_json_dict(zoo("jakubczyk"))
+        if dim in (0, -1):
+            data["f0"] = data["f1"] = []
+        data["dim"] = dim
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("dim", [3, 3.0, "3"])
+    def test_integral_dim_loads(self, tmp_path, dim):
+        sys = load_system(self._file(tmp_path, dim))
+        assert type(sys.dim) is int and sys.dim == 3
+
+    @pytest.mark.parametrize("dim, message", [
+        (3.9, "dim 3.9 is not an integer"), (True, "dim True is not an integer"),
+        ("3/2", "dim '3/2' is not an integer"),
+        (0, "dim 0 is not a positive integer"),
+        (-1, "dim -1 is not a positive integer")])
+    def test_refused_dim(self, tmp_path, dim, message):
+        with pytest.raises(ValueError, match=message):
+            load_system(self._file(tmp_path, dim))
+
+    def test_system_def_refuses_no_dimension(self):
+        empty = PolyVectorField(0, [])
+        with pytest.raises(ValueError, match="dim 0 is not a positive"):
+            SystemDef(dim=0, f0=empty, f1=empty)
 
 
 def _reference_floats(field, x, power):

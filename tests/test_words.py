@@ -289,22 +289,20 @@ _PIECE_DATA = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10), _PIECE_DATA, _PIECE_DATA)
-def test_closed_form_piece_exponential(cutoff, dt, value):
-    generator = (TensorSeries.from_word((0,), cutoff, dt)
-                 + TensorSeries.from_word((1,), cutoff, dt * value))
-    assert TensorSeries.piece_exponential(cutoff, dt, value) == generator.exp()
-    assert (TensorSeries.piece_exponential(cutoff, -dt, value)
-            == generator.scale(-1).exp())
-    assert (TensorSeries.piece_exponential(cutoff, dt, 0)
-            == TensorSeries.from_word((0,), cutoff, dt).exp())
-    assert (TensorSeries.piece_exponential(cutoff, 0, value)
-            == TensorSeries.unit(cutoff))
+def test_closed_form_exp_of_a_linear_series(cutoff, a, b):
+    # exp(a X0 + b X1) against the power sum of the dict reference
+    for x in ({(0,): a, (1,): b}, {(0,): -a, (1,): b}, {(0,): a}, {(1,): b}):
+        x = {w: c for w, c in x.items() if c}
+        series = TensorSeries(cutoff, x).exp()
+        assert series.coeffs == ref_exp(x, cutoff)
+        # reduced like any other series: equal numerators and denominator
+        assert series == TensorSeries(cutoff, ref_exp(x, cutoff))
 
 
 @pytest.mark.parametrize("make", [
     TensorSeries.zero, TensorSeries.unit, TensorSeries,
     lambda c: TensorSeries.from_word((), c),
-    lambda c: TensorSeries.piece_exponential(c, Fraction(1, 2), 3)])
+    lambda c: TensorSeries(c, {(0,): Fraction(1, 2), (1,): 3}).exp()])
 def test_negative_cutoff_is_refused(make):
     with pytest.raises(CutoffError, match="got -1"):
         make(-1)
@@ -349,7 +347,8 @@ def test_cutoff_zero():
     assert not TensorSeries.from_word((1,), 0)
     assert TensorSeries.zero(0).exp() == TensorSeries.unit(0)
     assert not TensorSeries.unit(0).log()
-    assert TensorSeries.piece_exponential(0, 3, 5) == TensorSeries.unit(0)
+    assert (TensorSeries(0, {(0,): 3, (1,): 5}).exp()
+            == TensorSeries.unit(0))
 
 
 def test_words_longer_than_the_cutoff_are_dropped():
@@ -398,9 +397,10 @@ def ref_cross_coefficient_element(elements, powers):
 def test_cross_coefficients_match_the_reference():
     pool = sorted((e for e in basis_up_to_length(5) if e.tree is not X0),
                   reverse=True)
-    patterns = {pattern for target in basis_up_to_length(6)
-                if target.tree is not X0
-                for pattern in _factor_patterns(target, pool)}
+    bidegrees = {e.bidegree for e in basis_up_to_length(6) if e.tree is not X0}
+    patterns = [pattern for n1, n0 in bidegrees
+                for pattern in _factor_patterns(n1, n0, pool)]
+    assert len(set(patterns)) == len(patterns)
     assert len(patterns) == 36
     for pattern in patterns:
         elements = [e for e, _ in pattern]
