@@ -3,7 +3,8 @@
 Subcommands: basis, decompose, xi, eval, check, verify-expansions, simulate,
 drift-scan, zoo.  Exit codes: 0 on success (including a computed verdict),
 1 when --fail-on-violation is set and the verdict is violated, 2 on usage
-errors and on a run whose state norm exceeds the blow-up guard, 141 (as for
+errors (an unreadable or malformed input file among them) and on a run whose
+state norm exceeds the blow-up guard, 141 (as for
 SIGPIPE) when the reader closes standard output early.
 Rationals serialize as "p/q" strings; reports echo every numeric default so
 runs are reproducible from their output alone.
@@ -84,7 +85,7 @@ CONTROL_FORMAT_HINT = (
 def _load_control(path: str):
     try:
         return load_control(path)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         raise CliError(f"error: {exc}\n{CONTROL_FORMAT_HINT}")
 
 
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=_sys.stderr)
         return USAGE_ERROR
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return USAGE_ERROR
 

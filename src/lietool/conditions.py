@@ -240,9 +240,8 @@ def _walk(sys: SystemDef, fam: FamilySpec, caps: Caps, span: ExactSpan,
                 if index - last_growth >= window:
                     break
                 index += 1
-            else:
-                if last_growth > gen.start + caps.max_index - 1 - window:
-                    stabilized = False
+            else:       # still growing within the window of the cap
+                stabilized = False
         elif isinstance(gen, LayerFamily):
             if not gen.n1_set:
                 continue

@@ -577,17 +577,32 @@ def primitives(u: ControlSignal) -> Callable[[int], ControlSignal]:
     return prim
 
 
+def _json_field(data: dict, key: str, convert):
+    """convert(data[key]), a malformed value refused with a ValueError that
+    names the key."""
+    try:
+        return convert(data[key])
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {key!r}: {exc}") from None
+
+
 def control_from_json_dict(data: dict) -> ControlSignal:
+    if not isinstance(data, dict):
+        raise ValueError("a control is a JSON object")
     kind = data.get("type")
     if kind == "piecewise_poly":
-        bps = [Fraction(b) for b in data["breakpoints"]]
-        if "t" in data and Fraction(data["t"]) != bps[-1]:
+        u = PiecewisePolyControl(
+            _json_field(data, "breakpoints",
+                        lambda bs: [Fraction(b) for b in bs]),
+            _json_field(data, "pieces", lambda ps: [
+                Poly([Fraction(c) for c in coeffs]) for coeffs in ps]))
+        if "t" in data and _json_field(data, "t", Fraction) != u.horizon:
             raise ValueError("'t' disagrees with the final breakpoint")
-        pieces = [Poly([Fraction(c) for c in coeffs])
-                  for coeffs in data["pieces"]]
-        return PiecewisePolyControl(bps, pieces)
+        return u
     if kind == "samples":
-        return SampledControl(float(data["t"]), data["values"])
+        horizon = _json_field(data, "t", float)
+        return SampledControl(horizon, _json_field(
+            data, "values", lambda vs: np.asarray(vs, dtype=float)))
     raise ValueError(f"unknown control type {kind!r}")
 
 

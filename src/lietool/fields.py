@@ -58,6 +58,7 @@ from itertools import chain, zip_longest
 from typing import Optional, Sequence, Union
 
 from . import trees
+from .controls import _json_field
 from .exact_linalg import ExactSpan, clear_denominators
 from .hall import HallElement, LieElement, as_tree
 from .polynomials import SparsePoly
@@ -95,16 +96,6 @@ class PolyVectorField:
         return (isinstance(other, PolyVectorField)
                 and self.components == other.components)
 
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        self._check(other)
-        return PolyVectorField(
-            self.dim, [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other: "PolyVectorField") -> "PolyVectorField":
-        self._check(other)
-        return PolyVectorField(
-            self.dim, [a - b for a, b in zip(self.components, other.components)])
-
     def scale(self, factor) -> "PolyVectorField":
         return PolyVectorField(self.dim, [c * factor for c in self.components])
 
@@ -114,9 +105,6 @@ class PolyVectorField:
 
     def value_at_zero(self) -> Vector:
         return tuple(Fraction(c.constant_term()) for c in self.components)
-
-    def eval(self, point: Sequence) -> Vector:
-        return tuple(c.eval(point) for c in self.components)
 
     def jacobian_at_zero(self) -> list[list[Fraction]]:
         return [[Fraction(self.components[i].partial(j).constant_term())
@@ -569,13 +557,15 @@ def field_to_json(f: PolyVectorField) -> list:
 
 
 def system_from_json_dict(data: dict, name: str = "system") -> SystemDef:
+    if not isinstance(data, dict):
+        raise ValueError("a system is a JSON object")
     dim = _integer(data["dim"], "dim")
     if dim < 1:      # refused before the fields are read against it
         raise ValueError(f"dim {dim} is not a positive integer")
     return SystemDef(
         dim=dim,
-        f0=field_from_json(dim, data["f0"]),
-        f1=field_from_json(dim, data["f1"]),
+        f0=_json_field(data, "f0", lambda f: field_from_json(dim, f)),
+        f1=_json_field(data, "f1", lambda f: field_from_json(dim, f)),
         name=data.get("name", name),
     )
 

@@ -299,9 +299,6 @@ class LieElement:
             return LieElement()
         return LieElement({k: v * factor for k, v in self.coeffs.items()})
 
-    def support(self) -> set[HallElement]:
-        return set(self.coeffs)
-
     def expand_to_words(self, cutoff: int) -> TensorSeries:
         for element in self.coeffs:
             if element.length > cutoff:
@@ -438,15 +435,6 @@ def lie_bracket(a: Union[BracketTree, LieElement, str],
             pair = node(ea.tree, eb.tree)
             out = out + decompose(pair).scale(ca * cb)
     return out
-
-
-def coefficient_of(a: Union[BracketTree, LieElement, str],
-                   b: Union[BracketTree, HallElement, str]) -> Fraction:
-    """The coefficient of the Hall element b in the basis expansion of a."""
-    target = HallElement.of(b)
-    if not isinstance(a, LieElement):
-        a = decompose(a)
-    return a.coeffs.get(target, Fraction(0))
 
 
 def hall_factor(b: Union[BracketTree, HallElement]) -> tuple[BracketTree, int, BracketTree]:

@@ -15,11 +15,12 @@
   expansion uses the plain second-kind coordinates instead of eta;
 * :func:`drift_scan` - empirical verification of one-sided drift
   inequalities P x(t;u) >= (1-eps) xi_b(t,u) - C |x|^beta over a seeded
-  family of controls.  Its trials are stepped in lockstep on (trials,)
-  arrays by the same generated RK4 step, each on `integrate`'s schedule,
-  so every final state equals the sequential one bit for bit.  The trials
-  run longest first, so the ones still running are always a prefix of the
-  arrays and each step works on views of it.
+  family of piecewise-constant controls.  Its trials are stepped in
+  lockstep on (trials,) arrays by the same generated RK4 step, each on
+  `integrate`'s schedule, so every final state equals the sequential one
+  bit for bit, and a blow-up is reported by integrating them one at a
+  time.  The trials run longest first, so the ones still running are
+  always a prefix of the arrays and each step works on views of it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import trees
-from .conditions import Caps, FamilySpec, component_functional
+from .conditions import FamilySpec, component_functional
 from .controls import (ControlSignal, PiecewisePolyControl, Poly, _reduced,
                        horner, primitive)
 from .coord import xi
@@ -128,75 +129,56 @@ def integrate(sys: SystemDef, u: ControlSignal, step: float) -> Trajectory:
 
 def _final_states(sys: SystemDef, controls: Sequence[PiecewisePolyControl],
                   step: float) -> np.ndarray:
-    """`integrate(sys, u, step).final_state` for each u, as the rows of one
-    array, with every trial stepped in lockstep on (trials,) arrays.
+    """`integrate(sys, u, step).final_state` for each piecewise-constant u
+    (the drift-scan family), as the rows of one array, with every trial
+    stepped in lockstep on (trials,) arrays; a non-constant piece is refused.
 
-    The trials are ordered longest first (a stable sort on their step
-    counts), so the ones still running at step s are a prefix and each
-    step works on views of it.  Each trial keeps `integrate`'s schedule in
-    per-trial vectors (piece left end, step size, first step, coefficients)
-    that a list of piece starts updates as the steps reach them.  When every
-    piece of every trial is constant, as in the drift-scan family, the
-    coefficient row is each trial's control value at every stage (see
-    `integrate`) and no stage time is computed.  A trial that trips the
-    blow-up guard is frozen at 0; after the loop the one of lowest input
-    index raises `BlowUpError` with its own time and norm, as the
-    sequential loop would.
+    A constant piece is its value at every stage (see `integrate`), so a
+    trial's schedule is a step size and a value per piece, written into
+    per-trial vectors as the steps reach the piece starts.  The trials run
+    longest first (a stable sort on their step counts), so the ones still
+    running at step s are a prefix and each step works on views of it.  When
+    a trial trips the blow-up guard, the trials are integrated one at a time
+    in input order, so `integrate` raises the sequential `BlowUpError`: the
+    lockstep steps bit for bit as it does.
     """
     rk4, trials = sys.rk4_step, len(controls)
-    schedules = [[(left, *_substeps(left, right, step), coeffs)
-                  for left, right, coeffs in u.float_pieces()]
-                 for u in controls]
-    steps = [sum(n for _, n, _, _ in schedule) for schedule in schedules]
+    schedules = []
+    for u in controls:
+        pieces = u.float_pieces()
+        if any(len(coeffs) > 1 for *_, coeffs in pieces):
+            raise ValueError("the lockstep takes piecewise-constant controls")
+        schedules.append([(*_substeps(left, right, step),
+                           coeffs[0] if coeffs else 0.0)
+                          for left, right, coeffs in pieces])
+    steps = [sum(n for n, _, _ in schedule) for schedule in schedules]
     order = sorted(range(trials), key=lambda r: -steps[r])
-    terms = max(1, max((len(c) for s in schedules for *_, c in s), default=0))
     starts: dict[int, list] = {}        # step -> the pieces starting there
     for row, r in enumerate(order):
         at = 0
-        for left, n, h, coeffs in schedules[r]:
-            starts.setdefault(at, []).append(
-                (row, left, h, coeffs + (0.0,) * (terms - len(coeffs))))
+        for n, *piece in schedules[r]:
+            starts.setdefault(at, []).append((row, *piece))
             at += n
 
-    left, h = np.zeros(trials), np.zeros(trials)
-    first = np.zeros(trials, dtype=np.intp)
-    coeffs = np.zeros((terms, trials))
-    blown = None
-    blow_ups: dict[int, tuple[float, float]] = {}
+    h, level = np.zeros(trials), np.zeros(trials)
     x = [np.zeros(trials) for _ in range(sys.dim)]
     m = trials
-    for s in range(steps[order[0]] if trials else 0):
-        while steps[order[m - 1]] <= s:
-            m -= 1
-        if s in starts:
-            rows, ls, hs, cs = map(np.array, zip(*starts[s]))
-            left[rows], h[rows], first[rows] = ls, hs, s
-            coeffs[:, rows] = cs.T
-        hc, cc, xs = h[:m], coeffs[:, :m], [v[:m] for v in x]
-        if terms == 1:
-            new = rk4(cc[0], cc[0], cc[0], xs, hc, np.float_power)
-        else:
-            lc = left[:m]
-            t0 = lc + (s - first[:m]) * hc
-            new = rk4(horner(cc, t0 - lc), horner(cc, t0 + hc / 2 - lc),
-                      horner(cc, t0 + hc - lc), xs, hc, np.float_power)
-        if blown is not None:           # frozen trials hold 0
-            new = [np.where(blown[:m], 0.0, v) for v in new]
-        tripped = ~_within_guard(new)
-        if tripped.any():
-            for r in np.flatnonzero(tripped):
-                blow_ups[order[r]] = (
-                    float(left[r] + (s - first[r]) * h[r] + h[r]),
-                    float(np.linalg.norm([v[r] for v in new])))
-                for v in new:           # its later steps must not overflow
-                    v[r] = 0.0
-            if blown is None:
-                blown = np.zeros(trials, dtype=bool)
-            blown[:m] |= tripped
-        for v, w in zip(x, new):
-            v[:m] = w
-    if blow_ups:
-        raise BlowUpError(*blow_ups[min(blow_ups)])
+    # an overflow or nan is a blow-up, which the guard below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps[order[0]] if trials else 0):
+            while steps[order[m - 1]] <= s:
+                m -= 1
+            if s in starts:
+                rows, hs, levels = map(np.array, zip(*starts[s]))
+                h[rows], level[rows] = hs, levels
+            uc = level[:m]
+            new = rk4(uc, uc, uc, [v[:m] for v in x], h[:m], np.float_power)
+            if not _within_guard(new).all():
+                for u in controls:
+                    integrate(sys, u, step)
+                raise RuntimeError("integrate did not reproduce a blow-up")
+            for v, w in zip(x, new):
+                v[:m] = w
     out = np.empty((trials, sys.dim))
     out[order] = np.stack(x, axis=1)
     return out
@@ -466,8 +448,7 @@ def random_control_family(seed: int, trials: int, rho: float, t_max: float,
 def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
                eps: float = 0.1, C: float = 10.0, beta: float = 1.5,
                trials: int = 200, seed: int = 0, rho: float = 0.1,
-               t_max: float = 0.1, step: float = 2e-4,
-               caps: Caps | None = None) -> DriftScanReport:
+               t_max: float = 0.1, step: float = 2e-4) -> DriftScanReport:
     """Empirical margin scan of the drift inequality for one bad bracket.
 
     Refuses to run when the span condition is satisfied (no component
@@ -488,7 +469,7 @@ def drift_scan(sys: SystemDef, bracket, fam: FamilySpec,
         raise ValueError(f"beta must be > 0, got {beta!r}")
     controls = random_control_family(seed, trials, rho, t_max)
     tree = as_tree(bracket)
-    component = component_functional(sys, tree, fam, caps)
+    component = component_functional(sys, tree, fam)
     note = ""
     if tree == trees.W(3, 0) and fam.name == "N3":
         # the refined obstruction for this bracket holds along a

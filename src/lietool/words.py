@@ -297,11 +297,6 @@ class TensorSeries:
                     out[i + j] += term
         return TensorSeries._make(cutoff, out, self.den * other.den)
 
-    def truncated(self, cutoff: int) -> "TensorSeries":
-        blocks = self.blocks[:cutoff + 1]
-        blocks += [None] * (cutoff + 1 - len(blocks))
-        return TensorSeries._make(cutoff, blocks, self.den)
-
     def _power_sum(self, coefficient) -> "TensorSeries":
         """sum_{k >= 1} coefficient(k) x^k, x this series without its
         constant term."""

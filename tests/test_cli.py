@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,25 @@ def run(capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
     return invoke
+
+
+def subprocess_env() -> dict:
+    """The environment with this lietool's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(lietool.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def system_json(coeff) -> dict:
+    """x' = coeff x^2 + u."""
+    return {"dim": 1, "f0": [[{"coeff": coeff, "powers": [2]}]],
+            "f1": [[{"coeff": "1", "powers": [0]}]]}
+
+
+def control_json(**fields) -> dict:
+    """A one-piece control on [0, 1], with `fields` replaced."""
+    return {"type": "piecewise_poly", "t": "1", "breakpoints": ["0", "1"],
+            "pieces": [["1"]], **fields}
 
 
 @pytest.fixture
@@ -336,6 +356,31 @@ class TestDriftScan:
         assert err.startswith("error: state norm ")
         assert "exceeded the blow-up guard" in err
 
+    def test_blow_up_prints_only_the_error(self, tmp_path):
+        # x1' = u, x2' = x1^2 + x2^9: the lockstep overflows float powers
+        # before the guard reports the blow-up
+        path = tmp_path / "nonic.json"
+        path.write_text(json.dumps({
+            "dim": 2, "f0": [[], [{"coeff": "1", "powers": [2, 0]},
+                                  {"coeff": "1", "powers": [0, 9]}]],
+            "f1": [[{"coeff": "1", "powers": [0, 0]}], []]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lietool.cli", "drift-scan", "--system",
+             str(path), "--bracket", "W(1,0)", "--family", "s1", "--trials",
+             "20", "--seed", "0", "--rho", "50", "--t-max", "1"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: state norm ")
+
+    def test_refined_scan_note_in_the_json(self, run):
+        code, out, _ = run("drift-scan", "--system", "zoo:w3_time",
+                           "--bracket", "W(3,0)", "--family", "n3",
+                           "--trials", "10", "--seed", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["note"] \
+            == "refined scan: rely on the weak-variant margin"
+
     def test_seeded_scan_is_byte_identical(self, run):
         args = ("drift-scan", "--system", "zoo:easy", "--bracket", "W(1,0)",
                 "--family", "s1", "--trials", "8", "--seed", "9", "--json")
@@ -455,6 +500,34 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("option, payload", [
+        pytest.param("--system", system_json(math.inf), id="coeff-inf"),
+        pytest.param("--system", system_json([1]), id="coeff-list"),
+        pytest.param("--system", system_json("1/0"), id="coeff-1/0"),
+        pytest.param("--system", [1, 2], id="system-list"),
+        pytest.param("--system", None, id="system-dir"),
+        pytest.param("--control", [1, 2], id="control-list"),
+        pytest.param("--control", control_json(pieces=[[{"a": 1}]]),
+                     id="piece-dict"),
+        pytest.param("--control", control_json(breakpoints=[], pieces=[]),
+                     id="no-breakpoints"),
+        pytest.param("--control", None, id="control-dir")])
+    def test_malformed_input_file_is_usage_error(self, run, tmp_path, option,
+                                                 payload):
+        path = tmp_path / "input.json"
+        if payload is None:
+            path = tmp_path                     # a directory
+        else:
+            path.write_text(json.dumps(payload))    # inf as Infinity
+        if option == "--system":
+            argv = ("eval", "--system", str(path), "--bracket", "X1")
+        else:
+            argv = ("xi", "--bracket", "W(1,0)", "--control", str(path))
+        code, out, err = run(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_control_hint_when_the_control_fails_to_load(self, run, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"type": "piecewise_poly"}))
@@ -517,16 +590,14 @@ class TestErrors:
 
 
 def test_closed_output_pipe_exits_quietly():
-    src = os.path.dirname(os.path.dirname(lietool.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)      # every write to the pipe now fails with EPIPE
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "lietool.cli", "check", "--system",
              "zoo:w2_vs_q111", "--condition", "n2", "--json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(),
+            timeout=120)
     finally:
         os.close(write_end)
     assert proc.stderr == b""

@@ -295,6 +295,14 @@ class TestN2N3:
     def test_n3_violated_on_time_dependent_example(self):
         assert check_n3(zoo("w3_time")).verdict == "violated"
 
+    def test_chains_still_growing_at_the_index_cap_are_inconclusive(self):
+        # one index: the indexed chains grow at their last index, so the
+        # span is not stabilized and the violation above is not certified
+        report = check_n3(zoo("w3_time"), Caps(max_index=1))
+        assert report.verdict == "inconclusive"
+        assert report.span.rank == 4
+        assert report.span.stabilized is False
+
     def test_certificates_reverify(self):
         rep = check_n3(zoo("w3_vs_q111"))
         combo = rep.combination

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import lietool
 from lietool import simulate
-from lietool.conditions import MembershipHoldsError, family_n2, family_s1
+from lietool.conditions import (MembershipHoldsError, family_n2, family_n3,
+                                family_s1)
 from lietool.controls import PiecewisePolyControl, Poly, SampledControl, primitive
 from lietool.coord import xi
 from lietool.expansions import eta_by_product, interaction_log
@@ -406,6 +407,14 @@ class TestPureCounterexample:
             assert abs(defect) <= 1e-16
 
 
+def tied_control(k: int, a: Fraction) -> PiecewisePolyControl:
+    """Three constant pieces on widths k/1000, k/1000 and 3k/1000: k/2, k/2
+    and 3k/2 steps at step 2e-3, so equal k ties the step counts."""
+    return PiecewisePolyControl.piecewise_constant(
+        (0, Fraction(k, 1000), Fraction(k, 500), Fraction(k, 200)),
+        (a, -2 * a, Fraction(1, 7)))
+
+
 class TestDriftScan:
     def test_easy_square_bracket_scan_passes(self):
         report = drift_scan(EASY, "W(1,0)", family_s1(), trials=40, seed=3)
@@ -465,19 +474,30 @@ class TestDriftScan:
                            + 10.0 * float(np.linalg.norm(x)) ** 1.5)
         assert report.margins == margins
 
-    def test_lockstep_states_equal_integrate_on_polynomial_pieces(self, rng):
+    def test_lockstep_states_equal_integrate_on_random_breakpoints(self,
+                                                                   rng):
         from conftest import random_poly_control
-        controls = [random_poly_control(rng, Fraction(rng.randint(1, 8), 40),
-                                        max_pieces=4, max_degree=3)
-                    for _ in range(12)]
+        controls = []
+        for _ in range(12):
+            u = random_poly_control(rng, Fraction(rng.randint(1, 8), 40),
+                                    max_pieces=4, max_degree=3)
+            controls.append(PiecewisePolyControl.piecewise_constant(
+                u.breakpoints, [p.eval(Fraction(0)) for p in u.pieces]))
         controls.append(PiecewisePolyControl.constant(0, Fraction(1, 20)))
-        # piecewise-constant and zero controls in the same batch
+        # hand-built, zero and scan-family controls in the same batch
         controls += random_control_family(5, 10, 0.3, 0.2)
         for system in ("easy", "w2_vs_q111", "jakubczyk"):
             states = _final_states(zoo(system), controls, 2e-3)
             for u, x in zip(controls, states):
                 expected = integrate(zoo(system), u, 2e-3).final_state
                 assert x.tobytes() == expected.tobytes()
+
+    def test_polynomial_piece_is_refused(self):
+        controls = [PiecewisePolyControl.constant(1, Fraction(1, 10)),
+                    PiecewisePolyControl((0, Fraction(1, 10)),
+                                         (Poly((1, -2)),))]
+        with pytest.raises(ValueError, match="piecewise-constant"):
+            _final_states(EASY, controls, 2e-3)
 
     def test_lowest_index_blow_up_is_reported(self):
         tame = PiecewisePolyControl.constant(Fraction(1, 10), Fraction(1, 2))
@@ -522,11 +542,9 @@ class TestDriftScan:
     def test_longest_first_order_keeps_each_trial_bit_identical(self):
         # step counts 15, 5, 25, 5, 10, 25, 20 at step 2e-3: distinct,
         # out of order and tied, so the stable sort permutes the trials
-        pieces = (Fraction(1, 3), Fraction(-1, 2), Fraction(3, 4))
-        controls = [PiecewisePolyControl(
-            (0, Fraction(k, 1000), Fraction(k, 500), Fraction(k, 200)),
-            (Poly((a,)), Poly((a, -2)), Poly((Fraction(1, 7), 0, a))))
-            for k, a in zip((6, 2, 10, 2, 4, 10, 8), pieces * 3)]
+        values = (Fraction(1, 3), Fraction(-1, 2), Fraction(3, 4))
+        controls = [tied_control(k, a) for k, a in zip((6, 2, 10, 2, 4, 10, 8),
+                                                      values * 3)]
         steps = [len(integrate(EASY, u, 2e-3).times) - 1 for u in controls]
         assert steps == [15, 5, 25, 5, 10, 25, 20]
         for system in ("easy", "jakubczyk"):
@@ -534,6 +552,28 @@ class TestDriftScan:
             for u, x in zip(controls, states):
                 expected = integrate(zoo(system), u, 2e-3).final_state
                 assert x.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 25),
+           st.sampled_from([0.1, 0.3, 1.0]), st.sampled_from([0.05, 0.1, 0.2]),
+           st.lists(st.tuples(st.sampled_from([2, 4, 6, 10]),
+                              st.fractions(-2, 2, max_denominator=8)),
+                    max_size=6),
+           st.sampled_from(["easy", "w2_vs_q111", "jakubczyk"]),
+           st.randoms(use_true_random=False))
+    def test_lockstep_equals_integrate_bit_for_bit(self, seed, trials, rho,
+                                                   t_max, tied, system,
+                                                   shuffle):
+        """Seeded scan families mixed with three-piece controls whose step
+        counts tie (`tied_control`), in a drawn order."""
+        controls = random_control_family(seed, trials, rho, t_max)
+        controls += [tied_control(k, a) for k, a in tied]
+        shuffle.shuffle(controls)
+        sys_def = zoo(system)
+        states = _final_states(sys_def, controls, 2e-3)
+        for u, x in zip(controls, states):
+            expected = integrate(sys_def, u, 2e-3).final_state
+            assert x.tobytes() == expected.tobytes()
 
     def test_blow_up_reported_for_the_lowest_input_index_after_sorting(self):
         tame = PiecewisePolyControl.constant(0, 10)     # x stays 0
@@ -554,6 +594,11 @@ class TestDriftScan:
             _final_states(RUNAWAY, controls, 1e-2)
         assert lockstep.value.time_reached == second.value.time_reached
         assert lockstep.value.norm == second.value.norm
+
+    def test_refined_scan_note_for_w3_against_n3(self):
+        report = drift_scan(zoo("w3_time"), "W(3,0)", family_n3(), trials=10,
+                            seed=0)
+        assert report.note == "refined scan: rely on the weak-variant margin"
 
     def test_zero_trials_counted(self):
         report = drift_scan(EASY, "W(1,0)", family_s1(), trials=200, seed=0)
