@@ -3,9 +3,10 @@
 Subcommands: basis, decompose, xi, eval, check, verify-expansions, simulate,
 drift-scan, zoo.  Exit codes: 0 on success (including a computed verdict),
 1 when --fail-on-violation is set and the verdict is violated, 2 on usage
-errors (an unreadable or malformed input file among them) and on a run whose
-state norm exceeds the blow-up guard, 141 (as for
-SIGPIPE) when the reader closes standard output early.
+errors (an unreadable or malformed input file among them), on a tree that
+nests too deeply for the command and on a run whose state norm exceeds the
+blow-up guard, 141 (as for SIGPIPE) when the reader closes standard output
+early.
 Rationals serialize as "p/q" strings; reports echo every numeric default so
 runs are reproducible from their output alone.
 """
@@ -24,7 +25,7 @@ from .zoo import (UnknownSystemError, zoo as build_zoo, zoo_names,
                   zoo_parameters)
 from .conditions import Caps
 from .controls import PiecewisePolyControl, load_control
-from .fields import load_system, system_to_json_dict
+from .fields import eval_bracket, load_system, system_to_json_dict
 from .hall import basis_of_bidegree, decompose, enumerate_basis
 from .trees import TreeSyntaxError, parse_tree
 
@@ -85,7 +86,7 @@ CONTROL_FORMAT_HINT = (
 def _load_control(path: str):
     try:
         return load_control(path)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise CliError(f"error: {exc}\n{CONTROL_FORMAT_HINT}")
 
 
@@ -128,7 +129,6 @@ def _cmd_xi(args) -> int:
 
 def _cmd_eval(args) -> int:
     sys_def = _load_system(args.system)
-    from .fields import eval_bracket
     value = eval_bracket(sys_def, _parse_tree_arg(args.bracket))
     print("\t".join(str(v) for v in value))
     return 0
@@ -137,73 +137,58 @@ def _cmd_eval(args) -> int:
 CONDITION_GRAMMAR = ("sussmann:<k> | wk:<k>,<m> | wk-screen:<k>,<m> | n2 | "
                      "n3 | sextic | ag:<sigma>,<r>")
 
+# condition name -> (types of the indices after ":", checker called as
+# checker(system, *indices, caps))
+_CONDITIONS = {
+    "sussmann": ((int,), conditions.check_sussmann_stefani),
+    "wk": ((int, int), conditions.check_wk_loose),
+    "wk-screen": ((int, int), conditions.check_wk_cubic_screen),
+    "n2": ((), conditions.check_n2),
+    "n3": ((), conditions.check_n3),
+    "sextic": ((), conditions.check_sextic),
+    "ag": ((Fraction, Fraction), conditions.ag_screen),
+}
 
-def _parse_condition(token: str):
+
+def _parse_indexed(token: str, table: dict, what: str, grammar: str):
+    """(entry, indices) for a token NAME or NAME:i,j,... of `table`."""
     name, sep, rest = token.partition(":")
-    try:
-        if name == "sussmann":
-            return ("sussmann", int(rest))
-        if name in ("wk", "wk-screen"):
-            k, m = rest.split(",")
-            return (name, int(k), int(m))
-        if name in ("n2", "n3", "sextic") and not sep:
-            return (name,)
-        if name == "ag":
-            sigma, r = rest.split(",")
-            return ("ag", Fraction(sigma), Fraction(r))
+    if name not in table:
+        raise CliError(f"unknown {what} {token!r}; use {grammar}")
+    types, entry = table[name]
+    try:    # a wrong number of indices fails zip(strict=True) with ValueError
+        return entry, [kind(text) for kind, text in zip(
+            types, rest.split(",") if sep else [], strict=True)]
     except (ValueError, ZeroDivisionError):
-        raise CliError(
-            f"malformed condition {token!r}; use {CONDITION_GRAMMAR}")
-    raise CliError(f"unknown condition {token!r}; use {CONDITION_GRAMMAR}")
-
-
-def _caps_line(caps: Caps) -> str:
-    return "caps: " + " ".join(
-        f"{key}={value}" for key, value in asdict(caps).items())
+        raise CliError(f"malformed {what} {token!r}; use {grammar}")
 
 
 def _cmd_check(args) -> int:
     sys_def = _load_system(args.system)
     caps = Caps(max_index=args.cap_index, max_n0=args.cap_n0)
-    parsed = _parse_condition(args.condition)
-    if parsed[0] == "ag":
-        entries = conditions.ag_screen(sys_def, sigma=parsed[1], r=parsed[2],
-                                       caps=caps)
-        if args.json:
-            print(json.dumps({"caps": asdict(caps), "entries": [{
-                "bracket": trees.display_form(e.tree), "layer": e.layer,
-                "weight": str(e.weight),
-                "compensated": e.compensated} for e in entries]}, indent=2))
-        else:
-            print(_caps_line(caps))
-            print(f"ag screen on {sys_def.name}: sigma={parsed[1]} "
-                  f"r={parsed[2]}")
-            for e in entries:
-                print("  " + e.line())
-        return 0
-    if parsed[0] == "sussmann":
-        report = conditions.check_sussmann_stefani(sys_def, parsed[1], caps)
-    elif parsed[0] == "wk":
-        report = conditions.check_wk_loose(sys_def, parsed[1], parsed[2], caps)
-    elif parsed[0] == "wk-screen":
-        report = conditions.check_wk_cubic_screen(sys_def, parsed[1],
-                                                  parsed[2], caps)
-    elif parsed[0] == "n2":
-        report = conditions.check_n2(sys_def, caps)
-    elif parsed[0] == "n3":
-        report = conditions.check_n3(sys_def, caps)
+    checker, indices = _parse_indexed(args.condition, _CONDITIONS,
+                                      "condition", CONDITION_GRAMMAR)
+    report = checker(sys_def, *indices, caps)
+    if checker is conditions.ag_screen:     # screen entries, no verdict
+        payload = {"caps": asdict(caps), "entries": [{
+            "bracket": trees.display_form(e.tree), "layer": e.layer,
+            "weight": str(e.weight), "compensated": e.compensated}
+            for e in report]}
+        lines = [f"ag screen on {sys_def.name}: sigma={indices[0]} "
+                 f"r={indices[1]}", *("  " + e.line() for e in report)]
+        violated = False
     else:
-        report = conditions.check_sextic(sys_def, caps)
+        payload = report.to_json_dict()
+        lines = [report.summary()]
+        lines += [f"detail: {report.detail}"] if report.detail else []
+        violated = report.verdict == "violated"
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(payload, indent=2))
     else:
-        print(_caps_line(caps))
-        print(report.summary())
-        if report.detail:
-            print(f"detail: {report.detail}")
-    if args.fail_on_violation and report.verdict == "violated":
-        return 1
-    return 0
+        print("caps: " + " ".join(
+            f"{key}={value}" for key, value in asdict(caps).items()))
+        print("\n".join(lines))
+    return 1 if args.fail_on_violation and violated else 0
 
 
 def _cmd_verify_expansions(args) -> int:
@@ -234,28 +219,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+FAMILY_GRAMMAR = "s1|n2|n3|loose:k,m|sextic"
+
+# family name -> (types of the indices after ":", family builder)
 _FAMILIES = {
-    "s1": conditions.family_s1,
-    "n2": conditions.family_n2,
-    "n3": conditions.family_n3,
-    "sextic": conditions.family_sextic,
+    "s1": ((), conditions.family_s1),
+    "n2": ((), conditions.family_n2),
+    "n3": ((), conditions.family_n3),
+    "loose": ((int, int), conditions.family_loose),
+    "sextic": ((), conditions.family_sextic),
 }
 
 
-FAMILY_GRAMMAR = "s1|n2|n3|loose:k,m|sextic"
-
-
 def _parse_family(token: str):
-    if token in _FAMILIES:
-        return _FAMILIES[token]()
-    name, _, rest = token.partition(":")
-    if name == "loose":
-        try:
-            k, m = (int(x) for x in rest.split(","))
-        except ValueError:
-            raise CliError(f"malformed family {token!r}; use {FAMILY_GRAMMAR}")
-        return conditions.family_loose(k, m)
-    raise CliError(f"unknown family {token!r}; use {FAMILY_GRAMMAR}")
+    builder, indices = _parse_indexed(token, _FAMILIES, "family",
+                                      FAMILY_GRAMMAR)
+    return builder(*indices)
 
 
 def _positive_int(text: str) -> int:
@@ -316,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="list Hall-basis elements by bidegree")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="exact bidegree (the default)")
     p.add_argument("--cumulative", action="store_true",
                    help="list every element with n1 <= N1 and n0 <= N0")
     p.set_defaults(func=_cmd_basis)
@@ -404,6 +381,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        print("error: the tree nests too deeply for this command",
+              file=_sys.stderr)
         return USAGE_ERROR
 
 

@@ -578,8 +578,10 @@ def primitives(u: ControlSignal) -> Callable[[int], ControlSignal]:
 
 
 def _json_field(data: dict, key: str, convert):
-    """convert(data[key]), a malformed value refused with a ValueError that
-    names the key."""
+    """convert(data[key]), a missing key or a malformed value refused with a
+    ValueError that names the key."""
+    if key not in data:
+        raise ValueError(f"missing {key!r}")
     try:
         return convert(data[key])
     except (TypeError, OverflowError, ZeroDivisionError) as exc:

@@ -528,10 +528,12 @@ def field_from_json(dim: int, data: list) -> PolyVectorField:
     for entry in data:
         terms = {}
         for mono in entry:
-            powers = tuple(_integer(p, "power", mono) for p in mono["powers"])
+            powers = _json_field(mono, "powers", lambda ps: tuple(
+                _integer(p, "power", mono) for p in ps))
             if len(powers) != dim:
                 raise ValueError("powers length != dim")
-            terms[powers] = terms.get(powers, 0) + Fraction(mono["coeff"])
+            terms[powers] = (terms.get(powers, 0)
+                             + _json_field(mono, "coeff", Fraction))
         comps.append(SparsePoly(dim, terms))
     return PolyVectorField(dim, comps)
 
@@ -559,7 +561,7 @@ def field_to_json(f: PolyVectorField) -> list:
 def system_from_json_dict(data: dict, name: str = "system") -> SystemDef:
     if not isinstance(data, dict):
         raise ValueError("a system is a JSON object")
-    dim = _integer(data["dim"], "dim")
+    dim = _json_field(data, "dim", lambda d: _integer(d, "dim"))
     if dim < 1:      # refused before the fields are read against it
         raise ValueError(f"dim {dim} is not a positive integer")
     return SystemDef(

@@ -18,6 +18,10 @@ shortcuts expand to the standard families built from right-iterated brackets
 with X0 (`M`), their squares (`W`), and the higher layers (`P`, `Q`, `Qs`,
 `Qf`, `R`, `Rs`, `D`); see the module functions of the same names.
 
+:func:`parse_tree` is one loop over the words one compiled regex finds
+between whitespace, with an explicit stack of open brackets, so nesting has
+no depth limit.
+
 :func:`match_named_family` inverts these builders by composition: it strips
 a tree's trailing zeros, matches both children of the germ, and applies the
 one rule their families fit (two consecutive M make a W; an M over a W, P or
@@ -28,6 +32,7 @@ deep tree, such as a long ad-chain, is rejected without a RecursionError.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -283,88 +288,78 @@ _NAMED_FAMILIES = {
 }
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# a maximal alphanumeric word (empty before punctuation or the end) between
+# whitespace; group 2 holds its leading decimal digits
+_TOKEN = re.compile(r"\s*((\d*)[^\W_]*)\s*")
 
-    def error(self, message: str) -> TreeSyntaxError:
-        return TreeSyntaxError(message, self.pos)
+_LEAVES = {"X0": X0, "X1": X1, "D": _D_TREE}
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _expect(text: str, pos: int, ch: str) -> int:
+    """The position after `ch`, which must be the next non-space character."""
+    if text.startswith(ch, pos):
+        return pos + 1
+    start = _TOKEN.match(text, pos).start(1)
+    if not text.startswith(ch, start):
+        raise TreeSyntaxError(f"expected {ch!r}", start)
+    return start + 1
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
 
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a decimal integer")
-        return int(self.text[start:self.pos])
-
-    def parse_name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a tree")
-        return self.text[start:self.pos]
-
-    def parse_tree(self) -> BracketTree:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            left = self.parse_tree()
-            self.expect(",")
-            right = self.parse_tree()
-            self.expect(")")
-            return node(left, right)
-        name = self.parse_name()
-        if name == "X0":
-            return X0
-        if name == "X1":
-            return X1
-        if name == "D":
-            return _D_TREE
-        if name in _NAMED_FAMILIES:
-            builder, arity, positive = _NAMED_FAMILIES[name]
-            args_start = self.pos
-            self.expect("(")
-            args = [self.parse_int()]
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.parse_int())
-            self.expect(")")
-            if len(args) != arity:
-                self.pos = args_start
-                raise self.error(
-                    f"{name} takes {arity} indices, got {len(args)}")
-            for i in positive:
-                if args[i] < 1:
-                    self.pos = args_start
-                    raise self.error(
-                        f"invalid family index: {name} argument {i + 1} must be >= 1")
-            return builder(*args)
-        raise self.error(f"unknown symbol {name!r}")
+def _family(text: str, name: str, end: int) -> tuple[BracketTree, int]:
+    """The family instance whose name ends at `end`, and the position after
+    its indices."""
+    if name not in _NAMED_FAMILIES:
+        raise TreeSyntaxError(f"unknown symbol {name!r}", end)
+    builder, arity, positive = _NAMED_FAMILIES[name]
+    args = []
+    pos = _expect(text, end, "(")
+    while True:
+        match = _TOKEN.match(text, pos)
+        digits = match.group(2)
+        if not digits:
+            raise TreeSyntaxError("expected a decimal integer", match.start(1))
+        args.append(int(digits))
+        # a word that runs on past its digits fails at ")" just after them
+        pos = match.end() if digits == match.group(1) else match.end(2)
+        if not text.startswith(",", pos):
+            break
+        pos += 1
+    pos = _expect(text, pos, ")")
+    if len(args) != arity:
+        raise TreeSyntaxError(f"{name} takes {arity} indices, got {len(args)}",
+                              end)
+    for i in positive:
+        if args[i] < 1:
+            raise TreeSyntaxError(f"invalid family index: {name} argument "
+                                  f"{i + 1} must be >= 1", end)
+    return builder(*args), pos
 
 
 def parse_tree(text: str) -> BracketTree:
     """Parse the ASCII tree grammar; round-trips with the canonical printer."""
-    parser = _Parser(text)
-    tree = parser.parse_tree()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input after tree")
+    # the open brackets, each None until its left child is read
+    stack: list[Optional[BracketTree]] = []
+    pos = 0
+    while True:
+        match = _TOKEN.match(text, pos)
+        name, pos = match.group(1), match.end()
+        if not name:
+            if not text.startswith("(", pos):
+                raise TreeSyntaxError("expected a tree", pos)
+            stack.append(None)
+            pos += 1
+            continue
+        tree = _LEAVES.get(name)
+        if tree is None:
+            tree, pos = _family(text, name, match.end(1))
+        while stack and stack[-1] is not None:
+            pos = _expect(text, pos, ")")
+            tree = node(stack.pop(), tree)
+        if not stack:
+            break
+        pos = _expect(text, pos, ",")
+        stack[-1] = tree
+    end = _TOKEN.match(text, pos).start(1)
+    if end != len(text):
+        raise TreeSyntaxError("trailing input after tree", end)
     return tree

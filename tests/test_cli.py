@@ -10,13 +10,16 @@ import pytest
 
 import lietool
 from lietool import simulate
+from lietool import conditions
 from lietool.cli import (CONDITION_GRAMMAR, CONTROL_FORMAT_HINT,
-                         FAMILY_GRAMMAR, ZOO_SPEC_FORM, _parse_family, main)
-from lietool.conditions import family_loose, family_sextic
+                         FAMILY_GRAMMAR, ZOO_SPEC_FORM, _CONDITIONS, _FAMILIES,
+                         _parse_family, main)
+from lietool.conditions import Caps, family_loose, family_sextic
 from lietool.coord import xi
 from lietool.hall import LieElement
-from lietool.trees import parse_tree
+from lietool.trees import display_form, parse_tree, zeros, X1
 from lietool.words import expand_to_words
+from lietool.zoo import zoo
 
 DATA = Path(__file__).parent / "data"
 DECOMPOSE_7_7 = ("((X1,X0),((X0,(X0,X1)),(X0,((((X0,(X0,X1)),X1),X1),"
@@ -45,6 +48,10 @@ def system_json(coeff) -> dict:
             "f1": [[{"coeff": "1", "powers": [0]}]]}
 
 
+CAPS_LINE = ("caps: max_index=12 max_n0=12 max_layer_length=15 "
+             "max_screen_length=9 stability_window=None")
+
+
 def control_json(**fields) -> dict:
     """A one-piece control on [0, 1], with `fields` replaced."""
     return {"type": "piecewise_poly", "t": "1", "breakpoints": ["0", "1"],
@@ -67,12 +74,8 @@ class TestBasis:
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].endswith("M(3)")
-
-    def test_exact_flag_is_default(self, run):
-        _, out1, _ = run("basis", "--n1", "2", "--n0", "2")
-        _, out2, _ = run("basis", "--n1", "2", "--n0", "2", "--exact")
-        assert out1 == out2
-        assert "W(1,1)" in out1
+        _, out, _ = run("basis", "--n1", "2", "--n0", "2")
+        assert "W(1,1)" in out
 
     def test_cumulative(self, run):
         code, out, _ = run("basis", "--n1", "1", "--n0", "2", "--cumulative")
@@ -153,6 +156,13 @@ class TestXi:
         assert err.startswith("error: ") and "got 6" in err
         assert "Traceback" not in err
 
+    def test_too_deep_a_tree_is_usage_error(self, run, control_file):
+        # the Hall test and the xi recursion recurse once per nesting level
+        code, out, err = run("xi", "--bracket", "M(1200)",
+                             "--control", control_file)
+        assert (code, out) == (2, "")
+        assert err == "error: the tree nests too deeply for this command\n"
+
     def test_odd_sample_count_estimates_the_error(self, run, tmp_path):
         # the trapezoid is exact on u(s) = s, on both grids
         code, out, _ = run("xi", "--bracket", "X1", "--control",
@@ -165,6 +175,11 @@ class TestEval:
         code, out, _ = run("eval", "--system", "zoo:easy",
                            "--bracket", "P(1,1,0)")
         assert code == 0 and out.strip() == "0\t0\t-6"
+
+    def test_deep_tree_text(self, run):
+        code, out, _ = run("eval", "--system", "zoo:easy",
+                           "--bracket", zeros(X1, 3000).text)
+        assert (code, out) == (0, "0\t0\t0\n")
 
     def test_parametric_zoo(self, run):
         code, out, _ = run("eval", "--system", "zoo:sextic:p=8",
@@ -259,6 +274,51 @@ class TestCheck:
         assert set(payload["entries"][0]) == {"bracket", "layer", "weight",
                                               "compensated"}
 
+
+    # a token per condition name but ag, and the library call it names
+    CHECKS = [
+        ("sussmann:1", lambda s, caps: conditions.check_sussmann_stefani(
+            s, 1, caps)),
+        ("wk:3,1", lambda s, caps: conditions.check_wk_loose(s, 3, 1, caps)),
+        ("wk-screen:3,1", lambda s, caps: conditions.check_wk_cubic_screen(
+            s, 3, 1, caps)),
+        ("n2", conditions.check_n2),
+        ("n3", conditions.check_n3),
+        ("sextic", conditions.check_sextic)]
+
+    @pytest.mark.parametrize("token, check", CHECKS)
+    def test_condition_names_run_their_checkers(self, run, token, check):
+        report = check(zoo("w3_vs_q111"), Caps(max_index=12, max_n0=12))
+        code, out, _ = run("check", "--system", "zoo:w3_vs_q111",
+                           "--condition", token)
+        assert code == 0
+        detail = f"detail: {report.detail}\n" if report.detail else ""
+        assert out == f"{CAPS_LINE}\n{report.summary()}\n{detail}"
+        code, out, _ = run("check", "--system", "zoo:w3_vs_q111",
+                           "--condition", token, "--json")
+        assert code == 0
+        assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+    def test_ag_runs_the_screen(self, run):
+        caps = Caps(max_index=12, max_n0=12)
+        entries = conditions.ag_screen(zoo("w3_vs_q111"), Fraction(1),
+                                       Fraction(6), caps)
+        code, out, _ = run("check", "--system", "zoo:w3_vs_q111",
+                           "--condition", "ag:1,6")
+        assert code == 0
+        assert out.splitlines() == [
+            CAPS_LINE, "ag screen on w3_vs_q111: sigma=1 r=6",
+            *("  " + e.line() for e in entries)]
+        code, out, _ = run("check", "--system", "zoo:w3_vs_q111",
+                           "--condition", "ag:1,6", "--json")
+        assert code == 0
+        assert [(e["bracket"], e["weight"]) for e in json.loads(out)[
+            "entries"]] == [(display_form(e.tree), str(e.weight))
+                            for e in entries]
+
+    def test_every_condition_name_is_tested(self):
+        tested = {token.partition(":")[0] for token, _ in self.CHECKS}
+        assert set(_CONDITIONS) == tested | {"ag"}
 
     def test_catalog_verdicts_are_pinned(self, run, tmp_path):
         """`check --json` on the benchmark catalog (the acceptance criterion
@@ -463,6 +523,29 @@ class TestDriftScan:
                            "--trials", "2", "--seed", "0")
         assert code == 2
 
+    # a scan per family name that its family does not refuse
+    SCANS = [
+        ("easy", "W(1,0)", "s1", conditions.family_s1),
+        ("w2_vs_q111", "W(2,0)", "n2", conditions.family_n2),
+        ("w3_time", "W(3,0)", "n3", conditions.family_n3),
+        ("w3_vs_q111", "W(3,0)", "loose:3,1", lambda: family_loose(3, 1)),
+        ("sextic", "D", "sextic", family_sextic)]
+
+    @pytest.mark.parametrize("system, bracket, family, build", SCANS)
+    def test_family_names_build_their_families(self, run, system, bracket,
+                                               family, build):
+        report = simulate.drift_scan(zoo(system), bracket, build(),
+                                     trials=20, seed=0)
+        code, out, _ = run("drift-scan", "--system", f"zoo:{system}",
+                           "--bracket", bracket, "--family", family,
+                           "--trials", "20", "--seed", "0", "--json")
+        assert code == 0
+        assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+    def test_every_family_name_is_tested(self):
+        assert set(_FAMILIES) == {scan[2].partition(":")[0]
+                                  for scan in self.SCANS}
+
     def test_families_come_from_conditions(self):
         assert _parse_family("loose:3,2") == family_loose(3, 2)
         assert _parse_family("sextic") == family_sextic()
@@ -528,6 +611,31 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option, payload, key", [
+        ("--system", {"f0": [[]], "f1": [[]]}, "dim"),
+        ("--system", {"dim": 1, "f1": [[]]}, "f0"),
+        ("--system", {"dim": 1, "f0": [[]]}, "f1"),
+        ("--system", {"dim": 1, "f0": [[{"coeff": "1"}]], "f1": [[]]},
+         "powers"),
+        ("--system", {"dim": 1, "f0": [[]], "f1": [[{"powers": [0]}]]},
+         "coeff"),
+        ("--control", control_json(pieces=None), "pieces"),
+        ("--control", control_json(breakpoints=None), "breakpoints"),
+        ("--control", {"type": "samples", "values": [0, 1, 2, 3, 4]}, "t"),
+        ("--control", {"type": "samples", "t": 1.0}, "values")])
+    def test_missing_key_is_named(self, run, tmp_path, option, payload, key):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(
+            {k: v for k, v in payload.items() if v is not None}))
+        if option == "--system":
+            argv = ("eval", "--system", str(path), "--bracket", "X1")
+        else:
+            argv = ("xi", "--bracket", "W(1,0)", "--control", str(path))
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: missing {key!r}")
+        assert "Traceback" not in err
+
     def test_control_hint_when_the_control_fails_to_load(self, run, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"type": "piecewise_poly"}))
@@ -550,6 +658,25 @@ class TestErrors:
         assert code == 2
         assert CONDITION_GRAMMAR in err
         assert "unpack" not in err
+
+    @pytest.mark.parametrize("option, token, refusal", [
+        ("--condition", "n2:junk", "malformed condition"),
+        ("--condition", "sextic:", "malformed condition"),
+        ("--condition", "sussmann", "malformed condition"),
+        ("--condition", "bogus:1", "unknown condition"),
+        ("--family", "s1:1", "malformed family"),
+        ("--family", "loose", "malformed family"),
+        ("--family", "oops:1,2", "unknown family")])
+    def test_a_known_name_with_wrong_indices_is_malformed(self, run, option,
+                                                          token, refusal):
+        if option == "--condition":
+            argv = ("check", "--system", "zoo:easy", option, token)
+        else:
+            argv = ("drift-scan", "--system", "zoo:easy", "--bracket",
+                    "W(1,0)", option, token, "--trials", "2", "--seed", "0")
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{refusal} {token!r}; use ")
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--cap-index", "0", "max_index"), ("--cap-n0", "-1", "max_n0")])

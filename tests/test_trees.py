@@ -1,4 +1,5 @@
 import itertools
+import re
 from typing import Optional
 
 import pytest
@@ -9,8 +10,8 @@ from lietool import trees
 from lietool.hall import HallElement, basis_up_to_length, enumerate_basis
 from lietool.trees import (D, M, P, Q, R, BracketTree, FamilyPattern, Q_flat,
                            Q_sharp, R_sharp, TreeSyntaxError, W, X0, X1, ad,
-                           match_named_family, named_form, node, parse_tree,
-                           strip_ad, strip_trailing_zeros, zeros)
+                           display_form, match_named_family, named_form, node,
+                           parse_tree, strip_ad, strip_trailing_zeros, zeros)
 
 
 def test_leaf_counts_and_bidegree():
@@ -289,3 +290,106 @@ def test_deep_trees_match_without_recursion_error():
     assert match_named_family(comb) is None
     assert named_form(comb) is None
     assert match_named_family(zeros(X1, 5000)) == FamilyPattern("M", (), 5000)
+
+
+# (text, message, position): every malformed text the reader refuses, with
+# the message and position it reports
+_MALFORMED = [
+    ("", "expected a tree", 0),
+    (" ", "expected a tree", 1),
+    ("\t", "expected a tree", 1),
+    ("(", "expected a tree", 1),
+    (")", "expected a tree", 0),
+    ("(,X1)", "expected a tree", 1),
+    ("((", "expected a tree", 2),
+    ("(X1,", "expected a tree", 4),
+    ("(D,)", "expected a tree", 3),
+    ("  (  X1  ,  ", "expected a tree", 12),
+    ("(X1", "expected ','", 3),
+    ("(X1;X0)", "expected ','", 3),
+    ("(X1 X0)", "expected ','", 4),
+    ("((X1,X0)", "expected ','", 8),
+    ("(X1,X0", "expected ')'", 6),
+    ("((X1,X0),(X1,X0)", "expected ')'", 16),
+    ("(X1,X0))", "trailing input after tree", 7),
+    ("(X1,X0),X1", "trailing input after tree", 7),
+    ("(X1,\tX0)\t)", "trailing input after tree", 9),
+    ("X1\tX0", "trailing input after tree", 3),
+    ("X1\n,", "trailing input after tree", 3),
+    ("D(1)", "trailing input after tree", 1),
+    ("M(1)junk", "trailing input after tree", 4),
+    ("X2", "unknown symbol 'X2'", 2),
+    ("X0abc", "unknown symbol 'X0abc'", 5),
+    ("x1", "unknown symbol 'x1'", 2),
+    ("12X", "unknown symbol '12X'", 3),
+    ("X_1", "unknown symbol 'X'", 1),
+    ("\t(X1,\tX2)", "unknown symbol 'X2'", 8),
+    ("zzz(", "unknown symbol 'zzz'", 3),
+    ("M", "expected '('", 1),
+    ("M 1", "expected '('", 2),
+    ("Qs", "expected '('", 2),
+    ("M(", "expected a decimal integer", 2),
+    ("M()", "expected a decimal integer", 2),
+    ("M(1,)", "expected a decimal integer", 4),
+    ("M(-1)", "expected a decimal integer", 2),
+    ("M(X1)", "expected a decimal integer", 2),
+    ("\tM(\t-1)", "expected a decimal integer", 4),
+    ("P(1,1,0,)", "expected a decimal integer", 8),
+    ("M(1", "expected ')'", 3),
+    ("M(1 2)", "expected ')'", 4),
+    ("M(1a)", "expected ')'", 3),
+    ("W(1,0", "expected ')'", 5),
+    ("M(1,2)", "M takes 1 indices, got 2", 1),
+    ("W(1)", "W takes 2 indices, got 1", 1),
+    ("Qs (1,1,1)", "Qs takes 4 indices, got 3", 2),
+    ("W(0,1)", "invalid family index: W argument 1 must be >= 1", 1),
+    ("W(\t0,\t1\t)", "invalid family index: W argument 1 must be >= 1", 1),
+    ("Q(1,0,1,0)", "invalid family index: Q argument 2 must be >= 1", 1),
+    ("Qs(1,0,0,0)", "invalid family index: Qs argument 3 must be >= 1", 2),
+    ("(X1,W(0,0))", "invalid family index: W argument 1 must be >= 1", 5),
+    ("(W(1,0),P(1,0,0))", "invalid family index: P argument 2 must be >= 1",
+     9),
+]
+
+
+@pytest.mark.parametrize("text, message, position", _MALFORMED)
+def test_malformed_text_message_and_position(text, message, position):
+    with pytest.raises(TreeSyntaxError) as err:
+        parse_tree(text)
+    assert (str(err.value), err.value.position) == (
+        f"{message} (at position {position})", position)
+
+
+_SPACES = st.sampled_from(["", "", " ", "\t", "\n", " \t "])
+
+
+@st.composite
+def _tree_texts(draw):
+    """A tree and a text of it: some subtrees in their display form, and
+    whitespace at random token boundaries."""
+    tree = draw(_TREES)
+
+    def render(t):
+        if t.is_leaf or draw(st.booleans()):
+            return display_form(t)
+        return f"({render(t.left)},{render(t.right)})"
+
+    tokens = re.findall(r"[^\W_]+|\S", render(tree))
+    spaces = draw(st.lists(_SPACES, min_size=len(tokens) + 1,
+                           max_size=len(tokens) + 1))
+    return tree, "".join(map("".join, zip(spaces, tokens))) + spaces[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_texts())
+def test_parse_round_trips_with_spaces_and_named_subtrees(tree_and_text):
+    tree, text = tree_and_text
+    assert parse_tree(text) is tree
+    assert parse_tree(tree.text) is tree
+    assert parse_tree(display_form(tree)) is tree
+
+
+def test_deep_trees_parse_without_recursion_error():
+    for tree in (zeros(X1, 3000), ad(X1, 3000, X0)):
+        assert parse_tree(tree.text) is tree
+    assert parse_tree("M(3000)") is zeros(X1, 3000)
