@@ -189,18 +189,18 @@ def cross_coefficient_element(elements: Sequence[HallElement],
         generator = expand_to_words(element.tree, degree)
         factor, power = {}, TensorSeries.unit(degree)
         for k in range(h + 1):                  # exp(x_i A_i), x_i^k <= x_i^h
+            power = power * generator if k else power
             exponent = tuple(k if j == i else 0 for j in range(q))
             factor[exponent] = power.scale(Fraction(1, math.factorial(k)))
-            power = power * generator
         product = _truncated_product(product, factor, target)
     # log(1 + x) = sum_k (-1)^{k+1} x^k / k; x^k has total exponent >= k
     x = {m: s for m, s in product.items() if m != constant}
-    coefficient, power = TensorSeries.zero(degree), x
+    coefficient = TensorSeries.zero(degree)
     for k in range(1, sum(powers) + 1):
+        power = _truncated_product(power, x, target) if k > 1 else x
         if target in power:
             coefficient = coefficient + power[target].scale(
                 Fraction((-1) ** (k + 1), k))
-        power = _truncated_product(power, x, target)
     result = LieElement()
     if coefficient:
         n1 = sum(e.n1 * h for e, h in zip(elements, powers))

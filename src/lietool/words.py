@@ -14,7 +14,8 @@ i + j.  All numerators share one common denominator, reduced by a single gcd
 after every operation, so equal series have equal blocks.  Coefficients are
 rational (`numbers.Rational`); anything else is refused with a TypeError.  An
 all-zero block may be left out (``None``).  :meth:`TensorSeries.exp` is the
-one exponential: a closed form on a linear series, the power sum otherwise.
+one exponential: a closed form on a linear series; any other exp, and every
+log, is one truncated Horner evaluation of its power series.
 The word expansion of a bracket tree (:func:`word_expansion`) is an int64
 array of the same bit indices and one of its coefficients, so it fills a
 block directly, and the Hall solver
@@ -128,6 +129,18 @@ def _require_rational(c) -> None:
     if not isinstance(c, numbers.Rational):
         raise TypeError(f"TensorSeries coefficients are rational, "
                         f"got {type(c).__name__} {c!r}")
+
+
+def _block_product(left: list, right: list, top: int) -> list:
+    """The degree blocks of the concatenation product up to degree top, as
+    outer products of the integer numerators; higher blocks are None."""
+    out: list[np.ndarray | None] = [None] * len(left)
+    for i, a in enumerate(left[:top + 1]):
+        for j, b in enumerate(right[:top - i + 1]):
+            if a is not None and b is not None:
+                term = np.multiply.outer(a, b).ravel()
+                out[i + j] = term if out[i + j] is None else out[i + j] + term
+    return out
 
 
 class CutoffError(ValueError):
@@ -281,33 +294,30 @@ class TensorSeries:
         """Concatenation product, truncated at the cutoff: blocks meet whole,
         as outer products of ints."""
         self._check_cutoff(other)
-        cutoff = self.cutoff
-        out: list[np.ndarray | None] = [None] * (cutoff + 1)
-        for i, a in enumerate(self.blocks):
-            if a is None:
-                continue
-            for j in range(cutoff - i + 1):
-                b = other.blocks[j]
-                if b is None:
-                    continue
-                term = np.multiply.outer(a, b).ravel()
-                if out[i + j] is None:
-                    out[i + j] = term
-                else:
-                    out[i + j] += term
-        return TensorSeries._make(cutoff, out, self.den * other.den)
+        return TensorSeries._make(
+            self.cutoff, _block_product(self.blocks, other.blocks, self.cutoff),
+            self.den * other.den)
 
     def _power_sum(self, coefficient) -> "TensorSeries":
-        """sum_{k >= 1} coefficient(k) x^k, x this series without its
-        constant term."""
-        x = TensorSeries._make(self.cutoff, [None, *self.blocks[1:]], self.den)
-        result, power = TensorSeries(self.cutoff), x
-        for k in range(1, self.cutoff + 1):
-            if not power:
-                break
-            result = result + power.scale(coefficient(k))
-            power = power * x
-        return result
+        """sum_{k >= 0} coefficient(k) x^k, x this series without its
+        constant term, by truncated Horner: with m the lowest degree of x
+        and K = c // m, r_K = a_K and r_k = a_k + x r_{k+1}, which is needed
+        only up to degree c - k m, and the sum is r_0."""
+        c = self.cutoff
+        x = [None] + [b if b is not None and b.any() else None
+                      for b in self.blocks[1:]]
+        m = next((n for n in range(1, c + 1) if x[n] is not None), c + 1)
+        r = TensorSeries.unit(c).scale(coefficient(c // m))
+        for k in range(c // m - 1, -1, -1):
+            a = Fraction(coefficient(k))
+            den = math.lcm(self.den * r.den, a.denominator)
+            f = den // (self.den * r.den)
+            blocks = _block_product(x, r.blocks, c - k * m)
+            blocks = [b if b is None or f == 1 else b * f for b in blocks]
+            if a:
+                blocks[0] = np.array([int(a * den)], dtype=object)
+            r = TensorSeries._make(c, blocks, den)
+        return r
 
     def exp(self) -> "TensorSeries":
         """exp of a series with zero constant term (checked).
@@ -316,13 +326,12 @@ class TensorSeries:
         form: a word of length n with k X1 letters gets x0^(n-k) x1^k
         d^(c-n) (c!/n!) over d^c c!, the (c+1)(c+2)/2 values reduced by their
         gcd before one index spreads them over the words.  Any other series
-        takes the power sum of x^k / k!."""
+        takes the truncated Horner evaluation of sum x^k / k!."""
         if self[()]:
             raise ValueError("exp requires a zero constant term")
         c, d = self.cutoff, self.den
         if any(b is not None and b.any() for b in self.blocks[2:]):
-            return TensorSeries.unit(c) + self._power_sum(
-                lambda k: Fraction(1, math.factorial(k)))
+            return self._power_sum(lambda k: Fraction(1, math.factorial(k)))
         first = self.blocks[1] if c else None
         x0, x1 = (0, 0) if first is None else first.tolist()
         powers0, powers1 = ([x ** j for j in range(c + 1)] for x in (x0, x1))
@@ -340,11 +349,11 @@ class TensorSeries:
         return out
 
     def log(self) -> "TensorSeries":
-        """log of a series with constant term 1 (checked)."""
+        """log of a series with constant term 1 (checked), by the truncated
+        Horner evaluation of sum (-1)^{k+1} x^k / k, x the series minus 1."""
         if self[()] != 1:
             raise ValueError("log requires constant term 1")
-        # log(1+x) = sum (-1)^{k+1} x^k / k
-        return self._power_sum(lambda k: Fraction((-1) ** (k + 1), k))
+        return self._power_sum(lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
     def pretty(self) -> str:
         if not self.coeffs:

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lietool.words import (CutoffError, TensorSeries, all_words,
 
 ZERO = PiecewisePolyControl.constant(0, 1)
 UNIT = PiecewisePolyControl.constant(1, 1)
+DATA = Path(__file__).parent / "data"
 
 
 _SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -180,6 +183,21 @@ class TestInteractionLog:
         assert eta[X1] == primitive(u, 1).end_value()
         assert eta[M(1)] == xi(M(1), u).exact
         assert max(e.length for e in eta.values) == 11
+
+
+@pytest.mark.parametrize("log, name", [
+    (interaction_log, "eta_interaction_log_10"),
+    (magnus_log, "zeta_magnus_log_8")])
+def test_log_tables_match_the_pins(log, name):
+    # the benchmarked cutoffs on [1, -2, 1/2] over thirds of [0, 1], pinned
+    # exactly, so a faster power sum cannot move one coefficient
+    pinned = json.loads((DATA / f"{name}.json").read_text())
+    u = PiecewisePolyControl.piecewise_constant(
+        [Fraction(t) for t in pinned["control"]["breakpoints"]],
+        [Fraction(v) for v in pinned["control"]["values"]])
+    table = log(u, pinned["cutoff"])
+    assert table.values == {HallElement.of(tree): Fraction(v)
+                            for tree, v in pinned["values"].items()}
 
 
 class TestMagnusUsual:

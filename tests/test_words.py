@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
-from lietool.expansions import _factor_patterns, cross_coefficient_element
+from lietool.controls import PiecewisePolyControl
+from lietool.expansions import (_factor_patterns, cross_coefficient_element,
+                                formal_state)
 from lietool.hall import LieElement, basis_up_to_length, decompose_series
 from lietool.polynomials import SparsePoly
 from lietool.trees import X0, X1, node, parse_tree
@@ -290,6 +292,63 @@ def test_closed_form_exp_of_a_linear_series(cutoff, a, b):
         assert series.coeffs == ref_exp(x, cutoff)
         # reduced like any other series: equal numerators and denominator
         assert series == TensorSeries(cutoff, ref_exp(x, cutoff))
+
+
+# the truncated Horner power sum: x of lowest degree m is multiplied in
+# floor(c / m) times, step k cut at degree c - k m
+
+
+@st.composite
+def high_order_series(draw):
+    """(m, cutoff, x): x of lowest degree m >= 2, either homogeneous or with
+    higher degrees that leave gaps above m."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    cutoff = draw(st.integers(min_value=m, max_value=9))
+    degrees = [m]
+    if draw(st.booleans()):
+        degrees += [n for n in range(m + 2, cutoff + 1) if draw(st.booleans())]
+    x = {}
+    for n in degrees:
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            word = tuple(draw(st.integers(min_value=0, max_value=1))
+                         for _ in range(n))
+            x[word] = Fraction(draw(st.sampled_from([-3, -1, 1, 2, 5])),
+                               draw(st.integers(min_value=1, max_value=6)))
+    return m, cutoff, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(high_order_series(), st.booleans())
+def test_horner_on_series_of_lowest_degree_at_least_two(drawn, zero_blocks):
+    m, cutoff, x = drawn
+    series = TensorSeries(cutoff, x)
+    if zero_blocks:
+        # the degrees below m become all-zero arrays, not None
+        low = TensorSeries(cutoff, {(1,) * n: n for n in range(1, m)})
+        series = series + low - low
+        assert all(b is not None and not b.any() for b in series.blocks[1:m])
+    assert series.exp().coeffs == ref_exp(x, cutoff)
+    one = TensorSeries.unit(cutoff)
+    assert (one + series).log().coeffs == ref_log({**x, (): 1}, cutoff)
+    assert (one + series).log().exp() == one + series
+
+
+def test_horner_at_cutoff_zero():
+    for x in ({}, {(0, 1): Fraction(3, 2)}, {(1,): 7}):
+        assert TensorSeries(0, x).exp().coeffs == ref_exp({}, 0) == {(): 1}
+        y = TensorSeries(0, {**x, (): 1})
+        assert y.log().coeffs == ref_log({(): 1}, 0) == {}
+        assert y.log().blocks == [None] and y.log().den == 1
+
+
+@pytest.mark.parametrize("cutoff", range(10))
+def test_horner_on_the_chen_series_of_a_three_piece_control(cutoff):
+    u = PiecewisePolyControl.piecewise_constant(
+        (0, Fraction(1, 3), Fraction(2, 3), 1), (1, -2, Fraction(1, 2)))
+    state = formal_state(u, cutoff).series
+    log = state.log()
+    assert log.coeffs == ref_log(state.coeffs, cutoff)
+    assert log.exp().coeffs == ref_exp(log.coeffs, cutoff) == state.coeffs
 
 
 @pytest.mark.parametrize("make", [
